@@ -9,10 +9,11 @@ online without the key ever existing at a single server.
 Public entry points:
 
 * :class:`repro.config.ServiceConfig` — deployment parameters.
-* :class:`repro.core.service.ReplicatedNameService` — a complete
-  simulated deployment with a synchronous experiment API.
-* :class:`repro.net.local.AsyncNameService` — the same service running
-  live on asyncio.
+* :class:`repro.core.service.NameService` — one complete deployment
+  (keys, signed zone, replicas, clients, inspection), over a transport:
+  :class:`~repro.core.service.ReplicatedNameService` on the simulator
+  (synchronous experiment API) and
+  :class:`repro.net.local.AsyncNameService` live on asyncio (awaitable).
 * :mod:`repro.crypto` — threshold RSA (dealer, shares, proofs) and the
   BASIC/OptProof/OptTE signing protocols.
 * :mod:`repro.dns` — the full DNS substrate (wire format, zones,

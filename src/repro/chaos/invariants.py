@@ -10,8 +10,10 @@
 * **G3 (authenticity/integrity)** — every signature the service emits
   verifies under the zone key; the adversary never learns the key.
 
-The checks below run after a chaos scenario settles.  They inspect only
-honest replicas — a corrupted replica's state is allowed to be arbitrary.
+The checks below run after a chaos scenario settles, on any
+:class:`~repro.core.service.NameService` (simulated or asyncio).  They
+inspect only honest replicas — a corrupted replica's state is allowed to
+be arbitrary.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.errors import DnssecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.scenarios import PlanOp, Scenario
-    from repro.core.service import ReplicatedNameService
+    from repro.core.service import NameService
     from repro.sim.network import AdversarialScheduler
 
 
@@ -58,7 +60,7 @@ class InvariantReport:
         )
 
 
-def check_g1(service: "ReplicatedNameService", report: InvariantReport) -> None:
+def check_g1(service: "NameService", report: InvariantReport) -> None:
     """Honest replicas agree on zone state, delivery order, and responses."""
     honest = service.honest_replicas()
     digests = {replica.zone.digest().hex() for replica in honest}
@@ -115,7 +117,7 @@ def check_g2(
 
 
 def check_g3(
-    service: "ReplicatedNameService",
+    service: "NameService",
     results: Sequence[Optional[CompletedOp]],
     report: InvariantReport,
 ) -> None:
@@ -145,7 +147,7 @@ def check_g3(
 
 def check_expectations(
     scenario: "Scenario",
-    service: "ReplicatedNameService",
+    service: "NameService",
     adversary: "AdversarialScheduler",
     report: InvariantReport,
 ) -> None:
@@ -211,7 +213,7 @@ def check_expectations(
 
 
 def check_invariants(
-    service: "ReplicatedNameService",
+    service: "NameService",
     plan: Sequence["PlanOp"],
     results: Sequence[Optional[CompletedOp]],
     scenario: "Scenario",
@@ -234,7 +236,7 @@ def check_invariants(
 # chaos harness but at the protocol layer, against whatever each honest
 # replica has delivered/decided so far.  These helpers are pure functions
 # over plain data so that the explorer's models — which hold raw protocol
-# objects, not a ReplicatedNameService — can call them at every quiescent
+# objects, not a NameService — can call them at every quiescent
 # state without any service plumbing.
 
 

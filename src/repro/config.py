@@ -54,15 +54,6 @@ class ServiceConfig:
     # identical ABC transcripts and signatures under either.
     crypto_executor: str = EXECUTOR_SERIAL
     crypto_workers: int = 4
-    # Session pipelining: the signing coordinator speculatively generates
-    # shares (and, on the pool plane, pre-verifies buffered peer shares)
-    # for up to this many upcoming signing tasks while the current session
-    # assembles.  0 disables pipelining.
-    signing_lookahead: int = 2
-    # Leader-side re-batching on epoch change: the new leader re-frames
-    # the recovery backlog into batches of up to this many payloads per
-    # sequence slot.  1 keeps the paper's one-request-per-slot recovery.
-    recovery_batch_size: int = 32
     # Write-path fan-out: start every signing session of an update at
     # once (the coordinator multiplexes them; the pool plane overlaps
     # their share generation).  Off by default: the serialized
@@ -120,10 +111,6 @@ class ServiceConfig:
             )
         if self.crypto_workers < 1:
             raise ConfigError("crypto_workers must be at least 1")
-        if self.signing_lookahead < 0:
-            raise ConfigError("signing_lookahead cannot be negative")
-        if self.recovery_batch_size < 1:
-            raise ConfigError("recovery_batch_size must be at least 1")
         if self.broadcast_mode not in DISSEMINATION_MODES:
             raise ConfigError(
                 f"unknown broadcast_mode {self.broadcast_mode!r}; "

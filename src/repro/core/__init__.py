@@ -5,8 +5,8 @@
 * :mod:`repro.core.client` — dig/nsupdate equivalents, pragmatic (§3.4)
   and full (§3.3) client models
 * :mod:`repro.core.faults` — corrupted-server behaviours (§4.4)
-* :mod:`repro.core.service` — assembles a whole deployment on the
-  simulator
+* :mod:`repro.core.service` — ``NameService``, the whole deployment over
+  any transport, and ``ReplicatedNameService``, its simulator transport
 * :mod:`repro.core.oracle` — trusted / weak-trusted server specifications
   used to check goals G1/G1' in tests
 """
@@ -14,7 +14,7 @@
 from repro.core.keytool import Deployment, generate_deployment
 from repro.core.replica import ReplicaServer
 from repro.core.client import PragmaticClient, FullClient
-from repro.core.service import ReplicatedNameService
+from repro.core.service import NameService, ReplicatedNameService
 from repro.core.faults import CorruptionMode
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "ReplicaServer",
     "PragmaticClient",
     "FullClient",
+    "NameService",
     "ReplicatedNameService",
     "CorruptionMode",
 ]

@@ -68,6 +68,17 @@ from repro.sim.network import SimNode
 MAX_RESPONSE_CACHE_ENTRIES = 4096
 MAX_ANSWER_CACHE_ENTRIES = 4096
 
+#: Session pipelining: the signing coordinator speculatively generates
+#: shares (and, on the pool plane, pre-verifies buffered peer shares) for
+#: up to this many upcoming signing tasks while the current session
+#: assembles.  (``SigningCoordinator(lookahead=0)`` disables pipelining.)
+SIGNING_LOOKAHEAD = 2
+#: Leader-side re-batching on epoch change: the new leader re-frames the
+#: recovery backlog into batches of up to this many payloads per sequence
+#: slot.  (``AtomicBroadcast(rebatch_max=1)`` keeps the paper's
+#: one-request-per-slot recovery.)
+RECOVERY_BATCH_SIZE = 32
+
 
 def encode_request(client: int, wire: bytes) -> bytes:
     """ABC payload: the requesting client's node id plus the DNS wire."""
@@ -198,7 +209,7 @@ class ReplicaServer:
             self.config.signing_protocol,
             keys.zone_share,
             executor=executor,
-            lookahead=self.config.signing_lookahead,
+            lookahead=SIGNING_LOOKAHEAD,
         )
         if self.config.replicated:
             self.abc: Optional[AtomicBroadcast] = AtomicBroadcast(
@@ -217,7 +228,7 @@ class ReplicaServer:
                     list(deployment.auth_public),
                     executor=executor,
                 ),
-                rebatch_max=self.config.recovery_batch_size,
+                rebatch_max=RECOVERY_BATCH_SIZE,
                 dissemination=self.config.broadcast_mode,
                 erasure_min_bytes=self.config.erasure_min_bytes,
             )

@@ -1,17 +1,24 @@
-"""Assembling a whole replicated-name-service deployment on the simulator.
+"""One replicated-name-service deployment, whatever carries its messages.
 
-:class:`ReplicatedNameService` wires together the topology, key material,
-replicas, and a client, then exposes a synchronous experiment API: each
-``query`` / ``nsupdate_add`` / ``nsupdate_delete`` call drives the
-simulator until the client accepts a response and returns the completed
-operation with its simulated latency.  The benchmark harness, examples,
-and integration tests all sit on top of this class.
+:class:`NameService` owns everything about the paper's Wrapper + ``named``
+deployment (§4.1–4.2) that does not depend on the transport: keys, the
+signed initial zone, the crypto plane, replicas, clients, fault injection,
+the ``query`` / ``add_record`` / ``delete_name`` experiment API and the
+inspection the G1/G2/G3 checkers read.  A transport subclass supplies two
+things: a client endpoint on its network, and how an issued request
+becomes a completed operation.
+
+:class:`ReplicatedNameService` is the simulator transport: each call
+drives the simulator until the client accepts a response and returns the
+completed operation with its simulated latency.  The benchmark harness,
+examples, and integration tests sit on top of it;
+:class:`repro.net.local.AsyncNameService` is the wall-clock transport.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.config import ServiceConfig
 from repro.core.client import CompletedOp, FullClient, PragmaticClient
@@ -39,6 +46,11 @@ from repro.sim.machines import (
     paper_setup,
 )
 from repro.sim.network import SimNetwork
+
+# What a transport turns an issued request into: the completed operation
+# itself (simulator) or an awaitable for it (asyncio).
+R = TypeVar("R")
+Issue = Callable[[Callable[[CompletedOp], None]], Any]
 
 # The paper's client machine: a host on the Zurich LAN.
 CLIENT_MACHINE = MachineSpec(
@@ -123,31 +135,30 @@ def build_crypto_plane(
     return pool, executors, client_executor
 
 
-class ReplicatedNameService:
-    """A complete simulated deployment of the secure replicated zone."""
+class NameService(Generic[R]):
+    """A complete deployment of the secure replicated zone over ``net``.
+
+    ``net`` is the transport's network object, already holding one node
+    per replica.  Subclasses implement :meth:`_add_client_node` and
+    :meth:`_await_op`; everything else is shared.
+    """
 
     def __init__(
         self,
         config: ServiceConfig,
-        topology: Optional[Topology] = None,
+        net: Any,
         zone_text: str = DEFAULT_ZONE,
         client_model: str = "pragmatic",
-        costs: Optional[CostModel] = None,
         deployment: Optional[Deployment] = None,
         gateway: int = 0,
-        verify_signatures: bool = True,
+        costs: Optional[CostModel] = None,
         seed: int = 0,
+        verify_signatures: bool = True,
+        id_rng: Optional[random.Random] = None,
     ) -> None:
         self.config = config
-        if topology is None:
-            topology = lan_setup(config.n) if config.n <= 4 else paper_setup(config.n)
-        if len(topology) != config.n:
-            raise ConfigError(
-                f"topology has {len(topology)} machines but config.n={config.n}"
-            )
-        self.topology = topology
+        self.net = net
         self.costs = costs if costs is not None else CostModel()
-        self.net = SimNetwork(topology, costs=self.costs, seed=seed)
         self.deployment = (
             deployment if deployment is not None else generate_deployment(config)
         )
@@ -164,78 +175,77 @@ class ReplicatedNameService:
                 [r.zone_share for r in self.deployment.replicas],
             )
             dnssec.sign_zone_locally(base_zone, key_record, signer)
-        self.initial_zone = base_zone
 
+        # Real-time runs are where the pool plane actually pays off: the
+        # worker processes do the modexps while the event loop keeps
+        # pumping messages.
         self._pool, replica_executors, self._client_executor = build_crypto_plane(
             config, self.deployment, costs=self.costs
         )
-        self.replicas: List[ReplicaServer] = []
-        for i in range(config.n):
-            replica = ReplicaServer(
+        self.replicas: List[ReplicaServer] = [
+            ReplicaServer(
                 index=i,
                 deployment=self.deployment,
                 zone=base_zone.copy(),
-                node=self.net.node(i),
+                node=net.node(i),
                 costs=self.costs,
                 seed=seed,
                 executor=replica_executors[i],
             )
-            self.replicas.append(replica)
+            for i in range(config.n)
+        ]
 
-        # Shared by all clients of this service: deterministic DNS message
-        # ids make every request wire — and everything derived from it —
-        # a pure function of the seed, so chaos runs replay exactly.
-        self._id_rng = random.Random((seed << 16) ^ 0x1D5)
-        client_node = self.net.add_node(CLIENT_MACHINE, colocated_with=gateway)
-        client_args = dict(
-            node=client_node,
-            config=config,
-            replica_ids=list(range(config.n)),
-            zone_origin=self.zone_origin,
-            zone_key=self.deployment.zone_key_record if config.signed_zone else None,
-            tsig_key=self.deployment.tsig_key if config.require_tsig else None,
-            costs=self.costs,
-            verify_signatures=verify_signatures,
-            id_rng=self._id_rng,
-            executor=self._client_executor,
-        )
-        if client_model == "pragmatic":
-            self.client = PragmaticClient(gateway=gateway, **client_args)
-        elif client_model == "full":
-            self.client = FullClient(**client_args)
-        else:
-            raise ConfigError(f"unknown client model {client_model!r}")
-        self._client_model = client_model
         self._verify_signatures = verify_signatures
-        self.extra_clients: List[PragmaticClient] = []
+        self._id_rng = id_rng
+        self.client = self._make_client(client_model, gateway)
 
-    def add_client(self, gateway: int = 0) -> PragmaticClient:
-        """Add another pragmatic client on its own machine.
+    # ------------------------------------------------------------------
+    # what a transport supplies
+    # ------------------------------------------------------------------
 
-        Throughput experiments need several concurrent request sources so
-        a single client's per-request overhead does not serialize the
-        whole workload (each client node charges its own CPU time).
-        """
-        node = self.net.add_node(CLIENT_MACHINE, colocated_with=gateway)
-        client = PragmaticClient(
-            gateway=gateway,
-            node=node,
+    def _add_client_node(self, gateway: int) -> Any:
+        """A fresh network endpoint for a client talking to ``gateway``."""
+        raise NotImplementedError
+
+    def _await_op(self, issue: Issue) -> R:
+        """Call ``issue(callback)`` and produce the operation the client
+        hands to ``callback`` — by whatever drives this transport."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # clients and lifecycle
+    # ------------------------------------------------------------------
+
+    def _make_client(self, model: str, gateway: int) -> Any:
+        if model not in ("pragmatic", "full"):
+            raise ConfigError(f"unknown client model {model!r}")
+        client_args = dict(
+            node=self._add_client_node(gateway),
             config=self.config,
             replica_ids=list(range(self.config.n)),
             zone_origin=self.zone_origin,
-            zone_key=(
-                self.deployment.zone_key_record if self.config.signed_zone else None
-            ),
-            tsig_key=(
-                self.deployment.tsig_key if self.config.require_tsig else None
-            ),
+            zone_key=self.deployment.zone_key_record if self.config.signed_zone else None,
+            tsig_key=self.deployment.tsig_key if self.config.require_tsig else None,
             costs=self.costs,
             verify_signatures=self._verify_signatures,
             id_rng=self._id_rng,
             executor=self._client_executor,
         )
-        self.extra_clients.append(client)
-        return client
+        if model == "pragmatic":
+            return PragmaticClient(gateway=gateway, **client_args)
+        return FullClient(**client_args)
+
+    def add_client(self, gateway: int = 0) -> PragmaticClient:
+        """Add another pragmatic client on its own endpoint.
+
+        Throughput experiments need several concurrent request sources so
+        a single client's per-request overhead does not serialize the
+        whole workload (each simulated client node charges its own CPU
+        time), and concurrent clients are what fill a gateway's
+        :class:`BatchQueue` before its flush timer fires — a single
+        request/response client never has two payloads in flight at once.
+        """
+        return self._make_client("pragmatic", gateway)
 
     def close(self) -> None:
         """Shut down the shared crypto worker pool, if one was started."""
@@ -243,65 +253,33 @@ class ReplicatedNameService:
             self._pool.close()
             self._pool = None
 
-    def __enter__(self) -> "ReplicatedNameService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-
     def corrupt(self, replica: int, mode: CorruptionMode) -> None:
         self.replicas[replica].corrupt(mode)
 
-    def corrupt_paper_style(self, k: int) -> None:
-        """The paper's corruption placement (§5.1): with one corruption, a
-        Zurich server; with two, the Zurich server and the Austin one."""
-        if k >= 1:
-            zurich = self._first_at("Zurich", exclude=(0,))
-            self.replicas[zurich].corrupt(CorruptionMode.BAD_SHARES)
-        if k >= 2:
-            austin = self._first_at("Austin")
-            self.replicas[austin].corrupt(CorruptionMode.BAD_SHARES)
-        if k >= 3:
-            raise ConfigError("the paper corrupts at most two servers")
-
-    def _first_at(self, location: str, exclude: Tuple[int, ...] = ()) -> int:
-        for i in range(self.config.n):
-            if i in exclude:
-                continue
-            if self.topology.machine(i).location == location:
-                return i
-        raise ConfigError(f"no replica at {location}")
-
     # ------------------------------------------------------------------
-    # synchronous experiment API
+    # experiment API
     # ------------------------------------------------------------------
 
-    def _await_op(self, issue: Callable[[Callable], int], limit: float = 600.0) -> CompletedOp:
-        box: List[CompletedOp] = []
-        issue(box.append)
-        deadline = self.net.sim.now + limit
-        self.net.sim.run(until=deadline, condition=lambda: bool(box))
-        # Let any same-time events settle.
-        if not box:
-            raise TimeoutError_(
-                f"operation did not complete within {limit} simulated seconds"
-            )
-        return box[0]
-
-    def query(self, name: str | Name, rtype: int = c.TYPE_A) -> CompletedOp:
-        """dig-style read; drives the simulation until the client accepts."""
+    def query(
+        self,
+        name: str | Name,
+        rtype: int = c.TYPE_A,
+        client: Optional[PragmaticClient] = None,
+    ) -> R:
+        """dig-style read, completed when the client accepts a response."""
         qname = Name.from_text(name) if isinstance(name, str) else name
-        return self._await_op(
-            lambda cb: self.client.query(qname, rtype, cb)
-        )
+        issuer = client if client is not None else self.client
+        return self._await_op(lambda cb: issuer.query(qname, rtype, cb))
 
     def add_record(
         self, name: str | Name, rtype: int, ttl: int, rdata_text: str
-    ) -> CompletedOp:
+    ) -> R:
         """Raw update: add one record (no preceding read)."""
         owner = Name.from_text(name) if isinstance(name, str) else name
         rdata = rdata_from_text(rtype, rdata_text.split(), self.zone_origin)
@@ -309,62 +287,30 @@ class ReplicatedNameService:
             lambda cb: self.client.add_record(owner, rtype, ttl, rdata, cb)
         )
 
-    def delete_name(self, name: str | Name) -> CompletedOp:
+    def delete_name(self, name: str | Name) -> R:
         owner = Name.from_text(name) if isinstance(name, str) else name
         return self._await_op(lambda cb: self.client.delete_name(owner, cb))
-
-    def nsupdate_add(
-        self, name: str | Name, rtype: int, ttl: int, rdata_text: str
-    ) -> Tuple[CompletedOp, CompletedOp, float]:
-        """nsupdate semantics: a read precedes the add (§5.2).
-
-        Returns ``(read_op, add_op, total_latency)`` — Table 2's "Add"
-        numbers correspond to ``total_latency``.
-        """
-        read_op = self.query(self.zone_origin, c.TYPE_SOA)
-        add_op = self.add_record(name, rtype, ttl, rdata_text)
-        return read_op, add_op, read_op.latency + add_op.latency
-
-    def nsupdate_delete(self, name: str | Name) -> Tuple[CompletedOp, CompletedOp, float]:
-        """nsupdate semantics: a read precedes the delete."""
-        read_op = self.query(self.zone_origin, c.TYPE_SOA)
-        delete_op = self.delete_name(name)
-        return read_op, delete_op, read_op.latency + delete_op.latency
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-
-    def settle(self, limit: float = 600.0) -> None:
-        """Drain in-flight work: run the simulation until quiescent.
-
-        The experiment API returns as soon as the *client* accepts a
-        response; replicas that lag (slower machines finishing their last
-        signature) settle here before state comparisons.
-        """
-        self.net.sim.run(until=self.net.sim.now + limit)
 
     def honest_replicas(self) -> List[ReplicaServer]:
         return [r for r in self.replicas if not r.fault.is_corrupted]
 
     def zone_digests(self) -> List[bytes]:
         """State fingerprints of all honest replicas (must agree)."""
-        self.settle()
         return [r.zone.digest() for r in self.honest_replicas()]
 
     def states_consistent(self) -> bool:
-        digests = self.zone_digests()
-        return len(set(digests)) == 1
+        return len(set(self.zone_digests())) == 1
 
     def verify_all_zones(self) -> int:
         """DNSSEC-verify every honest replica's zone; returns #signatures."""
-        self.settle()
-        total = 0
-        for replica in self.honest_replicas():
-            total += dnssec.verify_zone(
-                replica.zone, self.deployment.zone_key_record
-            )
-        return total
+        return sum(
+            dnssec.verify_zone(replica.zone, self.deployment.zone_key_record)
+            for replica in self.honest_replicas()
+        )
 
     def total_signing_rounds(self) -> int:
         """Distributed signing rounds started across honest replicas.
@@ -389,3 +335,113 @@ class ReplicatedNameService:
             if replica.coordinator.executor is not None:
                 total += replica.coordinator.executor.stats["cancelled_trials"]
         return total
+
+
+class ReplicatedNameService(NameService[CompletedOp]):
+    """The deployment on the discrete-event simulator (simulated time)."""
+
+    def __init__(
+        self,
+        config: ServiceConfig,
+        topology: Optional[Topology] = None,
+        zone_text: str = DEFAULT_ZONE,
+        client_model: str = "pragmatic",
+        costs: Optional[CostModel] = None,
+        deployment: Optional[Deployment] = None,
+        gateway: int = 0,
+        verify_signatures: bool = True,
+        seed: int = 0,
+    ) -> None:
+        if topology is None:
+            topology = lan_setup(config.n) if config.n <= 4 else paper_setup(config.n)
+        if len(topology) != config.n:
+            raise ConfigError(
+                f"topology has {len(topology)} machines but config.n={config.n}"
+            )
+        self.topology = topology
+        net = SimNetwork(topology, costs=costs, seed=seed)
+        super().__init__(
+            config,
+            net,
+            zone_text=zone_text,
+            client_model=client_model,
+            deployment=deployment,
+            gateway=gateway,
+            costs=net.costs,
+            seed=seed,
+            verify_signatures=verify_signatures,
+            # Shared by all clients of this service: deterministic DNS message
+            # ids make every request wire — and everything derived from it —
+            # a pure function of the seed, so chaos runs replay exactly.
+            id_rng=random.Random((seed << 16) ^ 0x1D5),
+        )
+
+    def _add_client_node(self, gateway: int) -> Any:
+        return self.net.add_node(CLIENT_MACHINE, colocated_with=gateway)
+
+    def _await_op(self, issue: Issue, limit: float = 600.0) -> CompletedOp:
+        """Drive the simulation until the client's callback fires."""
+        box: List[CompletedOp] = []
+        issue(box.append)
+        deadline = self.net.sim.now + limit
+        self.net.sim.run(until=deadline, condition=lambda: bool(box))
+        if not box:
+            raise TimeoutError_(
+                f"operation did not complete within {limit} simulated seconds"
+            )
+        return box[0]
+
+    def corrupt_paper_style(self, k: int) -> None:
+        """The paper's corruption placement (§5.1): with one corruption, a
+        Zurich server; with two, the Zurich server and the Austin one."""
+        if k >= 1:
+            zurich = self._first_at("Zurich", exclude=(0,))
+            self.replicas[zurich].corrupt(CorruptionMode.BAD_SHARES)
+        if k >= 2:
+            austin = self._first_at("Austin")
+            self.replicas[austin].corrupt(CorruptionMode.BAD_SHARES)
+        if k >= 3:
+            raise ConfigError("the paper corrupts at most two servers")
+
+    def _first_at(self, location: str, exclude: Tuple[int, ...] = ()) -> int:
+        for i in range(self.config.n):
+            if i in exclude:
+                continue
+            if self.topology.machine(i).location == location:
+                return i
+        raise ConfigError(f"no replica at {location}")
+
+    def nsupdate_add(
+        self, name: str | Name, rtype: int, ttl: int, rdata_text: str
+    ) -> Tuple[CompletedOp, CompletedOp, float]:
+        """nsupdate semantics: a read precedes the add (§5.2).
+
+        Returns ``(read_op, add_op, total_latency)`` — Table 2's "Add"
+        numbers correspond to ``total_latency``.
+        """
+        read_op = self.query(self.zone_origin, c.TYPE_SOA)
+        add_op = self.add_record(name, rtype, ttl, rdata_text)
+        return read_op, add_op, read_op.latency + add_op.latency
+
+    def nsupdate_delete(self, name: str | Name) -> Tuple[CompletedOp, CompletedOp, float]:
+        """nsupdate semantics: a read precedes the delete."""
+        read_op = self.query(self.zone_origin, c.TYPE_SOA)
+        delete_op = self.delete_name(name)
+        return read_op, delete_op, read_op.latency + delete_op.latency
+
+    def settle(self, limit: float = 600.0) -> None:
+        """Drain in-flight work: run the simulation until quiescent.
+
+        The experiment API returns as soon as the *client* accepts a
+        response; replicas that lag (slower machines finishing their last
+        signature) settle here before state comparisons.
+        """
+        self.net.sim.run(until=self.net.sim.now + limit)
+
+    def zone_digests(self) -> List[bytes]:
+        self.settle()
+        return super().zone_digests()
+
+    def verify_all_zones(self) -> int:
+        self.settle()
+        return super().verify_all_zones()

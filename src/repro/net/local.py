@@ -6,34 +6,27 @@
 through asyncio queues and timers are real.  ``charge`` is a no-op —
 wall-clock CPU time is genuinely spent by the Python crypto.
 
-Optionally a latency :class:`repro.sim.machines.Topology` can be
-attached, in which case deliveries are delayed by the configured one-way
-times, turning the local bus into a miniature WAN.
+Delivery is immediate (``call_soon``); WAN latency is the simulator's job.
 
-This module deliberately contains no protocol logic: it instantiates the
-exact :class:`repro.core.replica.ReplicaServer` and
-:class:`repro.core.client.PragmaticClient`/:class:`FullClient` objects the
-simulator uses.
+This module deliberately contains no protocol or deployment logic:
+:class:`AsyncNameService` is :class:`repro.core.service.NameService` — the
+same replicas, clients and inspection API the simulator uses — plus the two
+things a transport supplies: a bus endpoint per client and a future awaited
+on the loop per request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import copy
-from typing import Any, Callable, List, Optional
+from typing import Any, Awaitable, Callable, List, Optional
 
 from repro.config import ServiceConfig
-from repro.core.client import CompletedOp, FullClient, PragmaticClient
-from repro.core.keytool import Deployment, generate_deployment
-from repro.core.replica import ReplicaServer
+from repro.core.client import CompletedOp
+from repro.core.keytool import Deployment
+from repro.core.service import DEFAULT_ZONE, Issue, NameService
 from repro.crypto.costmodel import CostModel
-from repro.dns import constants as c
-from repro.dns import dnssec
-from repro.dns.name import Name
-from repro.dns.rdata import rdata_from_text
-from repro.dns.zonefile import parse_zone_text
 from repro.errors import ConfigError
-from repro.sim.machines import Topology
 
 Handler = Callable[[int, Any], None]
 
@@ -90,16 +83,15 @@ class AsyncNode:
 
 
 class AsyncNetwork:
-    """An in-process message bus with optional simulated link latency."""
+    """An in-process message bus."""
 
-    def __init__(self, node_count: int, topology: Optional[Topology] = None) -> None:
+    def __init__(self, node_count: int) -> None:
         try:
             self.loop = asyncio.get_running_loop()
         except RuntimeError as exc:
             raise ConfigError(
                 "AsyncNetwork must be created inside a running event loop"
             ) from exc
-        self.topology = topology
         self.nodes: List[AsyncNode] = [AsyncNode(i, self) for i in range(node_count)]
         self.messages_sent = 0
 
@@ -117,24 +109,10 @@ class AsyncNetwork:
         self.messages_sent += 1
         # Deep-copy so peers cannot share mutable state through "the wire".
         payload = copy.deepcopy(payload)
-        delay = self._link_delay(src, dest)
-        receiver = self.nodes[dest]
-        if delay > 0:
-            self.loop.call_later(delay, receiver._deliver, src, payload)
-        else:
-            self.loop.call_soon(receiver._deliver, src, payload)
-
-    def _link_delay(self, src: int, dest: int) -> float:
-        if self.topology is None or src == dest:
-            return 0.0
-        a = min(src, len(self.topology) - 1)
-        b = min(dest, len(self.topology) - 1)
-        if a == b:
-            return 0.0
-        return self.topology.one_way_delay(a, b)
+        self.loop.call_soon(self.nodes[dest]._deliver, src, payload)
 
 
-class AsyncNameService:
+class AsyncNameService(NameService[Awaitable[CompletedOp]]):
     """A live, wall-clock deployment of the replicated name service.
 
     Usage (inside a coroutine)::
@@ -148,150 +126,28 @@ class AsyncNameService:
         self,
         config: ServiceConfig,
         zone_text: Optional[str] = None,
-        topology: Optional[Topology] = None,
         client_model: str = "pragmatic",
         deployment: Optional[Deployment] = None,
         gateway: int = 0,
     ) -> None:
-        from repro.core.service import (
-            DEFAULT_ZONE,
-            build_crypto_plane,
-            local_threshold_signer,
-        )
-
-        self.config = config
-        self.net = AsyncNetwork(config.n, topology=topology)
-        self.deployment = (
-            deployment if deployment is not None else generate_deployment(config)
-        )
-        # Real-time runs are where the pool plane actually pays off: the
-        # worker processes do the modexps while the event loop keeps
-        # pumping messages.
-        self._pool, self._replica_executors, self._client_executor = (
-            build_crypto_plane(config, self.deployment)
-        )
-
-        base_zone = parse_zone_text(zone_text or DEFAULT_ZONE)
-        self.zone_origin = base_zone.origin
-        if config.signed_zone:
-            key_record = self.deployment.zone_key_record
-            base_zone.add_rdata(base_zone.origin, c.TYPE_KEY, 3600, key_record)
-            signer = local_threshold_signer(
-                self.deployment.zone_public,
-                [r.zone_share for r in self.deployment.replicas],
-            )
-            dnssec.sign_zone_locally(base_zone, key_record, signer)
-
-        self.replicas: List[ReplicaServer] = [
-            ReplicaServer(
-                index=i,
-                deployment=self.deployment,
-                zone=base_zone.copy(),
-                node=self.net.node(i),
-                executor=self._replica_executors[i],
-            )
-            for i in range(config.n)
-        ]
-
-        client_node = self.net.add_node()
-        client_args = dict(
-            node=client_node,
-            config=config,
-            replica_ids=list(range(config.n)),
-            zone_origin=self.zone_origin,
-            zone_key=self.deployment.zone_key_record if config.signed_zone else None,
-            tsig_key=self.deployment.tsig_key if config.require_tsig else None,
-            executor=self._client_executor,
-        )
-        if client_model == "pragmatic":
-            self.client = PragmaticClient(gateway=gateway, **client_args)
-        elif client_model == "full":
-            self.client = FullClient(**client_args)
-        else:
-            raise ConfigError(f"unknown client model {client_model!r}")
-        self.extra_clients: List[PragmaticClient] = []
-
-    def add_client(self, gateway: int = 0) -> PragmaticClient:
-        """Add another pragmatic client on its own bus endpoint.
-
-        Concurrent clients are what fill a gateway's :class:`BatchQueue`
-        before its flush timer fires — a single request/response client
-        never has two payloads in flight at once.
-        """
-        client = PragmaticClient(
+        super().__init__(
+            config,
+            AsyncNetwork(config.n),
+            zone_text=zone_text or DEFAULT_ZONE,
+            client_model=client_model,
+            deployment=deployment,
             gateway=gateway,
-            node=self.net.add_node(),
-            config=self.config,
-            replica_ids=list(range(self.config.n)),
-            zone_origin=self.zone_origin,
-            zone_key=(
-                self.deployment.zone_key_record if self.config.signed_zone else None
-            ),
-            tsig_key=(
-                self.deployment.tsig_key if self.config.require_tsig else None
-            ),
-            executor=self._client_executor,
         )
-        self.extra_clients.append(client)
-        return client
 
-    def close(self) -> None:
-        """Shut down the shared crypto worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+    def _add_client_node(self, gateway: int) -> AsyncNode:
+        return self.net.add_node()
 
-    # -- async experiment API ---------------------------------------------------
-
-    async def _await_op(self, issue, timeout: float = 60.0) -> CompletedOp:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+    async def _await_op(self, issue: Issue, timeout: float = 60.0) -> CompletedOp:
+        """Await the client's callback on the running loop."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         issue(lambda op: future.done() or future.set_result(op))
         return await asyncio.wait_for(future, timeout=timeout)
-
-    async def query(
-        self,
-        name: str | Name,
-        rtype: int = c.TYPE_A,
-        client: Optional[PragmaticClient] = None,
-    ) -> CompletedOp:
-        qname = Name.from_text(name) if isinstance(name, str) else name
-        issuer = client if client is not None else self.client
-        return await self._await_op(
-            lambda cb: issuer.query(qname, rtype, cb)
-        )
-
-    async def add_record(
-        self, name: str | Name, rtype: int, ttl: int, rdata_text: str
-    ) -> CompletedOp:
-        owner = Name.from_text(name) if isinstance(name, str) else name
-        rdata = rdata_from_text(rtype, rdata_text.split(), self.zone_origin)
-        return await self._await_op(
-            lambda cb: self.client.add_record(owner, rtype, ttl, rdata, cb)
-        )
-
-    async def delete_name(self, name: str | Name) -> CompletedOp:
-        owner = Name.from_text(name) if isinstance(name, str) else name
-        return await self._await_op(lambda cb: self.client.delete_name(owner, cb))
 
     async def settle(self, duration: float = 0.2) -> None:
         """Give in-flight replica work time to finish."""
         await asyncio.sleep(duration)
-
-    def states_consistent(self) -> bool:
-        digests = {
-            replica.zone.digest()
-            for replica in self.replicas
-            if not replica.fault.is_corrupted
-        }
-        return len(digests) == 1
-
-    def verify_all_zones(self) -> int:
-        total = 0
-        for replica in self.replicas:
-            if replica.fault.is_corrupted:
-                continue
-            total += dnssec.verify_zone(
-                replica.zone, self.deployment.zone_key_record
-            )
-        return total

@@ -136,7 +136,7 @@ class TestAsyncNameService:
     def test_crashed_gateway_retry(self):
         async def scenario():
             service = AsyncNameService(
-                ServiceConfig(n=4, t=1, client_timeout=0.3)
+                ServiceConfig(n=4, t=1, client_timeout=0.3, abc_timeout=0.5)
             )
             service.replicas[0].corrupt(CorruptionMode.CRASH)
             return await service.query("www.example.com.", c.TYPE_A)
