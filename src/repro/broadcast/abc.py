@@ -331,6 +331,8 @@ class AtomicBroadcast:
         self.next_deliver = 0
         self.delivered_ids: Set[str] = set()
         self.delivered_log: List[Tuple[int, str]] = []  # (seq, request_id)
+        # payload -> request id for the slot being delivered (see entry_id)
+        self._entry_ids: Dict[bytes, str] = {}
 
         self.pending: Dict[str, bytes] = {}
         self._next_order_seq = 0  # leader's counter
@@ -353,6 +355,15 @@ class AtomicBroadcast:
         self._commits: Dict[Tuple[int, int, bytes], Set[int]] = {}
         self._committed: Dict[int, bytes] = {}  # seq -> digest (commit quorum)
         self._skipped: Set[int] = set()
+        # Slot retirement (DESIGN.md "State lifetime"): once a slot is
+        # delivered here *and* this replica has sent its own COMMIT, every
+        # per-slot structure above except ``_certificates[seq]`` is
+        # dropped.  Retired slots are remembered as a contiguous watermark
+        # plus the few slots retired ahead of it, so late ORDER / PREPARE
+        # / COMMIT traffic is shed before any signature work and a retired
+        # slot can never be prepared a second time.
+        self._retired_below = 0
+        self._retired: Set[int] = set()
 
         # Fast-path traffic for an epoch we have not entered yet (or that
         # arrives while we are mid-recovery) is buffered and replayed once
@@ -395,6 +406,7 @@ class AtomicBroadcast:
             "complaints_sent": 0,
             "initiates_dropped": 0,
             "out_of_window": 0,
+            "retired_slot_msgs": 0,
             "rebatches": 0,
             "rebatched_requests": 0,
             "pulls_sent": 0,
@@ -542,6 +554,50 @@ class AtomicBroadcast:
             return False
         return True
 
+    def _slot_retired(self, seq: int) -> bool:
+        """Shed fast-path traffic for a slot whose state was reclaimed.
+
+        Also what keeps "an honest replica prepares at most one digest per
+        (epoch, seq)" true once ``_prepared_digest`` is gone: a retired
+        slot was prepared (or certified by a NEW_EPOCH) before it retired,
+        and no ORDER for it is ever looked at again.
+        """
+        if seq < self._retired_below or seq in self._retired:
+            self.stats["retired_slot_msgs"] += 1
+            return True
+        return False
+
+    def _retire_if_done(self, epoch: int, seq: int) -> None:
+        """Retire a slot at the later of local delivery and our own COMMIT.
+
+        Waiting for the COMMIT is liveness, not safety: a replica that
+        delivered on 2t+1 foreign COMMITs still owes the others its own,
+        so it keeps the vote state until the late PREPAREs complete its
+        certificate.  Safety needs neither — the certificate stays in
+        ``_certificates`` and t+1 honest replicas hold one for every
+        delivered slot, so any n-t epoch finals carry it.
+        """
+        if seq < self.next_deliver and (epoch, seq) in self._commit_sent:
+            self._retire(epoch, seq)
+
+    def _retire(self, epoch: int, seq: int) -> None:
+        key = (epoch, seq)
+        self._ordered.pop(key, None)
+        self._prepared_digest.pop(key, None)
+        self._slot_introducer.pop(key, None)
+        self._commit_sent.discard(key)
+        self._committed.pop(seq, None)
+        # Every _prepares/_commits pool and the slot's payload entry are
+        # keyed by a digest that went through _admit_slot_digest.
+        for digest in self._slot_digests.pop(key, ()):
+            self._prepares.pop((epoch, seq, digest), None)
+            self._commits.pop((epoch, seq, digest), None)
+            self._payload_by_digest.pop(digest, None)
+        self._retired.add(seq)
+        while self._retired_below in self._retired:
+            self._retired.discard(self._retired_below)
+            self._retired_below += 1
+
     def _buffer_future(self, sender: int, msg: object, epoch: int) -> bool:
         """Hold fast-path messages we cannot process *yet* (not stale ones)."""
         if epoch > self.epoch or (epoch == self.epoch and self.mode != MODE_FAST):
@@ -562,7 +618,7 @@ class AtomicBroadcast:
             return
         if sender != self.leader:
             return  # only the epoch's leader may order
-        if not self._seq_in_window(msg.seq):
+        if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
         key = (msg.epoch, msg.seq)
         if key in self._prepared_digest:
@@ -775,9 +831,11 @@ class AtomicBroadcast:
             return
         if msg.signer != sender:
             return
-        if not self._seq_in_window(msg.seq):
+        if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
-        if not self._verify_prepare(msg):
+        # Our own PREPARE was signed a few lines up in _on_order; only
+        # foreign signatures need checking.
+        if sender != self.me and not self._verify_prepare(msg):
             return
         if not self._admit_slot_digest(sender, msg.epoch, msg.seq, msg.digest):
             return
@@ -843,6 +901,7 @@ class AtomicBroadcast:
             commit = AbcCommit(epoch, seq, digest, self.me, b"")
             self._broadcast(commit)
             self._on_commit(self.me, commit)
+            self._retire_if_done(epoch, seq)
 
     def _on_commit(self, sender: int, msg: AbcCommit) -> None:
         if self._buffer_future(sender, msg, msg.epoch):
@@ -851,7 +910,7 @@ class AtomicBroadcast:
             return
         if msg.signer != sender:
             return
-        if not self._seq_in_window(msg.seq):
+        if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
         if not self._admit_slot_digest(sender, msg.epoch, msg.seq, msg.digest):
             return
@@ -878,6 +937,14 @@ class AtomicBroadcast:
             rid, payload = known
             self.next_deliver += 1
             self._deliver_once(seq, rid, payload, fast)
+            self._retire_if_done(self.epoch, seq)
+        # A slot delivered on foreign COMMITs whose certificate never
+        # completes here (a Byzantine signer withholding its PREPARE at
+        # n > 3t+1) must not pin the watermark: once it trails delivery
+        # by the window, it is retired without our COMMIT.
+        while self.next_deliver - self._retired_below > MAX_SEQ_AHEAD:
+            self.stats["out_of_window"] += 1
+            self._retire(self.epoch, self._retired_below)
         self._arm_timer()
 
     def _deliver_once(self, seq: int, rid: str, payload: bytes, fast: bool) -> None:
@@ -893,12 +960,14 @@ class AtomicBroadcast:
         # Keep the payload pullable for peers whose digest ORDER outlived
         # their copy (pending is popped on delivery).
         self._payload_archive.put(rid, payload)
-        self._mark_batch_delivered(payload)
+        self._entry_ids = self._mark_batch_delivered(payload, {payload: rid})
         key = "fast_deliveries" if fast else "recovery_deliveries"
         self.stats[key] += 1
         self._deliver(rid, payload)
 
-    def _mark_batch_delivered(self, payload: bytes, depth: int = 0) -> None:
+    def _mark_batch_delivered(
+        self, payload: bytes, ids: Dict[bytes, str], depth: int = 0
+    ) -> Dict[bytes, str]:
         """Mark a delivered batch frame's constituent requests delivered.
 
         A re-batched frame carries payloads that entered the channel under
@@ -907,18 +976,30 @@ class AtomicBroadcast:
         their ids must be marked to clear complaint pressure and dedupe
         future INITIATEs.  Recurses through nested frames (a new leader
         re-batches whole gateway batches) up to the decoding depth cap.
+        Returns ``ids`` with every entry's request id added (payload ->
+        id), which :meth:`entry_id` serves to the deliver callback.
         """
         if depth >= MAX_BATCH_NESTING or not is_batch_payload(payload):
-            return
+            return ids
         for entry in decode_batch(payload):
-            entry_rid = derive_request_id(entry)
+            entry_rid = ids[entry] = derive_request_id(entry)
             # Bounded by total-ordered committed deliveries: every id
             # marked here rode inside a frame that passed consensus, so a
             # lone Byzantine replica cannot drive this growth.
             # repro-lint: disable=T404
             self.delivered_ids.add(entry_rid)
             self.pending.pop(entry_rid, None)
-            self._mark_batch_delivered(entry, depth + 1)
+            self._mark_batch_delivered(entry, ids, depth + 1)
+        return ids
+
+    def entry_id(self, entry: bytes) -> str:
+        """Request id of ``entry``, a (batch entry of the) payload being delivered.
+
+        Delivery already hashed every entry to mark it delivered; the
+        deliver callback gets that same id object instead of hashing the
+        entry a second time and keeping a second copy of the string.
+        """
+        return self._entry_ids.get(entry) or derive_request_id(entry)
 
     # ------------------------------------------------------------------
     # complaints and epoch switch
@@ -1054,26 +1135,48 @@ class AtomicBroadcast:
         # claim to its own certificate evidence, so a legitimate NEW_EPOCH
         # can never open a window wider than the fast path's delivery
         # window — refuse anything larger outright instead of installing
-        # unbounded per-slot state.
-        if len(adopted) > MAX_SEQ_AHEAD or start_seq > self.next_deliver + MAX_SEQ_AHEAD:
+        # unbounded per-slot state.  Slots this replica already delivered
+        # install nothing but their certificate, so they do not count.
+        missing = [seq for seq in sorted(adopted) if seq >= self.next_deliver]
+        if len(missing) > MAX_SEQ_AHEAD or start_seq > self.next_deliver + MAX_SEQ_AHEAD:
             self.stats["out_of_window"] += 1
             return
         # Install the certified prefix.
-        for seq in sorted(adopted):
+        self._certificates.update(adopted)
+        for seq in missing:
             cert = adopted[seq]
             self._payload_by_digest[cert.digest] = (
                 derive_request_id(cert.payload),
                 cert.payload,
             )
             self._committed[seq] = cert.digest
-            self._certificates[seq] = cert
         for seq in range(self.next_deliver, start_seq):
             if seq not in self._committed:
                 self._skipped.add(seq)
         self._advance_delivery(fast=False)
         if self.next_deliver < start_seq:
             self.next_deliver = start_seq
-        # Enter the new epoch.
+        # Enter the new epoch.  Everything below start_seq is delivered or
+        # skipped and all fast-path vote state is keyed by an epoch that
+        # is over (traffic for this one was only buffered), so the slot
+        # structures restart empty behind the watermark; complaint and
+        # epoch-final pools of finished epochs go with them.
+        self._ordered.clear()
+        self._payload_by_digest.clear()
+        self._prepared_digest.clear()
+        self._prepares.clear()
+        self._slot_digests.clear()
+        self._slot_introducer.clear()
+        self._commit_sent.clear()
+        self._commits.clear()
+        self._committed.clear()
+        self._skipped.clear()
+        self._retired.clear()
+        self._retired_below = self.next_deliver
+        self._complaints = {
+            e: v for e, v in self._complaints.items() if e >= msg.epoch
+        }
+        self._finals = {e: v for e, v in self._finals.items() if e >= msg.epoch}
         self.epoch = msg.epoch
         self.mode = MODE_FAST
         self._next_order_seq = max(self._next_order_seq, start_seq)

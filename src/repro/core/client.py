@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field, replace
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.broadcast.messages import ClientRequest, ClientResponse
 from repro.config import ServiceConfig
@@ -37,6 +38,12 @@ from repro.dns.tsig import TsigKey, sign_message
 from repro.errors import DnssecError, InvalidSignature, WireFormatError
 
 Callback = Callable[["CompletedOp"], None]
+
+#: Length of the per-client history of finished operations.  The history
+#: is for inspection (latencies, retries of recent ops); the callback is
+#: the interface that hands out responses, so a long-running client's
+#: memory follows its requests in flight, not its requests ever made.
+MAX_COMPLETED_HISTORY = 4096
 
 
 @dataclass
@@ -97,7 +104,10 @@ class _ClientBase:
         self._id_rng = id_rng
         self._inflight: Dict[int, _InFlight] = {}
         self._tsig_clock = 1_000_000
-        self.completed: List[CompletedOp] = []
+        # Recent operations, oldest evicted, stored without their parsed
+        # response; ``stats`` counts every operation exactly.
+        self.completed: Deque[CompletedOp] = deque(maxlen=MAX_COMPLETED_HISTORY)
+        self.stats: Dict[str, int] = {"completed": 0, "retries": 0}
         node.set_handler(self._on_message)
 
     # -- request builders -------------------------------------------------------
@@ -265,7 +275,9 @@ class _ClientBase:
             verified=verified,
             retries=flight.retries,
         )
-        self.completed.append(op)
+        self.completed.append(replace(op, response=None))
+        self.stats["completed"] += 1
+        self.stats["retries"] += flight.retries
         flight.callback(op)
 
 

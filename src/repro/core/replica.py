@@ -428,13 +428,14 @@ class ReplicaServer:
         return flat
 
     def _on_deliver(self, rid: str, payload: bytes) -> None:
+        assert self.abc is not None
         entries = self._flatten_batches(payload)
         for entry in entries:
             # Batch entries execute in frame order, and every request
             # executes at most once system-wide: sub-request ids are
             # payload-derived, so all honest replicas skip the same
             # duplicates and the state machine stays deterministic.
-            sub_rid = derive_request_id(entry)
+            sub_rid = self.abc.entry_id(entry)
             if sub_rid in self._executed_rids:
                 continue
             if len(entry) < 4:

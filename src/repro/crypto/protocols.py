@@ -635,7 +635,13 @@ class SigningCoordinator:
             "dropped": 0,     # refused: in-flight queue full (backpressure)
             "discarded": 0,   # stale: message changed before the session started
         }
+        # Live sessions only: _finish folds a finished session's op log
+        # and fallback flag into the two fields below and drops the
+        # protocol object, so per-message work and memory follow the
+        # sessions in flight, not the sessions ever run.
         self.sessions: Dict[str, SigningProtocol] = {}
+        self._finished_ops: List[Tuple[str, int]] = []
+        self._finished_fallbacks = 0
         self._pending: Dict[str, List[Tuple[int, SigningMessage]]] = {}
         self._completed: Dict[str, bytes] = {}
         # KeyTrap-style bounds on the not-yet-started buffer: a Byzantine
@@ -763,17 +769,18 @@ class SigningCoordinator:
         assert protocol.signature is not None
         self._completed[sign_id] = protocol.signature
         self._prefetched.pop(sign_id, None)
+        self._finished_ops.extend(protocol.drain_ops())
+        if getattr(protocol, "fallback_entered", False):
+            self._finished_fallbacks += 1
+        del self.sessions[sign_id]
 
     def result(self, sign_id: str) -> Optional[bytes]:
         """The assembled signature for a completed session, if any."""
         return self._completed.get(sign_id)
 
-    def session(self, sign_id: str) -> Optional[SigningProtocol]:
-        return self.sessions.get(sign_id)
-
     def fallback_rounds(self) -> int:
         """How many OptProof sessions were forced onto the slow path."""
-        return sum(
+        return self._finished_fallbacks + sum(
             1
             for protocol in self.sessions.values()
             if getattr(protocol, "fallback_entered", False)
@@ -781,7 +788,7 @@ class SigningCoordinator:
 
     def drain_ops(self) -> List[Tuple[str, int]]:
         """Collect op logs from all sessions (for simulator cost charging)."""
-        ops: List[Tuple[str, int]] = []
+        ops, self._finished_ops = self._finished_ops, []
         for protocol in self.sessions.values():
             ops.extend(protocol.drain_ops())
         return ops

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.broadcast.abc import AtomicBroadcast, derive_request_id, request_digest
-from repro.broadcast.messages import AbcOrder
+from repro.broadcast import abc as abc_mod
+from repro.broadcast.abc import (
+    AtomicBroadcast,
+    AuthPlane,
+    _prepare_signing_input,
+    derive_request_id,
+    request_digest,
+)
+from repro.broadcast.messages import AbcCommit, AbcOrder, AbcPrepare
 
 from tests.broadcast.harness import auth_keys, coin_keys, make_lan
 
@@ -158,6 +165,209 @@ class TestByzantineLeader:
         net.node(0).send(1, order)
         net.run(until=2)
         assert delivered[1] == []
+
+
+#: Every per-slot structure that retirement reclaims (``_certificates``
+#: is the one that stays, until signed checkpoints exist).
+SLOT_STATE = (
+    "_ordered", "_payload_by_digest", "_prepared_digest", "_prepares",
+    "_slot_digests", "_slot_introducer", "_commit_sent", "_commits",
+    "_committed", "_retired",
+)
+
+
+def slot_state_sizes(abc):
+    return {name: len(getattr(abc, name)) for name in SLOT_STATE}
+
+
+class _NoTimer:
+    def cancel(self):
+        pass
+
+
+def build_solo(keys, me=1, n=4, t=1):
+    """One replica with its outgoing messages captured instead of sent."""
+    pairs, pubs, coins = keys
+    sent, delivered = [], []
+    abc = AtomicBroadcast(
+        n, t, me,
+        auth_key=pairs[me].private,
+        auth_public=pubs,
+        coin_key=coins[me],
+        deliver=lambda rid, payload: delivered.append(payload),
+        send=lambda dest, msg: sent.append(msg),
+        schedule=lambda delay, fn: _NoTimer(),
+    )
+    return abc, sent, delivered
+
+
+def signed_prepare(keys, signer, epoch, seq, digest):
+    pairs, pubs, _ = keys
+    signature = AuthPlane(pairs[signer].private, pubs).sign(
+        _prepare_signing_input(epoch, seq, digest)
+    )
+    return AbcPrepare(epoch, seq, digest, signer, signature)
+
+
+class TestSlotRetirement:
+    """Per-slot state lives from ORDER to (delivery and own COMMIT)."""
+
+    def test_retired_slot_is_never_prepared_again(self, keys_4_1):
+        abc, sent, delivered = build_solo(keys_4_1)
+        payload = b"first"
+        digest = request_digest(0, 0, payload)
+        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        for peer in (0, 2):
+            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert delivered == [payload]
+        assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
+        assert abc._certificates[0].payload == payload
+        # The leader equivocates after the fact: a second ORDER for the
+        # retired slot, and a PREPARE for it, cost no signature work.
+        crypto_calls = []
+        abc.crypto.sign = lambda data: crypto_calls.append("sign") or b""
+        abc.crypto.verify = lambda *a: crypto_calls.append("verify") or True
+        del sent[:]
+        other = b"second"
+        abc.on_message(0, AbcOrder(0, 0, derive_request_id(other), other))
+        abc.on_message(
+            3, signed_prepare(keys_4_1, 3, 0, 0, request_digest(0, 0, other))
+        )
+        assert sent == [] and crypto_calls == []
+        assert abc.stats["retired_slot_msgs"] == 2
+        assert not any(slot_state_sizes(abc).values())
+        assert delivered == [payload]
+
+    def test_own_prepare_is_not_verified(self, keys_4_1):
+        abc, sent, _ = build_solo(keys_4_1)
+        verified = []
+        real_verify = abc.crypto.verify
+        abc.crypto.verify = lambda signer, *a: verified.append(signer) or real_verify(signer, *a)
+        payload = b"p"
+        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, request_digest(0, 0, payload)))
+        assert verified == [2]
+        assert set(abc._prepares[(0, 0, request_digest(0, 0, payload))]) == {1, 2}
+
+    def test_delivered_without_own_commit_keeps_votes_until_certificate(self, keys_4_1):
+        abc, sent, delivered = build_solo(keys_4_1)
+        payload = b"slow prepares"
+        digest = request_digest(0, 0, payload)
+        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        for peer in (0, 2, 3):  # 2t+1 foreign COMMITs, only our own PREPARE
+            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert delivered == [payload]
+        assert not any(isinstance(m, AbcCommit) for m in sent)
+        assert (0, 0) in abc._ordered and abc._retired_below == 0
+        assert 0 not in abc._certificates
+        # The late PREPAREs complete the certificate: COMMIT goes out (the
+        # others may be waiting for it) and only then does the slot retire.
+        for peer in (0, 2):
+            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+        commits = [m for m in sent if isinstance(m, AbcCommit)]
+        assert len(commits) == abc.n - 1 and commits[0].digest == digest
+        assert len(abc._certificates[0].signatures) == abc.n - abc.t
+        assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
+        assert delivered == [payload]
+
+    def test_out_of_order_retirement_compacts_into_watermark(self, keys_4_1):
+        abc, sent, delivered = build_solo(keys_4_1)
+        payloads = [b"zero", b"one"]
+        digests = [request_digest(0, seq, p) for seq, p in enumerate(payloads)]
+        for seq, p in enumerate(payloads):
+            abc.on_message(0, AbcOrder(0, seq, derive_request_id(p), p))
+        for peer in (0, 2, 3):
+            abc.on_message(peer, AbcCommit(0, 0, digests[0], peer, b""))
+        for peer in (0, 2):
+            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 1, digests[1]))
+            abc.on_message(peer, AbcCommit(0, 1, digests[1], peer, b""))
+        assert delivered == payloads
+        assert abc._retired == {1} and abc._retired_below == 0  # slot 0 owes its COMMIT
+        for peer in (0, 2):
+            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digests[0]))
+        assert abc._retired == set() and abc._retired_below == 2
+
+    def test_stuck_slot_cannot_pin_the_watermark(self, keys_4_1, monkeypatch):
+        monkeypatch.setattr(abc_mod, "MAX_SEQ_AHEAD", 2)
+        abc, sent, delivered = build_solo(keys_4_1)
+        for seq in range(4):
+            payload = f"r{seq}".encode()
+            digest = request_digest(0, seq, payload)
+            abc.on_message(0, AbcOrder(0, seq, derive_request_id(payload), payload))
+            for peer in (0, 2, 3):  # a certificate never forms here
+                abc.on_message(peer, AbcCommit(0, seq, digest, peer, b""))
+        assert len(delivered) == 4
+        assert abc.next_deliver - abc._retired_below == 2
+        assert len(abc._ordered) == 2 and abc.stats["out_of_window"] == 2
+
+    def test_leader_ordering_state_is_bounded_by_inflight_slots(self, keys_4_1):
+        net = make_lan(4)
+        abcs, delivered = build(4, 1, net, keys_4_1)
+        inject(net, abcs, 2, [f"r{k}".encode() for k in range(40)])
+        leader = abcs[0]
+        peak = 0
+
+        def watch():
+            nonlocal peak
+            inflight = leader._next_order_seq - leader._retired_below
+            assert len(leader._ordered) <= inflight
+            peak = max(peak, len(leader._ordered))
+            return False
+
+        net.run(condition=watch)
+        assert all(len(delivered[i]) == 40 for i in range(4))
+        assert peak > 0
+        for abc in abcs:
+            assert not any(slot_state_sizes(abc).values()), slot_state_sizes(abc)
+            assert abc._retired_below == abc.next_deliver == 40
+            assert sorted(abc._certificates) == list(range(40))
+
+
+class TestRetirementAcrossEpochs:
+    def test_lagging_replica_catches_up_from_retired_peers(self, keys_4_1):
+        net = make_lan(4)
+        abcs, delivered = build(4, 1, net, keys_4_1)
+        net.node(3).dropped = True  # misses the whole first epoch
+        early = [f"early{k}".encode() for k in range(5)]
+        inject(net, abcs, 2, early)
+        net.run(until=50)
+        for i in (0, 1, 2):
+            assert delivered[i] == delivered[0] and sorted(delivered[i]) == sorted(early)
+            assert not any(slot_state_sizes(abcs[i]).values())
+            # what EPOCH_FINAL will carry: one certificate per delivered slot
+            assert sorted(abcs[i]._certificates) == list(range(5))
+        assert delivered[3] == []
+        net.node(3).dropped = False
+        net.node(0).dropped = True  # the leader crashes
+        inject(net, abcs, 2, [b"late"])
+        net.run(until=400)
+        for i in (1, 2, 3):
+            assert abcs[i].epoch >= 1
+            assert delivered[i] == delivered[0] + [b"late"], f"replica {i}"
+            assert abcs[i].stats["epoch_changes"] >= 1
+            sizes = slot_state_sizes(abcs[i])
+            assert not any(sizes.values()), sizes
+            assert abcs[i]._retired_below == abcs[i].next_deliver
+            # vote pools of the finished epoch are gone as well
+            assert all(e >= abcs[i].epoch for e in abcs[i]._complaints)
+            assert all(e >= abcs[i].epoch for e in abcs[i]._finals)
+        assert abcs[3].stats["recovery_deliveries"] == 5
+
+    def test_epoch_change_still_works_past_the_window(self, keys_4_1, monkeypatch):
+        # A NEW_EPOCH re-certifies every slot ever delivered; only the
+        # slots a replica is actually missing count against its window.
+        monkeypatch.setattr(abc_mod, "MAX_SEQ_AHEAD", 4)
+        net = make_lan(4)
+        abcs, delivered = build(4, 1, net, keys_4_1)
+        inject(net, abcs, 2, [f"r{k}".encode() for k in range(6)], spacing=1.0)
+        net.run(until=50)
+        assert all(len(delivered[i]) == 6 for i in range(4))
+        net.node(0).dropped = True
+        inject(net, abcs, 2, [b"after"])
+        net.run(until=400)
+        for i in (1, 2, 3):
+            assert abcs[i].epoch >= 1 and delivered[i][-1] == b"after", f"replica {i}"
 
 
 class TestHelpers:

@@ -74,7 +74,7 @@ class TestSequenceWindow:
         # The window is relative to next_deliver, not absolute: a replica
         # that has delivered far keeps accepting the sequences around it.
         abc = make_abcs(keys_4_1)[1]
-        abc.next_deliver = 10_000
+        abc.next_deliver = abc._retired_below = 10_000  # delivered and retired
         payload = b"caught up"
         abc.on_message(
             abc.leader, AbcOrder(0, 10_001, derive_request_id(payload), payload)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import time
 
 import pytest
 
@@ -31,6 +32,25 @@ if _FORCED_PLANE:
     _tail = _params[-len(_defaults):]
     _defaults[_tail.index("crypto_executor")] = _FORCED_PLANE
     ServiceConfig.__init__.__defaults__ = tuple(_defaults)  # type: ignore[misc]
+
+#: Tier-1 wall-time budget per test, in seconds; 0 disables.  CI sets it
+#: to 10 (ROADMAP carry-over), local runs leave it off so a loaded box
+#: does not turn a 9 s test into a flake.
+_BUDGET_S = float(os.environ.get("REPRO_TEST_BUDGET_S") or 0)
+
+
+@pytest.fixture(autouse=True)
+def _wall_time_budget(request):
+    started = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - started
+    if _BUDGET_S and elapsed > _BUDGET_S and not request.node.get_closest_marker("slow"):
+        pytest.fail(
+            f"{request.node.nodeid} took {elapsed:.1f} s, over the {_BUDGET_S:g} s "
+            "tier-1 budget: make it faster or mark it @pytest.mark.slow",
+            pytrace=False,
+        )
+
 
 ZONE_TEXT = """
 $ORIGIN example.com.

@@ -259,6 +259,60 @@ class TestCoordinator:
                 public.verify_signature(payload, signature)
 
 
+class TestSessionRetirement:
+    """A finished session leaves only its signature behind."""
+
+    def _finish_one(self, shares, protocol=PROTOCOL_OPTTE):
+        coordinator = SigningCoordinator(protocol, shares[0])
+        coordinator.sign(SID, MESSAGE)
+        for peer in (1, 2):
+            share = shares[peer].generate_share(MESSAGE)
+            coordinator.on_message(peer, SigningMessage.share_message(SID, share))
+        return coordinator
+
+    def test_finished_session_is_dropped_and_late_share_ignored(self, threshold_4_1):
+        public, shares = threshold_4_1
+        coordinator = self._finish_one(shares)
+        signature = coordinator.result(SID)
+        assert signature is not None
+        assert coordinator.sessions == {}
+        late = shares[3].generate_share(MESSAGE)
+        out = coordinator.on_message(3, SigningMessage.share_message(SID, late))
+        assert out == []
+        # neither re-opened as a session nor parked in the pre-session buffer
+        assert coordinator.sessions == {} and coordinator._pending == {}
+        assert coordinator.result(SID) == signature
+        public.verify_signature(MESSAGE, signature)
+        assert coordinator.sign(SID, MESSAGE) == []  # no second round either
+        assert coordinator.rounds_started == 1
+
+    def test_ops_of_a_finished_session_are_still_drained_once(self, threshold_4_1):
+        _, shares = threshold_4_1
+        coordinator = self._finish_one(shares)
+        ops = dict()
+        for op, count in coordinator.drain_ops():
+            ops[op] = ops.get(op, 0) + count
+        assert ops[OP_GENERATE_SHARE] == 1 and ops[OP_ASSEMBLE] >= 1
+        assert coordinator.drain_ops() == []
+
+    def test_fallback_count_survives_retirement(self, threshold_4_1):
+        public, shares = threshold_4_1
+        coordinator = SigningCoordinator(PROTOCOL_OPTPROOF, shares[0])
+        coordinator.sign(SID, MESSAGE)
+        bad = _invert(shares[1].generate_share(MESSAGE), public.modulus)
+        coordinator.on_message(1, SigningMessage.share_message(SID, bad))
+        coordinator.on_message(
+            2, SigningMessage.share_message(SID, shares[2].generate_share(MESSAGE))
+        )
+        assert coordinator.fallback_rounds() == 1  # counted while still live
+        for peer in (2, 3):
+            share = shares[peer].generate_share_with_proof(MESSAGE)
+            coordinator.on_message(peer, SigningMessage.share_message(SID, share))
+        assert coordinator.result(SID) is not None
+        assert coordinator.sessions == {}
+        assert coordinator.fallback_rounds() == 1
+
+
 class TestShareIndexValidation:
     """A share's claimed index must match its authenticated sender."""
 

@@ -176,7 +176,15 @@ def test_corpus_is_complete():
     assert names == sorted(PROTOCOL_VULNS + list(TASK_VULNS) + CLEAN)
 
 
-@pytest.mark.parametrize("filename", PROTOCOL_VULNS)
+@pytest.mark.parametrize(
+    "filename",
+    [
+        # ~10 s of schedules before the dropped-message witness shows up
+        pytest.param(name, marks=pytest.mark.slow)
+        if name == "vuln_abc_future_epoch_drop.py" else name
+        for name in PROTOCOL_VULNS
+    ],
+)
 def test_protocol_bug_witnessed(filename):
     model, budget = _protocol_model(filename)
     result = DporEngine(
@@ -260,6 +268,7 @@ def test_clean_task_control_stays_silent():
         assert not evidence.violations, f"{harness.name}: false positive"
 
 
+@pytest.mark.slow  # its own budget is 60 s
 def test_whole_corpus_under_budget():
     # Issue acceptance: the full corpus (all witnesses + both controls)
     # completes in < 60 s.  The heavyweight pieces re-run here; the
