@@ -104,9 +104,17 @@ MODE_RECOVERY = "recovery"
 #: payload-derived request id (with a pull fallback for withheld
 #: payloads); ``erasure`` additionally replaces the INITIATE fan-out with
 #: per-replica Reed-Solomon fragments so no link carries the whole batch.
-#: The recovery path (EPOCH_FINAL / NEW_EPOCH / re-batched orders) always
-#: travels full-payload — recovery is rare and must be self-contained.
+#: The recovery path (EPOCH_FINAL / NEW_EPOCH) always travels
+#: full-payload — recovery is rare and must be self-contained — and so
+#: does a leader batch frame: followers never saw it under its own id.
 DISSEMINATION_MODES = ("full", "digest", "erasure")
+
+#: Leader-side batching: the requests that queued up behind the leader's
+#: slot in flight — or, at a new leader, during the epoch switch — share
+#: batch frames of up to this many payloads per sequence slot.
+#: (``AtomicBroadcast(rebatch_max=1)`` keeps the paper's one request per
+#: slot.)
+LEADER_BATCH_MAX = 32
 
 #: Delay before (re)pulling the payload behind an unresolved digest-mode
 #: ORDER.  The happy path never pulls: the INITIATE or the reconstructed
@@ -293,7 +301,7 @@ class AtomicBroadcast:
         schedule: ScheduleFn,
         timeout: float = DEFAULT_TIMEOUT,
         crypto: Optional[AuthPlane] = None,
-        rebatch_max: int = 1,
+        rebatch_max: int = LEADER_BATCH_MAX,
         dissemination: str = "digest",
         erasure_min_bytes: int = ERASURE_MIN_BYTES,
     ) -> None:
@@ -314,10 +322,7 @@ class AtomicBroadcast:
         self.auth_key = auth_key
         self.auth_public = auth_public
         self.crypto = crypto if crypto is not None else AuthPlane(auth_key, auth_public)
-        # Leader-side re-batching on epoch change: a new leader re-frames
-        # the pending backlog into fresh batches of up to this many
-        # payloads per sequence slot, instead of ordering the requests
-        # that piled up during the switch one agreement instance each.
+        # Payloads per leader batch frame (LEADER_BATCH_MAX, _order_pending).
         self.rebatch_max = rebatch_max
         self.dissemination = dissemination
         self.erasure_min_bytes = erasure_min_bytes
@@ -335,7 +340,10 @@ class AtomicBroadcast:
         self._entry_ids: Dict[bytes, str] = {}
 
         self.pending: Dict[str, bytes] = {}
-        self._next_order_seq = 0  # leader's counter
+        # Leader's counter, restarted at the delivery watermark by every
+        # NEW_EPOCH: above ``next_deliver`` exactly while a slot this
+        # replica ordered *in the current epoch* is undelivered here.
+        self._next_order_seq = 0
         self._ordered: Dict[Tuple[int, int], Tuple[str, bytes]] = {}
         self._payload_by_digest: Dict[bytes, Tuple[str, bytes]] = {}
         self._prepared_digest: Dict[Tuple[int, int], bytes] = {}
@@ -407,6 +415,7 @@ class AtomicBroadcast:
             "initiates_dropped": 0,
             "out_of_window": 0,
             "retired_slot_msgs": 0,
+            "surplus_prepares": 0,
             "rebatches": 0,
             "rebatched_requests": 0,
             "pulls_sent": 0,
@@ -497,18 +506,25 @@ class AtomicBroadcast:
         if self.mode == MODE_FAST and self.me == self.leader:
             self._order_pending()
 
-    def _order_pending(self, rebatch: bool = False) -> None:
-        """Leader: assign sequence numbers to not-yet-ordered requests.
+    def _order_pending(self) -> None:
+        """Leader: order the not-yet-ordered backlog, one slot in flight.
 
-        With ``rebatch=True`` (a new leader right after an epoch switch)
-        the backlog is re-framed into fresh batches of up to
-        ``rebatch_max`` whole payloads per slot — recovery traffic is
-        amortized the same way the gateway amortizes client traffic,
-        instead of running one agreement instance per piled-up request.
-        Re-batched payloads may themselves be gateway batch frames;
-        delivery unwraps the nesting (see ``_mark_batch_delivered`` and
-        the replica's recursive batch decoding).
+        Self-clocked batching (Nagle's rule): with none of this epoch's
+        own slots undelivered the backlog is ordered at once; otherwise
+        it stays in ``pending`` and rides in the *next* slot, ordered
+        when the one in flight delivers here (``_advance_delivery``) or a
+        NEW_EPOCH installs.  Delivery is in sequence order, so a slot
+        ordered behind an undelivered one could not deliver before it
+        anyway — holding costs no latency and turns k agreement instances
+        into one.  Two or more payloads share a batch frame of up to
+        ``rebatch_max`` whole payloads (a larger backlog goes out as
+        consecutive slots); members may themselves be gateway batch
+        frames, and delivery unwraps the nesting (``_mark_batch_delivered``
+        and the replica's recursive batch decoding).  ``rebatch_max=1``
+        means one request per slot, so there is nothing to wait for.
         """
+        if self.rebatch_max > 1 and self._next_order_seq > self.next_deliver:
+            return
         already = {
             rid
             for (epoch, _), (rid, _) in self._ordered.items()
@@ -519,19 +535,15 @@ class AtomicBroadcast:
             for rid in sorted(self.pending)
             if rid not in already and rid not in self.delivered_ids
         ]
-        if rebatch and self.rebatch_max > 1 and len(backlog) > 1:
-            for i in range(0, len(backlog), self.rebatch_max):
-                group = backlog[i : i + self.rebatch_max]
-                if len(group) == 1:
-                    self._order_one(group[0], self.pending[group[0]])
-                    continue
-                payload = encode_batch([self.pending[rid] for rid in group])
-                self.stats["rebatches"] += 1
-                self.stats["rebatched_requests"] += len(group)
-                self._order_one(derive_request_id(payload), payload)
-            return
-        for rid in backlog:
-            self._order_one(rid, self.pending[rid])
+        for i in range(0, len(backlog), self.rebatch_max):
+            group = backlog[i : i + self.rebatch_max]
+            if len(group) == 1:
+                self._order_one(group[0], self.pending[group[0]])
+                continue
+            payload = encode_batch([self.pending[rid] for rid in group])
+            self.stats["rebatches"] += 1
+            self.stats["rebatched_requests"] += len(group)
+            self._order_one(derive_request_id(payload), payload)
 
     def _order_one(self, rid: str, payload: bytes) -> None:
         seq = self._next_order_seq
@@ -540,7 +552,7 @@ class AtomicBroadcast:
         if self.dissemination != "full" and payload and rid in self.pending:
             # Digest ORDER: followers hold (or will hold) the payload via
             # INITIATE / fragment reconstruction, so the wire frame needs
-            # only the payload-derived request id.  Re-batched recovery
+            # only the payload-derived request id.  The leader's batch
             # frames never entered pending and always travel full.
             self._broadcast(AbcOrder(self.epoch, seq, rid, b""))
         else:
@@ -833,6 +845,12 @@ class AtomicBroadcast:
             return
         if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
+        if (msg.epoch, msg.seq) in self._commit_sent:
+            # The slot's certificate is formed and our COMMIT is out: a
+            # PREPARE beyond its n-t can change nothing, so it is shed
+            # before the RSA check like traffic for a retired slot.
+            self.stats["surplus_prepares"] += 1
+            return
         # Our own PREPARE was signed a few lines up in _on_order; only
         # foreign signatures need checking.
         if sender != self.me and not self._verify_prepare(msg):
@@ -923,6 +941,7 @@ class AtomicBroadcast:
             self._advance_delivery(fast=True)
 
     def _advance_delivery(self, fast: bool) -> None:
+        delivered_from = self.next_deliver
         while True:
             seq = self.next_deliver
             if seq in self._skipped:
@@ -946,6 +965,16 @@ class AtomicBroadcast:
             self.stats["out_of_window"] += 1
             self._retire(self.epoch, self._retired_below)
         self._arm_timer()
+        if (
+            fast
+            and self.next_deliver > delivered_from
+            and self.mode == MODE_FAST
+            and self.me == self.leader
+        ):
+            # The slot in flight delivered: order what queued up behind
+            # it.  (A NEW_EPOCH install orders its own backlog once the
+            # new epoch's state is in place.)
+            self._order_pending()
 
     def _deliver_once(self, seq: int, rid: str, payload: bytes, fast: bool) -> None:
         if rid in self.delivered_ids:
@@ -1179,7 +1208,11 @@ class AtomicBroadcast:
         self._finals = {e: v for e, v in self._finals.items() if e >= msg.epoch}
         self.epoch = msg.epoch
         self.mode = MODE_FAST
-        self._next_order_seq = max(self._next_order_seq, start_seq)
+        # Restart at the watermark, whatever this replica ordered in an
+        # earlier leadership: slots nobody certified are below nobody's
+        # watermark, so a surviving counter would order past a gap that is
+        # never filled — and read as "slot in flight" forever.
+        self._next_order_seq = self.next_deliver
         for rid, payload in merged_pending.items():
             if rid in self.delivered_ids:
                 continue
@@ -1192,9 +1225,7 @@ class AtomicBroadcast:
             self._recovery_timer = None
         self._arm_timer()
         if self.me == self.leader:
-            # The backlog that piled up during the switch is re-framed
-            # into fresh batches rather than ordered one slot per request.
-            self._order_pending(rebatch=True)
+            self._order_pending()
         # Replay fast-path traffic that arrived while we lagged behind the
         # epoch switch; anything still ahead of us is re-buffered.
         self._replay_buffered()

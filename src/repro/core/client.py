@@ -240,18 +240,18 @@ class _ClientBase:
         raise NotImplementedError
 
     def _on_message(self, sender: int, msg: object) -> None:
-        if not isinstance(msg, ClientResponse):
+        if not isinstance(msg, ClientResponse) or len(msg.wire) < 2:
             return
-        try:
-            response = Message.from_wire(msg.wire) if msg.wire else None
-        except WireFormatError:
-            return
-        if response is None:
-            return
-        self._handle_response(sender, msg, response)
+        # Every replica answers every request, so most responses are for
+        # an operation already finished: look the 2-byte message id up
+        # before paying for a full decode.
+        msg_id = int.from_bytes(msg.wire[:2], "big")
+        flight = self._inflight.get(msg_id)
+        if flight is not None:
+            self._handle_response(sender, msg, msg_id, flight)
 
     def _handle_response(
-        self, sender: int, msg: ClientResponse, response: Message
+        self, sender: int, msg: ClientResponse, msg_id: int, flight: _InFlight
     ) -> None:
         raise NotImplementedError
 
@@ -323,13 +323,14 @@ class PragmaticClient(_ClientBase):
         self._transmit(msg_id, flight)
 
     def _handle_response(
-        self, sender: int, msg: ClientResponse, response: Message
+        self, sender: int, msg: ClientResponse, msg_id: int, flight: _InFlight
     ) -> None:
-        flight = self._inflight.get(response.msg_id)
-        if flight is None:
-            return
         if sender != flight.target:
             return  # source-address check: only the queried server counts
+        try:
+            response = Message.from_wire(msg.wire)
+        except WireFormatError:
+            return
         verified = False
         if self.verify_signatures and flight.kind == "read":
             verified = self._verify_response(response)
@@ -337,7 +338,7 @@ class PragmaticClient(_ClientBase):
                 # A3 mode: the whole response carries one threshold
                 # signature instead of per-RRset zone signatures.
                 verified = self._verify_threshold_signature(msg)
-        self._finish(flight, response.msg_id, response, sender, verified)
+        self._finish(flight, msg_id, response, sender, verified)
 
 
 class FullClient(_ClientBase):
@@ -358,11 +359,8 @@ class FullClient(_ClientBase):
             self.node.send(replica, request)
 
     def _handle_response(
-        self, sender: int, msg: ClientResponse, response: Message
+        self, sender: int, msg: ClientResponse, msg_id: int, flight: _InFlight
     ) -> None:
-        flight = self._inflight.get(response.msg_id)
-        if flight is None:
-            return
         if sender in flight.responses:
             return
         flight.responses[sender] = msg.wire
@@ -375,8 +373,12 @@ class FullClient(_ClientBase):
         wire, voters = max(counts.items(), key=lambda item: len(item[1]))
         if len(voters) < self.config.t + 1:
             return  # no value represents t+1 replicas yet; wait for more
-        winner = Message.from_wire(wire)
+        # The vote is over raw bytes; only the winner is ever decoded.
+        try:
+            winner = Message.from_wire(wire)
+        except WireFormatError:
+            return
         verified = False
         if self.verify_signatures and flight.kind == "read":
             verified = self._verify_response(winner)
-        self._finish(flight, response.msg_id, winner, voters[0], verified)
+        self._finish(flight, msg_id, winner, voters[0], verified)

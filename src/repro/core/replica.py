@@ -54,6 +54,7 @@ from repro.dns.dnssec import SigningPolicy, SigningTask
 from repro.dns.message import Message, make_response
 from repro.dns.server import AuthoritativeServer
 from repro.dns.name import Name
+from repro.dns.rdata import SIG
 from repro.dns.tsig import TsigKeyring, verify_message
 from repro.dns.update import UpdateProcessor, UpdateResult
 from repro.dns.zone import Zone
@@ -73,11 +74,6 @@ MAX_ANSWER_CACHE_ENTRIES = 4096
 #: up to this many upcoming signing tasks while the current session
 #: assembles.  (``SigningCoordinator(lookahead=0)`` disables pipelining.)
 SIGNING_LOOKAHEAD = 2
-#: Leader-side re-batching on epoch change: the new leader re-frames the
-#: recovery backlog into batches of up to this many payloads per sequence
-#: slot.  (``AtomicBroadcast(rebatch_max=1)`` keeps the paper's
-#: one-request-per-slot recovery.)
-RECOVERY_BATCH_SIZE = 32
 
 
 def encode_request(client: int, wire: bytes) -> bytes:
@@ -228,7 +224,6 @@ class ReplicaServer:
                     list(deployment.auth_public),
                     executor=executor,
                 ),
-                rebatch_max=RECOVERY_BATCH_SIZE,
                 dissemination=self.config.broadcast_mode,
                 erasure_min_bytes=self.config.erasure_min_bytes,
             )
@@ -538,7 +533,13 @@ class ReplicaServer:
         names = {rr.name for rr in rrs}
         names.update(q.name for q in response.questions)
         volatile = response.rcode != c.RCODE_NOERROR or any(
-            rr.rtype in (c.TYPE_SOA, c.TYPE_NXT) for rr in rrs
+            rr.rtype in (c.TYPE_SOA, c.TYPE_NXT)
+            or (
+                # a SIG query returns SIG(NXT)/SIG(SOA) without the data
+                isinstance(rr.rdata, SIG)
+                and rr.rdata.type_covered in (c.TYPE_SOA, c.TYPE_NXT)
+            )
+            for rr in rrs
         )
         return frozenset(names), volatile
 

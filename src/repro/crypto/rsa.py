@@ -10,6 +10,8 @@ the point of using Shoup's scheme (§2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 from repro.crypto import pkcs1
 from repro.errors import InvalidSignature, KeyGenerationError
@@ -91,13 +93,25 @@ class RsaPrivateKey:
             s = pow(x, self.private_exponent, self.modulus)
         return s.to_bytes(self.byte_size, "big")
 
+    @cached_property
+    def _crt(self) -> Tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``, computed once per key.
+
+        ``cached_property`` stores into the instance ``__dict__``, which a
+        frozen dataclass allows; equality and hash still read the fields.
+        """
+        p, q = self.prime_p, self.prime_q
+        return (
+            self.private_exponent % (p - 1),
+            self.private_exponent % (q - 1),
+            invmod(q, p),
+        )
+
     def _sign_crt(self, x: int) -> int:
         p, q = self.prime_p, self.prime_q
-        d_p = self.private_exponent % (p - 1)
-        d_q = self.private_exponent % (q - 1)
+        d_p, d_q, q_inv = self._crt
         s_p = pow(x % p, d_p, p)
         s_q = pow(x % q, d_q, q)
-        q_inv = invmod(q, p)
         h = (q_inv * (s_p - s_q)) % p
         return s_q + h * q
 

@@ -1117,7 +1117,9 @@ class AbcModel(BaseMessageModel):
                 f"totality violated at quiescence: delivered counts {lengths}"
             )
         for i in self.honest:
-            rids = {rid for _seq, rid in logs[i]}
+            # delivered_ids, not the log: the log names a leader batch
+            # frame by the frame's id, the set also holds its members'.
+            rids = state.replicas[i].delivered_ids
             missing = [r for r in self.rids if r not in rids]
             if missing and self.byz is None:
                 problems.append(

@@ -414,7 +414,17 @@ def _abc_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
         StrategySpec(
             "honest",
             lambda: AbcModel(n, t, dissemination=mode, payloads=payloads),
-        )
+        ),
+        # Three requests: the second and third reach the leader while the
+        # first one's slot is in flight, so the schedules cover the held
+        # backlog and its batch frame (one request alone never holds).
+        StrategySpec(
+            "honest-backlog",
+            lambda: AbcModel(
+                n, t, dissemination=mode,
+                payloads=(b"req-a", b"req-b", b"req-c"),
+            ),
+        ),
     ]
     for strat in abc_strategies(n, t, byz, honest, [b"req-a", b"req-b"]):
         specs.append(

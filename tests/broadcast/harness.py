@@ -2,6 +2,7 @@
 
 from typing import Callable, Optional
 
+from repro.broadcast.messages import decode_batch, is_batch_payload
 from repro.crypto.params import demo_threshold_key
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.sim.machines import lan_setup
@@ -43,3 +44,14 @@ def coin_keys(n: int, t: int):
 def auth_keys(n: int):
     pairs = [generate_rsa_keypair(512) for _ in range(n)]
     return pairs, [p.public for p in pairs]
+
+
+def unwrap(payloads):
+    """Flatten delivered ABC payloads, decoding (nested) batch frames."""
+    flat = []
+    for payload in payloads:
+        if is_batch_payload(payload):
+            flat.extend(unwrap(decode_batch(payload)))
+        else:
+            flat.append(payload)
+    return flat

@@ -12,7 +12,7 @@ from repro.broadcast.abc import (
 )
 from repro.broadcast.messages import AbcCommit, AbcOrder, AbcPrepare
 
-from tests.broadcast.harness import auth_keys, coin_keys, make_lan
+from tests.broadcast.harness import auth_keys, coin_keys, make_lan, unwrap
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,12 @@ def keys_4_1():
 
 
 def build(n, t, net, keys, timeout=1.0):
+    """``delivered[i]`` lists the requests replica i a-delivered, in order.
+
+    A leader batch frame counts as its members, in frame order — what the
+    replicated state machine executes (``tests/broadcast/test_rebatch.py``
+    looks at the frames themselves).
+    """
     pairs, pubs, coins = keys
     delivered = {i: [] for i in range(n)}
     abcs = []
@@ -33,7 +39,7 @@ def build(n, t, net, keys, timeout=1.0):
             auth_key=pairs[i].private,
             auth_public=pubs,
             coin_key=coins[i],
-            deliver=lambda rid, payload, i=i: delivered[i].append(payload),
+            deliver=lambda rid, payload, i=i: delivered[i].extend(unwrap([payload])),
             send=node.send,
             schedule=node.schedule_timer,
             timeout=timeout,
@@ -249,6 +255,25 @@ class TestSlotRetirement:
         abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, request_digest(0, 0, payload)))
         assert verified == [2]
         assert set(abc._prepares[(0, 0, request_digest(0, 0, payload))]) == {1, 2}
+
+    def test_prepare_after_own_commit_is_not_verified(self, keys_4_1):
+        abc, sent, delivered = build_solo(keys_4_1)
+        payload = b"certified"
+        digest = request_digest(0, 0, payload)
+        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        for peer in (0, 2):
+            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+        assert (0, 0) in abc._commit_sent and delivered == []
+        # The certificate is formed and COMMIT is out; the fourth PREPARE
+        # is shed before its RSA check and the slot completes as before.
+        verified = []
+        abc.crypto.verify = lambda signer, *a: verified.append(signer) or True
+        abc.on_message(3, signed_prepare(keys_4_1, 3, 0, 0, digest))
+        assert verified == [] and abc.stats["surplus_prepares"] == 1
+        assert set(abc._prepares[(0, 0, digest)]) == {0, 1, 2}
+        for peer in (0, 2):
+            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert delivered == [payload] and abc._retired_below == 1
 
     def test_delivered_without_own_commit_keeps_votes_until_certificate(self, keys_4_1):
         abc, sent, delivered = build_solo(keys_4_1)

@@ -6,13 +6,16 @@ sequence, even with corrupted replicas in the system or garbage batch
 frames injected into the broadcast layer.
 """
 
+from repro.broadcast.abc import derive_request_id
 from repro.broadcast.messages import (
     BATCH_MAGIC,
+    AbcOrder,
     decode_batch,
     encode_batch,
     is_batch_payload,
 )
 from repro.config import ServiceConfig
+from repro.core.replica import encode_request
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
 from repro.dns.name import Name
@@ -109,6 +112,31 @@ class TestBatchedDelivery:
         sequences = {tuple(r.delivered_requests) for r in svc.honest_replicas()}
         assert len(sequences) == 1
         assert svc.states_consistent()
+
+    def test_member_ordered_alone_and_inside_a_frame_executes_once(self):
+        """A Byzantine leader orders one request in its own slot *and*
+        inside a leader frame; the frame adds it no power: every honest
+        replica executes the request exactly once, in the same place."""
+        svc = make_service(batch_size=1)
+        client = svc.client.node.node_id
+        payloads = [
+            encode_request(client, svc.client.build_query_wire(
+                Name.from_text(name), c.TYPE_A)[1])
+            for name in ("www.example.com.", "ns1.example.com.")
+        ]
+        frame = encode_batch(payloads)
+        leader = svc.replicas[0].node
+        for seq, payload in enumerate((payloads[0], frame)):
+            order = AbcOrder(0, seq, derive_request_id(payload), payload)
+            for follower in (1, 2, 3):
+                leader.run_local(0.0, lambda f=follower, o=order: leader.send(f, o))
+        svc.settle(limit=30.0)
+        rids = [derive_request_id(p) for p in payloads]
+        for replica in svc.replicas[1:]:
+            assert replica.abc.next_deliver == 2
+            assert replica.delivered_requests == rids
+            assert replica.stats["queries"] == 2
+            assert set(rids) <= replica.abc.delivered_ids
 
     def test_batch_size_one_keeps_seed_behaviour(self):
         svc = make_service(batch_size=1)

@@ -46,6 +46,18 @@ class TestExecutionOrdering:
         assert replica.stats["signatures_completed"] == 4  # one add
 
 
+class TestAnswerCacheMeta:
+    def test_sig_query_for_a_resigned_nxt_is_volatile(self):
+        """A SIG query returns SIG(NXT) without the NXT itself; an add
+        next to the name re-signs it, so the answer must not be cached
+        across updates."""
+        svc = make_service()
+        op = svc.query("www.example.com.", c.TYPE_SIG)
+        assert op.response.rcode == c.RCODE_NOERROR and op.response.answers
+        for replica in svc.replicas:
+            assert all(entry.volatile for entry in replica._answer_cache.values())
+
+
 class TestResponseCache:
     def test_duplicate_request_replayed_from_cache(self):
         svc = make_service()

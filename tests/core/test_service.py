@@ -6,6 +6,7 @@ from repro.config import ServiceConfig
 from repro.core.faults import CorruptionMode
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
+from repro.dns.name import Name
 from repro.sim.machines import lan_setup, paper_setup
 
 
@@ -152,6 +153,44 @@ class TestClientModels:
         op = svc.query("fresh.example.com.", c.TYPE_A)
         # Majority of honest replicas returns the fresh record (G1).
         assert op.response.answers
+
+    @pytest.mark.parametrize("model", ["pragmatic", "full"])
+    def test_client_decodes_one_response_per_operation(self, model, monkeypatch):
+        """Every replica answers every request.  The pragmatic client
+        decodes only its gateway's response, the full client votes on raw
+        bytes and decodes the winner — late and foreign responses are
+        dropped on the 2-byte message id."""
+        from repro.dns.message import Message
+
+        svc = make_service(client_model=model)
+        decoded = []
+        real = Message.from_wire.__func__
+
+        def counting(cls, wire):
+            message = real(cls, wire)
+            if message.is_response:
+                decoded.append(message.msg_id)
+            return message
+
+        monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+        op = svc.query("www.example.com.", c.TYPE_A)
+        svc.settle()
+        assert op.response.rcode == c.RCODE_NOERROR and op.verified
+        assert decoded == [op.msg_id]
+
+    def test_malformed_responses_cannot_wedge_a_client(self):
+        from repro.broadcast.messages import ClientResponse
+
+        svc = make_service()
+        box = []
+        svc.client.query(Name.from_text("www.example.com."), c.TYPE_A, box.append)
+        (msg_id,) = svc.client._inflight
+        junk = msg_id.to_bytes(2, "big") + b"\xff" * 5
+        for wire in (b"", b"\x00", junk):
+            svc.client._on_message(0, ClientResponse("x", wire, 0))
+        assert not box and msg_id in svc.client._inflight
+        svc.net.sim.run(condition=lambda: bool(box))
+        assert box[0].response.rcode == c.RCODE_NOERROR
 
     def test_update_with_full_client(self):
         svc = make_service(client_model="full")

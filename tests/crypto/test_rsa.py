@@ -82,6 +82,25 @@ class TestRsa:
         via_crt = keypair.private._sign_crt(x)
         assert plain == via_crt
 
+    def test_cached_crt_signs_like_the_plain_path(self, keypair):
+        """The CRT constants are computed once per key; signatures stay
+        byte-identical to a key without primes (the non-CRT path), and the
+        cache is invisible to equality, hash and pickling."""
+        import pickle
+        from dataclasses import replace
+
+        private = keypair.private
+        plain = replace(private, prime_p=0, prime_q=0)
+        fresh = replace(private)  # equal key, nothing cached yet
+        for message in (b"", b"first", b"second", b"x" * 300):
+            assert private.sign(message) == plain.sign(message)
+        assert private._crt is private._crt  # computed once
+        assert "_crt" not in fresh.__dict__
+        assert private == fresh and hash(private) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(private))
+        assert restored == private
+        assert restored.sign(b"after pickling") == plain.sign(b"after pickling")
+
     def test_public_key_serialization(self, keypair):
         data = keypair.public.to_bytes()
         restored = RsaPublicKey.from_bytes(data)

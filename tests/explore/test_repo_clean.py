@@ -20,7 +20,8 @@ the wide exploration legs live in nightly CI.
 from pathlib import Path
 
 from repro.explore.confirm import confirm_races
-from repro.explore.runner import explore_protocol
+from repro.explore.dpor import DporEngine
+from repro.explore.runner import build_model, explore_protocol
 from repro.taint.indexer import module_files
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -78,6 +79,19 @@ class TestProductionProtocolsClean:
             "aba", n=4, t=1, strategies=["silent"], max_schedules=1_500
         )
         assert report.ok, [v.kind for v in report.violations]
+
+    def test_abc_leader_backlog_budget_bounded(self):
+        # Three requests at an honest (4, 1): two of them reach the
+        # leader behind its slot in flight, so every schedule goes
+        # through the held backlog and the leader's batch frame.  The
+        # space is far past exhaustive; tier-1 pins a bounded prefix.
+        model = build_model("abc", "digest", 4, 1, "honest-backlog")
+        result = DporEngine(model, max_schedules=400).run()
+        assert not result.violations, [v.messages for v in result.violations]
+        assert result.schedules >= 400, "budget should bind, not the space"
+        leader = model.state.replicas[0]
+        assert leader.stats["rebatches"] >= 1
+        assert leader.next_deliver < len(model.payloads)  # slots < requests
 
     def test_e2e_delay_bounded_clean(self):
         report = explore_protocol(

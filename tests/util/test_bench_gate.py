@@ -27,8 +27,8 @@ def _write(directory: Path, **files) -> None:
 
 _HEALTHY = {
     "BENCH_batching__json": {
-        "read_heavy": {"speedup": 4.0},
-        "mixed": {"speedup": 2.0},
+        "read_heavy": {"unbatched_tput": 30.0, "batched_tput": 120.0},
+        "mixed": {"unbatched_tput": 30.0, "batched_tput": 80.0},
     },
     "BENCH_parallel__json": {
         "groups": [{"protocol": "sign", "n": 4, "t": 1, "model_speedup": 1.9}]
@@ -60,6 +60,27 @@ def test_degraded_metric_fails(gate, tmp_path):
     assert len(problems) == 1 and "write_speedup" in problems[0]
     argv = ["--baseline", str(tmp_path / "base"), "--fresh", str(tmp_path / "fresh")]
     assert gate.main(argv) == 1
+
+
+def test_batching_is_gated_on_throughput_not_on_the_ratio(gate, tmp_path):
+    _write(tmp_path / "base", **_HEALTHY)
+    # A faster unbatched path lowers batched/unbatched; that is no regression.
+    faster = dict(_HEALTHY)
+    faster["BENCH_batching__json"] = {
+        "read_heavy": {"unbatched_tput": 60.0, "batched_tput": 120.0},
+        "mixed": {"unbatched_tput": 60.0, "batched_tput": 80.0},
+    }
+    _write(tmp_path / "fresh", **faster)
+    assert gate.check(tmp_path / "base", tmp_path / "fresh", 0.20) == []
+    # Either column falling is one.
+    slower = dict(_HEALTHY)
+    slower["BENCH_batching__json"] = {
+        "read_heavy": {"unbatched_tput": 30.0, "batched_tput": 120.0},
+        "mixed": {"unbatched_tput": 30.0 * 0.79, "batched_tput": 80.0},
+    }
+    _write(tmp_path / "fresh", **slower)
+    problems = gate.check(tmp_path / "base", tmp_path / "fresh", 0.20)
+    assert len(problems) == 1 and "mixed.unbatched_tput" in problems[0]
 
 
 def test_drop_within_tolerance_passes(gate, tmp_path):
