@@ -116,7 +116,10 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(n=args.n, t=args.t)
     deployment = generate_deployment(
-        config, zone_bits=args.bits, use_demo_primes=not args.fresh_primes
+        config,
+        zone_bits=args.bits,
+        auth_bits=args.bits,
+        use_demo_primes=not args.fresh_primes,
     )
     os.makedirs(args.out, exist_ok=True)
     for keys in deployment.replicas:
@@ -633,7 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="deal threshold keys for a deployment")
     p.add_argument("-n", type=int, default=4)
     p.add_argument("-t", type=int, default=1)
-    p.add_argument("--bits", type=int, default=1024, help="zone key modulus bits")
+    p.add_argument(
+        "--bits", type=int, default=1024,
+        help="modulus bits of the zone, coin and authenticator keys",
+    )
     p.add_argument("--out", default="keys", help="output directory")
     p.add_argument(
         "--fresh-primes",

@@ -6,7 +6,8 @@ coin key used by the agreement protocol, an authentication key pair for
 the broadcast layer, and the zone's apex ``KEY`` record.  The private
 file of each server is then shipped over a secure channel (the paper used
 SSH; here the deployment object is handed to the service builder, and
-:func:`save_deployment` / :func:`load_deployment` provide the file form).
+:func:`save_replica_keys` / :func:`load_replica_keys` provide the file
+form, one file per replica).
 """
 
 from __future__ import annotations
@@ -121,13 +122,17 @@ def save_replica_keys(keys: ReplicaKeys, path: str) -> None:
         "auth_private_exponent": str(keys.auth_key.private.private_exponent),
         "auth_prime_p": str(keys.auth_key.private.prime_p),
         "auth_prime_q": str(keys.auth_key.private.prime_q),
+        "auth_other_primes": [str(r) for r in keys.auth_key.private.other_primes],
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
 
 
 def load_replica_keys(path: str) -> ReplicaKeys:
-    """Read a replica private key file written by :func:`save_replica_keys`."""
+    """Read a replica private key file written by :func:`save_replica_keys`.
+
+    A file without ``auth_other_primes`` holds a two-prime key.
+    """
     from repro.crypto.rsa import RsaPrivateKey
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -138,6 +143,7 @@ def load_replica_keys(path: str) -> ReplicaKeys:
         private_exponent=int(payload["auth_private_exponent"]),
         prime_p=int(payload["auth_prime_p"]),
         prime_q=int(payload["auth_prime_q"]),
+        other_primes=tuple(int(r) for r in payload.get("auth_other_primes", ())),
     )
     return ReplicaKeys(
         index=payload["index"],

@@ -139,7 +139,6 @@ class _CachedAnswer:
     data-changing update); those drop on every update.
     """
 
-    query_tail: bytes
     wire: bytes           # canonical (id-zeroed) response wire
     signature: bytes      # threshold signature over ``wire`` (A3) or b""
     owner_names: frozenset
@@ -159,8 +158,7 @@ class _PendingSignedRead:
     client: int
     response_wire: bytes
     task: SigningTask
-    cache_key: Optional[Tuple[object, int, int]] = None
-    query_tail: bytes = b""
+    cache_key: Optional[Tuple[bytes, int]] = None
     owner_names: frozenset = frozenset()
     volatile: bool = True
 
@@ -258,12 +256,13 @@ class ReplicaServer:
         # The executed request sequence (for determinism checks): every
         # honest replica must log the identical list.
         self.delivered_requests: List[str] = []
-        # Signed-answer cache: (qname, qtype, zone serial) -> entry.  The
-        # serial is part of the key, so a data-changing update makes every
-        # old entry unreachable; per-name invalidation then *re-keys*
-        # entries unrelated to the update to the new serial (keeping hot
-        # answers alive) and drops the affected and volatile ones.
-        self._answer_cache: Dict[Tuple[object, int, int], _CachedAnswer] = {}
+        # Signed-answer cache: (query wire minus its id, zone serial) ->
+        # entry, so a hit parses nothing.  The serial is part of the key, so
+        # a data-changing update makes every old entry unreachable; per-name
+        # invalidation then *re-keys* entries unrelated to the update to the
+        # new serial (keeping hot answers alive) and drops the affected and
+        # volatile ones.
+        self._answer_cache: Dict[Tuple[bytes, int], _CachedAnswer] = {}
 
         # Statistics for benchmarks.
         self.stats: Dict[str, int] = {
@@ -456,41 +455,29 @@ class ReplicaServer:
             # skips full request processing and pays the cheap lookup cost.
             self._execute_query(rid, client, wire)
 
-    def _answer_cache_key(
-        self, query: Message, wire: bytes
-    ) -> Tuple[Optional[Tuple[object, int, int]], bytes]:
-        """Cache key ``(qname, qtype, zone serial)`` plus the query-tail hash.
+    def _answer_cache_key(self, wire: bytes) -> Optional[Tuple[bytes, int]]:
+        """Cache key ``(query wire after the 2-byte id, zone serial)``.
 
-        The tail hash (everything after the random message id) guards the
-        rare case of two queries agreeing on the question but differing in
-        header flags or class — those must not share a cached answer.
+        Everything but the random message id is part of the key, so two
+        queries that differ in flags, class or the case of the name get
+        their own entries, and a hit needs no parse.
         """
         if not self.config.answer_cache:
-            return None, b""
+            return None
         if self.fault.mode is CorruptionMode.STALE_READS:
-            return None, b""  # the stale server must not touch the cache
-        if len(query.questions) != 1:
-            return None, b""
-        question = query.questions[0]
+            return None  # the stale server must not touch the cache
         try:
             serial = self.zone.serial
         except ZoneError:
-            return None, b""
-        key = (question.name, question.rtype, serial)
-        return key, hashlib.sha256(wire[2:]).digest()
+            return None
+        return wire[2:], serial
 
     def _execute_query(self, rid: str, client: int, wire: bytes) -> None:
         self.stats["queries"] += 1
-        try:
-            query = Message.from_wire(wire)
-        except WireFormatError:
-            self.node.charge(self.costs.dns_processing)
-            self._respond_error(client, wire, c.RCODE_FORMERR)
-            return
-        cache_key, query_tail = self._answer_cache_key(query, wire)
+        cache_key = self._answer_cache_key(wire)
         if cache_key is not None:
             hit = self._answer_cache.get(cache_key)
-            if hit is not None and hit.query_tail == query_tail:
+            if hit is not None:
                 # Fast path: splice the query's message id into the cached
                 # wire; with sign_every_response the cached threshold
                 # signature (over the id-less canonical wire) rides along,
@@ -501,6 +488,15 @@ class ReplicaServer:
                 self._cache_response(hashlib.sha256(wire).digest(), response_wire)
                 self._respond(rid, client, response_wire, threshold_sig=hit.signature)
                 return
+        try:
+            query = Message.from_wire(wire)
+        except WireFormatError:
+            self.node.charge(self.costs.dns_processing)
+            self._respond_error(client, wire, c.RCODE_FORMERR)
+            return
+        if len(query.questions) != 1:
+            cache_key = None
+        if cache_key is not None:
             self.stats["answer_cache_misses"] += 1
         self.node.charge(self.costs.dns_processing)
         if self.fault.mode is CorruptionMode.STALE_READS:
@@ -512,13 +508,11 @@ class ReplicaServer:
         self._cache_response(hashlib.sha256(wire).digest(), response_wire)
         if self.config.sign_every_response:
             self._start_response_signing(
-                rid, client, response_wire, cache_key, query_tail,
-                owner_names, volatile,
+                rid, client, response_wire, cache_key, owner_names, volatile
             )
             return
         if cache_key is not None:
             self._cache_answer(cache_key, _CachedAnswer(
-                query_tail=query_tail,
                 wire=canonical_response_wire(response_wire),
                 signature=b"",
                 owner_names=owner_names,
@@ -557,7 +551,7 @@ class ReplicaServer:
         self._response_cache[wire_hash] = response_wire
 
     def _cache_answer(
-        self, cache_key: Tuple[object, int, int], entry: "_CachedAnswer"
+        self, cache_key: Tuple[bytes, int], entry: "_CachedAnswer"
     ) -> None:
         """Bounded insert into the signed-answer cache (oldest evicted)."""
         if cache_key not in self._answer_cache:
@@ -584,12 +578,12 @@ class ReplicaServer:
         except ZoneError:
             self._answer_cache.clear()
             return
-        survivors: Dict[Tuple[object, int, int], _CachedAnswer] = {}
-        for (qname, qtype, _serial), entry in self._answer_cache.items():
+        survivors: Dict[Tuple[bytes, int], _CachedAnswer] = {}
+        for (query_tail, _serial), entry in self._answer_cache.items():
             if entry.volatile or self._names_related(entry.owner_names, affected):
                 self.stats["answer_cache_invalidated"] += 1
                 continue
-            survivors[(qname, qtype, new_serial)] = entry
+            survivors[(query_tail, new_serial)] = entry
             self.stats["answer_cache_retained"] += 1
         self._answer_cache = survivors
 
@@ -727,8 +721,7 @@ class ReplicaServer:
         rid: str,
         client: int,
         response_wire: bytes,
-        cache_key: Optional[Tuple[object, int, int]] = None,
-        query_tail: bytes = b"",
+        cache_key: Optional[Tuple[bytes, int]] = None,
         owner_names: frozenset = frozenset(),
         volatile: bool = True,
     ) -> None:
@@ -755,7 +748,6 @@ class ReplicaServer:
             response_wire=response_wire,
             task=task,
             cache_key=cache_key,
-            query_tail=query_tail,
             owner_names=owner_names,
             volatile=volatile,
         )
@@ -819,7 +811,6 @@ class ReplicaServer:
                     self.stats["signatures_completed"] += 1
                     if done.cache_key is not None:
                         self._cache_answer(done.cache_key, _CachedAnswer(
-                            query_tail=done.query_tail,
                             wire=canonical_response_wire(done.response_wire),
                             signature=signature,
                             owner_names=done.owner_names,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Tuple
 
 from repro.crypto import pkcs1
-from repro.errors import InvalidSignature, KeyGenerationError
+from repro.errors import CryptoError, InvalidSignature, KeyGenerationError
 from repro.util.numth import invmod, random_prime
 from repro.util.serialization import (
     bytes_to_int,
@@ -68,13 +69,31 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key; keeps the primes for optional CRT acceleration."""
+    """RSA private key; keeps the primes for CRT acceleration.
+
+    ``other_primes`` is RFC 8017's multi-prime extension (§3.2): the
+    primes beyond ``p`` and ``q`` of an ``N = p·q·r…`` key.  When primes
+    are given they must multiply to the modulus, so a truncated key file
+    fails here rather than signing garbage every peer rejects.
+    """
 
     modulus: int
     exponent: int          # public exponent e
     private_exponent: int  # d = e^-1 mod lambda or phi
     prime_p: int = 0
     prime_q: int = 0
+    other_primes: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.primes and prod(self.primes) != self.modulus:
+            raise CryptoError("RSA primes do not multiply to the modulus")
+
+    @property
+    def primes(self) -> Tuple[int, ...]:
+        """All primes of the modulus, or ``()`` for a key without them."""
+        if not (self.prime_p or self.prime_q or self.other_primes):
+            return ()
+        return (self.prime_p, self.prime_q, *self.other_primes)
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -87,33 +106,37 @@ class RsaPrivateKey:
     def sign(self, message: bytes) -> bytes:
         """Produce a PKCS#1 v1.5 / SHA-1 signature."""
         x = pkcs1.encode_to_int(message, self.modulus)
-        if self.prime_p and self.prime_q:
+        if self._crt:
             s = self._sign_crt(x)
         else:
             s = pow(x, self.private_exponent, self.modulus)
         return s.to_bytes(self.byte_size, "big")
 
     @cached_property
-    def _crt(self) -> Tuple[int, int, int]:
-        """``(d mod p-1, d mod q-1, q^-1 mod p)``, computed once per key.
+    def _crt(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Per prime ``r_i``: ``(r_i, d mod r_i-1, R_i^-1 mod r_i, R_i)``
+        with ``R_i = r_1···r_{i-1}`` — computed once per key.
 
         ``cached_property`` stores into the instance ``__dict__``, which a
         frozen dataclass allows; equality and hash still read the fields.
         """
-        p, q = self.prime_p, self.prime_q
-        return (
-            self.private_exponent % (p - 1),
-            self.private_exponent % (q - 1),
-            invmod(q, p),
-        )
+        constants = []
+        product = 1
+        for r in self.primes:
+            constants.append(
+                (r, self.private_exponent % (r - 1), invmod(product, r), product)
+            )
+            product *= r
+        return tuple(constants)
 
     def _sign_crt(self, x: int) -> int:
-        p, q = self.prime_p, self.prime_q
-        d_p, d_q, q_inv = self._crt
-        s_p = pow(x % p, d_p, p)
-        s_q = pow(x % q, d_q, q)
-        h = (q_inv * (s_p - s_q)) % p
-        return s_q + h * q
+        """``x^d mod N`` from one ``pow`` per prime, recombined by Garner's
+        algorithm (RFC 8017 §5.1.2): after prime ``i`` the partial result
+        is ``x^d mod R_{i+1}``."""
+        s = 0
+        for r, d_r, coefficient, product in self._crt:
+            s += product * ((pow(x % r, d_r, r) - s) * coefficient % r)
+        return s
 
 
 @dataclass(frozen=True)
@@ -123,6 +146,17 @@ class RsaKeyPair:
     @property
     def public(self) -> RsaPublicKey:
         return self.private.public_key
+
+
+def prime_count(bits: int) -> int:
+    """Primes in a ``bits``-bit key: three from 1024 bits up, two below.
+
+    Three primes make a sign three ``pow``s at a third of the modulus
+    size instead of two at half; a fourth ~256-bit prime at 1024 bits
+    would come within reach of ECM, which is why OpenSSL caps 1024-bit
+    keys at three (DESIGN.md §5l).
+    """
+    return 3 if bits >= 1024 else 2
 
 
 def generate_rsa_keypair(
@@ -135,26 +169,26 @@ def generate_rsa_keypair(
     """
     if bits < 128:
         raise KeyGenerationError("modulus must be at least 128 bits")
-    half = bits // 2
+    count = prime_count(bits)
+    sizes = [bits // count + (i < bits % count) for i in range(count)]
     for _ in range(200):
-        p = random_prime(half)
-        q = random_prime(bits - half)
-        if p == q:
+        primes = [random_prime(size) for size in sizes]
+        if len(set(primes)) != count:
             continue
-        n = p * q
+        n = prod(primes)
         if n.bit_length() != bits:
             continue
-        phi = (p - 1) * (q - 1)
         try:
-            d = invmod(exponent, phi)
+            d = invmod(exponent, prod(r - 1 for r in primes))
         except ValueError:
             continue
         private = RsaPrivateKey(
             modulus=n,
             exponent=exponent,
             private_exponent=d,
-            prime_p=p,
-            prime_q=q,
+            prime_p=primes[0],
+            prime_q=primes[1],
+            other_primes=tuple(primes[2:]),
         )
         return RsaKeyPair(private=private)
     raise KeyGenerationError("could not generate RSA key pair")

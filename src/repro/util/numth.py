@@ -83,11 +83,17 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
 
 
 def random_prime(bits: int, max_attempts: int = 100_000) -> int:
-    """Return a random prime with exactly ``bits`` bits."""
+    """Return a random prime with exactly ``bits`` bits.
+
+    The top two bits are set (the prime is at least ``1.5 * 2**(bits-1)``),
+    so a product of k such primes almost always has the full sum of their
+    bit lengths and RSA key generation rarely has to start over.
+    """
     if bits < 2:
         raise ValueError("primes need at least 2 bits")
+    high = 0b11 << (bits - 2)
     for _ in range(max_attempts):
-        candidate = secrets.randbits(bits) | (1 << (bits - 1)) | 1
+        candidate = secrets.randbits(bits) | high | 1
         if is_probable_prime(candidate):
             return candidate
     raise KeyGenerationError(f"no {bits}-bit prime found in {max_attempts} attempts")

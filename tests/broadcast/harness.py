@@ -41,8 +41,9 @@ def coin_keys(n: int, t: int):
     return shares
 
 
-def auth_keys(n: int):
-    pairs = [generate_rsa_keypair(512) for _ in range(n)]
+def auth_keys(n: int, bits: int = 512):
+    """``bits`` >= 1024 gives three-prime keys, as deployments use."""
+    pairs = [generate_rsa_keypair(bits) for _ in range(n)]
     return pairs, [p.public for p in pairs]
 
 

@@ -22,6 +22,14 @@ def keys_4_1():
     return pairs, pubs, coins
 
 
+@pytest.fixture(scope="module")
+def keys_4_1_1024():
+    """Deployment-size authenticator keys: 1024 bits, three primes."""
+    pairs, pubs = auth_keys(4, bits=1024)
+    assert all(len(pair.private.primes) == 3 for pair in pairs)
+    return pairs, pubs, coin_keys(4, 1)
+
+
 def build(n, t, net, keys, timeout=1.0):
     """``delivered[i]`` lists the requests replica i a-delivered, in order.
 
@@ -350,9 +358,11 @@ class TestSlotRetirement:
 
 
 class TestRetirementAcrossEpochs:
-    def test_lagging_replica_catches_up_from_retired_peers(self, keys_4_1):
+    def test_lagging_replica_catches_up_from_retired_peers(self, keys_4_1_1024):
+        # Three-prime keys: the PREPARE certificates inside the EPOCH_FINALs
+        # and the EPOCH_FINALs themselves are checked by peers.
         net = make_lan(4)
-        abcs, delivered = build(4, 1, net, keys_4_1)
+        abcs, delivered = build(4, 1, net, keys_4_1_1024)
         net.node(3).dropped = True  # misses the whole first epoch
         early = [f"early{k}".encode() for k in range(5)]
         inject(net, abcs, 2, early)

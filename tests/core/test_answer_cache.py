@@ -1,16 +1,18 @@
 """Signed-answer cache: hits, invalidation, and signing-round reuse.
 
 The cache memoizes complete response wires (and, in A3 mode, the
-assembled threshold signature) keyed by ``(qname, qtype, zone serial)``.
-Repeated identical queries must be answered without another zone lookup
-or distributed signing round; any update that changes zone data bumps
-the serial and must invalidate every entry.
+assembled threshold signature) keyed by ``(query wire minus its id, zone
+serial)``.  Repeated identical queries must be answered without parsing
+the query, another zone lookup or a distributed signing round; any update
+that changes zone data bumps the serial and must invalidate every entry.
 """
 
 from repro.config import ServiceConfig
 from repro.core.replica import canonical_response_wire
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
+from repro.dns.message import Message, make_query
+from repro.dns.name import Name
 from repro.sim.machines import lan_setup
 
 
@@ -85,6 +87,68 @@ class TestAnswerCache:
         svc.query("www.example.com.", c.TYPE_A)
         assert cache_hits(svc) == 0
         assert cache_misses(svc) == 0
+
+
+class TestRawQueryKey:
+    """The key is the query's bytes after its id: a hit parses nothing."""
+
+    def test_hit_builds_no_message(self, monkeypatch):
+        svc = make_service()
+        svc.query("www.example.com.", c.TYPE_A)
+        svc.settle()
+        decoded = []
+        real = Message.from_wire.__func__
+
+        def counting(cls, data):
+            decoded.append(data)
+            return real(cls, data)
+
+        monkeypatch.setattr(Message, "from_wire", classmethod(counting))
+        hits = cache_hits(svc)
+        op = svc.query("www.example.com.", c.TYPE_A)
+        svc.settle()
+        assert op.verified
+        assert cache_hits(svc) - hits == 4  # every replica answered from cache
+        # The only decode left is the client's, of the answer it accepts.
+        assert len(decoded) == 1 and decoded[0][2] & 0x80  # QR: a response
+
+    def test_case_flag_and_class_variants_get_their_own_answers(self):
+        svc = make_service()
+        replica = svc.replicas[1]
+        answers = []
+        replica._respond = lambda rid, client, wire, threshold_sig=b"": answers.append(
+            Message.from_wire(wire)
+        )
+        plain = make_query(Name.from_text("www.example.com."), c.TYPE_A)
+        upper = make_query(Name.from_text("WWW.Example.COM."), c.TYPE_A)
+        recursive = make_query(Name.from_text("www.example.com."), c.TYPE_A)
+        recursive.set_flag(c.FLAG_RD)
+        status = make_query(Name.from_text("www.example.com."), c.TYPE_A)
+        status.opcode = 2  # STATUS: not implemented here
+        other_class = make_query(
+            Name.from_text("www.example.com."), c.TYPE_A, rclass=c.CLASS_NONE
+        )
+        variants = [plain, upper, recursive, status, other_class]
+        for round_ in range(2):
+            for query in variants:
+                query.msg_id = round_
+                replica._execute_query("rid", 0, query.to_wire())
+        assert replica.stats["answer_cache_misses"] == len(variants)
+        assert replica.stats["answer_cache_hits"] == len(variants)
+        first, repeat = answers[: len(variants)], answers[len(variants):]
+        assert [answer.rcode for answer in first] == [
+            c.RCODE_NOERROR, c.RCODE_NOERROR, c.RCODE_NOERROR,
+            c.RCODE_NOTIMP, c.RCODE_REFUSED,
+        ]
+        for query, miss, hit in zip(variants, first, repeat, strict=True):
+            # The question section echoes each query as asked, case included.
+            for answer in (miss, hit):
+                assert answer.questions[0].name.to_text() == query.questions[0].name.to_text()
+                assert answer.questions[0].rclass == query.questions[0].rclass
+            assert hit.msg_id == 1
+            assert canonical_response_wire(miss.to_wire()) == canonical_response_wire(
+                hit.to_wire()
+            )
 
 
 class TestSignEveryResponse:

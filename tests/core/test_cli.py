@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.keytool import load_replica_keys
 
 ZONE = """
 $ORIGIN cli.example.
@@ -31,6 +32,18 @@ class TestKeygen:
         assert files == [f"replica-{i}.keys" for i in range(4)]
         captured = capsys.readouterr().out
         assert "-bit RSA, (4,1)-shared" in captured
+
+    def test_auth_keys_follow_bits(self, tmp_path):
+        """``--bits`` sizes the authenticator keys too: 1024-bit, three primes."""
+        out = str(tmp_path / "keys")
+        assert main(["keygen", "--bits", "1024", "--out", out]) == 0
+        moduli = set()
+        for i in range(4):
+            private = load_replica_keys(os.path.join(out, f"replica-{i}.keys")).auth_key.private
+            assert private.modulus.bit_length() == 1024
+            assert len(private.primes) == 3
+            moduli.add(private.modulus)
+        assert len(moduli) == 4
 
 
 class TestSignVerify:

@@ -1,15 +1,23 @@
 """Key generation and distribution utility."""
 
+import json
+
 import pytest
 
 from repro.config import ServiceConfig
 from repro.core.keytool import generate_deployment, load_replica_keys, save_replica_keys
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CryptoError
 
 
 @pytest.fixture(scope="module")
 def deployment():
     return generate_deployment(ServiceConfig(n=4, t=1), zone_bits=384)
+
+
+@pytest.fixture(scope="module")
+def deployment_1024():
+    """1024-bit authenticator keys, i.e. three primes each."""
+    return generate_deployment(ServiceConfig(n=4, t=1), zone_bits=384, auth_bits=1024)
 
 
 class TestGeneration:
@@ -69,3 +77,32 @@ class TestFileForm:
         loaded.auth_key.public.verify(b"hello", sig)
         share = loaded.zone_share.generate_share_with_proof(b"msg")
         deployment.zone_public.verify_share(b"msg", share)
+
+    def test_three_prime_auth_key_survives_the_file(self, deployment_1024, tmp_path):
+        keys = deployment_1024.replicas[1]
+        assert len(keys.auth_key.private.primes) == 3
+        path = tmp_path / "replica1.keys"
+        save_replica_keys(keys, str(path))
+        loaded = load_replica_keys(str(path))
+        assert loaded.auth_key.private == keys.auth_key.private
+        for message in (b"prepare", b"epoch final"):
+            assert loaded.auth_key.private.sign(message) == keys.auth_key.private.sign(message)
+
+    def test_file_without_other_primes_is_a_two_prime_key(self, deployment, tmp_path):
+        path = tmp_path / "replica3.keys"
+        save_replica_keys(deployment.replicas[3], str(path))
+        payload = json.loads(path.read_text())
+        del payload["auth_other_primes"]
+        path.write_text(json.dumps(payload))
+        loaded = load_replica_keys(str(path))
+        assert loaded.auth_key.private == deployment.replicas[3].auth_key.private
+        assert loaded.auth_key.private.other_primes == ()
+
+    def test_truncated_prime_list_is_refused_at_load(self, deployment_1024, tmp_path):
+        path = tmp_path / "replica0.keys"
+        save_replica_keys(deployment_1024.replicas[0], str(path))
+        payload = json.loads(path.read_text())
+        payload["auth_other_primes"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CryptoError):
+            load_replica_keys(str(path))

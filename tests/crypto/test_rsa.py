@@ -3,13 +3,23 @@
 import pytest
 
 from repro.crypto import pkcs1
-from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
+from repro.crypto.rsa import (
+    RsaPrivateKey,
+    RsaPublicKey,
+    generate_rsa_keypair,
+    prime_count,
+)
 from repro.errors import CryptoError, InvalidSignature, KeyGenerationError
 
 
 @pytest.fixture(scope="module")
 def keypair():
     return generate_rsa_keypair(512)
+
+
+@pytest.fixture(scope="module")
+def keypair_1024():
+    return generate_rsa_keypair(1024)
 
 
 class TestPkcs1:
@@ -117,3 +127,60 @@ class TestRsa:
 
     def test_deterministic_signature(self, keypair):
         assert keypair.private.sign(b"x") == keypair.private.sign(b"x")
+
+
+class TestMultiPrime:
+    """RFC 8017 multi-prime keys: three primes from 1024 bits up."""
+
+    def test_prime_count_follows_the_modulus_size(self):
+        assert [prime_count(bits) for bits in (128, 512, 1023)] == [2, 2, 2]
+        assert [prime_count(bits) for bits in (1024, 2048, 4096)] == [3, 3, 3]
+        assert max(prime_count(bits) for bits in range(128, 8193, 8)) == 3
+
+    @pytest.mark.parametrize("bits, count", [(512, 2), (1024, 3)])
+    def test_generated_keys_have_that_many_primes(self, bits, count, keypair, keypair_1024):
+        private = {512: keypair, 1024: keypair_1024}[bits].private
+        assert len(private.primes) == count
+        assert len(private.other_primes) == count - 2
+        assert private.modulus.bit_length() == bits
+        assert len(set(private.primes)) == count
+        for r in private.primes:
+            assert bits // count <= r.bit_length() <= bits // count + 1
+
+    def test_three_prime_crt_signature_equals_plain_exponentiation(self, keypair_1024):
+        """A three-prime CRT signature is ``x^d mod N`` byte for byte (the
+        two-prime key is covered by ``TestRsa``); the cached constants are
+        invisible to equality, hash and pickling (what pool workers get)."""
+        import pickle
+        from dataclasses import replace
+
+        private = keypair_1024.private
+        plain = replace(private, prime_p=0, prime_q=0, other_primes=())
+        fresh = replace(private)
+        for message in (b"", b"prepare", b"x" * 300):
+            x = pkcs1.encode_to_int(message, private.modulus)
+            assert private._sign_crt(x) == pow(x, private.private_exponent, private.modulus)
+            assert private.sign(message) == plain.sign(message)
+        assert len(private._crt) == len(private.primes)
+        assert "_crt" not in fresh.__dict__
+        assert private == fresh and hash(private) == hash(fresh)
+        assert private != plain
+        restored = pickle.loads(pickle.dumps(private))
+        assert restored == private and hash(restored) == hash(private)
+        assert restored.sign(b"after pickling") == plain.sign(b"after pickling")
+
+    def test_primes_must_multiply_to_the_modulus(self, keypair_1024):
+        from dataclasses import replace
+
+        private = keypair_1024.private
+        with pytest.raises(CryptoError):
+            replace(private, other_primes=())  # a truncated key file
+        with pytest.raises(CryptoError):
+            replace(private, prime_q=0)
+        with pytest.raises(CryptoError):
+            RsaPrivateKey(
+                modulus=private.modulus,
+                exponent=private.exponent,
+                private_exponent=private.private_exponent,
+                other_primes=private.other_primes,
+            )

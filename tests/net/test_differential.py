@@ -82,7 +82,9 @@ def observe(op):
 @pytest.fixture(scope="module")
 def runs():
     config = ServiceConfig(n=4, t=1)
-    deployment = generate_deployment(config)
+    # Deployment-size authenticator keys (three primes); the zone key stays
+    # small to keep threshold signing cheap.
+    deployment = generate_deployment(config, auth_bits=1024)
 
     with ReplicatedNameService(config, deployment=deployment) as sim:
         sim_ops = [getattr(sim, method)(*args) for method, *args in PLAN]
