@@ -127,7 +127,7 @@ def run_leg(label: str, **config_kwargs):
             "write_latencies_ref_s": latencies,
             "writes_per_ref_s": len(latencies) / sum(latencies),
             "signing_rounds": service.total_signing_rounds(),
-            "render_cache": service.render_cache_stats(),
+            "render_cache": service.cache_stats()["render"],
             "cancelled_trials": service.cancelled_trials(),
             "wall_clock_s": wall,
         }

@@ -62,13 +62,14 @@ from repro.broadcast.messages import (
     encode_batch,
     is_batch_payload,
 )
-from repro.broadcast.stores import FragmentStore, PayloadStore
+from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES, FragmentStore
 from repro.crypto.executor import CryptoExecutor
 from repro.crypto.merkle import merkle_proof, merkle_root, merkle_verify
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.shoup import ThresholdKeyShare
 from repro.errors import ConfigError
 from repro.util.erasure import ErasureError, rs_decode, rs_encode
+from repro.util.lru import BoundedLRU
 
 DeliverFn = Callable[[str, bytes], None]
 SendFn = Callable[[int, object], None]
@@ -397,7 +398,9 @@ class AtomicBroadcast:
         self._awaiting_order: Dict[str, Tuple[int, AbcOrder]] = {}
         self._pull_attempt: Dict[str, int] = {}
         self._pull_served: Dict[int, int] = {}
-        self._payload_archive = PayloadStore()
+        self._payload_archive: BoundedLRU[str, bytes] = BoundedLRU(
+            PAYLOAD_STORE_ENTRIES
+        )
         self._frag_store = FragmentStore()
         self._frag_forwarded: Dict[str, bytes] = {}
 

@@ -1,12 +1,13 @@
-"""Bounded payload/fragment stores for the digest-vote broadcast plane.
+"""Bounded fragment store for the digest-vote broadcast plane.
 
 When votes carry digests instead of payloads (DESIGN.md §5i), replicas
-must buffer payloads and erasure fragments keyed by attacker-visible ids
-(request ids, Merkle roots).  Left unbounded that is a textbook
-KeyTrap-class memory vector, so both stores here are strict LRU caches
-with an explicit ``max_entries`` bound and the repo-wide audit contract
-(``stats`` with hits/misses/evictions, ``__len__`` never exceeding the
-bound; registered in ``AUDITED_INSTANCE_CACHES``).
+must buffer erasure fragments keyed by attacker-visible ids (request
+ids, Merkle roots).  Left unbounded that is a textbook KeyTrap-class
+memory vector, so the groups live in a
+:class:`~repro.util.lru.BoundedLRU` (bound, LRU eviction and
+hits/misses/evictions counters); this module adds only the per-group
+slot cap and per-request discard.  The delivered-payload archive is a
+``BoundedLRU`` of its own (``AtomicBroadcast._payload_archive``).
 
 Eviction can, in principle, drop an in-flight entry under deliberate
 flooding — the protocols treat that exactly like a lost pull response
@@ -15,8 +16,9 @@ and re-request, so bounded memory costs retries, never safety.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
+
+from repro.util.lru import BoundedLRU
 
 PAYLOAD_STORE_ENTRIES = 4096
 FRAGMENT_STORE_ENTRIES = 4096
@@ -25,43 +27,7 @@ FRAGMENT_STORE_ENTRIES = 4096
 #: index to ``0..n-1`` before insertion (identity check on the wire).
 MAX_FRAGMENTS_PER_GROUP = 256
 
-
-class PayloadStore:
-    """LRU map ``key -> payload bytes`` with an explicit entry bound."""
-
-    def __init__(self, max_entries: int = PAYLOAD_STORE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-        self.stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def put(self, key: str, payload: bytes) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats["evictions"] += 1
-        self._entries[key] = payload
-
-    def get(self, key: str) -> Optional[bytes]:
-        payload = self._entries.get(key)
-        if payload is None:
-            self.stats["misses"] += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats["hits"] += 1
-        return payload
-
-    def pop(self, key: str) -> Optional[bytes]:
-        return self._entries.pop(key, None)
+_Group = Dict[int, Tuple[bytes, object]]
 
 
 class FragmentStore:
@@ -73,13 +39,10 @@ class FragmentStore:
     """
 
     def __init__(self, max_entries: int = FRAGMENT_STORE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._groups: "OrderedDict[Tuple[str, bytes], Dict[int, Tuple[bytes, object]]]" = (
-            OrderedDict()
+        self._groups: BoundedLRU[Tuple[str, bytes], _Group] = BoundedLRU(
+            max_entries
         )
-        self.stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
+        self.stats = self._groups.stats
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -88,37 +51,20 @@ class FragmentStore:
         self, key: str, root: bytes, index: int, fragment: bytes, proof: object
     ) -> bool:
         """Store one fragment; returns True when the slot was new."""
-        group_key = (key, root)
-        group = self._groups.get(group_key)
+        group = self._groups.peek((key, root))
         if group is None:
-            while len(self._groups) >= self.max_entries:
-                self._groups.popitem(last=False)
-                self.stats["evictions"] += 1
             group = {}
-            self._groups[group_key] = group
-        else:
-            self._groups.move_to_end(group_key)
+        self._groups.put((key, root), group)
         if index in group or len(group) >= MAX_FRAGMENTS_PER_GROUP:
             return False
         group[index] = (fragment, proof)
         return True
 
-    def group(self, key: str, root: bytes) -> Dict[int, Tuple[bytes, object]]:
+    def group(self, key: str, root: bytes) -> _Group:
         """The fragments held for (key, root); ``{}`` when unknown."""
-        group = self._groups.get((key, root))
-        if group is None:
-            self.stats["misses"] += 1
-            return {}
-        self._groups.move_to_end((key, root))
-        self.stats["hits"] += 1
-        return group
-
-    def count(self, key: str, root: bytes) -> int:
-        group = self._groups.get((key, root))
-        return 0 if group is None else len(group)
+        return self._groups.get((key, root)) or {}
 
     def discard(self, key: str) -> None:
         """Drop every root's group for ``key`` (e.g. after delivery)."""
-        stale = [gk for gk in self._groups if gk[0] == key]
-        for gk in stale:
-            del self._groups[gk]
+        for group_key in [gk for gk, _ in self._groups.items() if gk[0] == key]:
+            self._groups.pop(group_key)

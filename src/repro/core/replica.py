@@ -60,12 +60,13 @@ from repro.dns.update import UpdateProcessor, UpdateResult
 from repro.dns.zone import Zone
 from repro.errors import TsigError, WireFormatError, ZoneError
 from repro.sim.network import SimNode
+from repro.util.lru import BoundedLRU
 
 
 #: Caps on the retry/answer caches.  Both are keyed by client-chosen input
-#: (request-wire hash, question name/type), so without a bound a client
-#: flooding distinct queries grows replica memory without limit; at the
-#: cap the oldest entry is evicted (insertion order ~= arrival order).
+#: (request-wire hash, query bytes), so without a bound a client flooding
+#: distinct queries grows replica memory without limit; at the cap the
+#: least-recently-used entry is evicted and counted.
 MAX_RESPONSE_CACHE_ENTRIES = 4096
 MAX_ANSWER_CACHE_ENTRIES = 4096
 
@@ -245,7 +246,11 @@ class ReplicaServer:
         # Responses already produced, keyed by request-wire hash.  Clients
         # retry by resending the same message (§3.4); the atomic broadcast
         # deduplicates it, so replicas must replay the cached response.
-        self._response_cache: Dict[bytes, bytes] = {}
+        # Hits refresh recency, so entries clients are actively retrying
+        # survive a flood of one-shot queries.
+        self._response_cache: BoundedLRU[bytes, bytes] = BoundedLRU(
+            MAX_RESPONSE_CACHE_ENTRIES
+        )
         # Requests already executed, by payload-derived id.  Atomic
         # broadcast deduplicates identical *payloads*, but with batching
         # the same request can ride in two differently-framed batches
@@ -262,7 +267,9 @@ class ReplicaServer:
         # invalidation then *re-keys* entries unrelated to the update to the
         # new serial (keeping hot answers alive) and drops the affected and
         # volatile ones.
-        self._answer_cache: Dict[Tuple[bytes, int], _CachedAnswer] = {}
+        self._answer_cache: BoundedLRU[Tuple[bytes, int], _CachedAnswer] = (
+            BoundedLRU(MAX_ANSWER_CACHE_ENTRIES)
+        )
 
         # Statistics for benchmarks.
         self.stats: Dict[str, int] = {
@@ -325,9 +332,6 @@ class ReplicaServer:
         wire_hash = hashlib.sha256(msg.wire).digest()
         cached = self._response_cache.get(wire_hash)
         if cached is not None:
-            # Refresh the entry's LRU position: active retries must not be
-            # evictable by a flood of one-shot queries (§3.4 retry replay).
-            self._cache_response(wire_hash, cached)
             self._send(
                 client,
                 ClientResponse(
@@ -485,7 +489,7 @@ class ReplicaServer:
                 self.stats["answer_cache_hits"] += 1
                 self.node.charge(self.costs.answer_cache_hit)
                 response_wire = wire[:2] + hit.wire[2:]
-                self._cache_response(hashlib.sha256(wire).digest(), response_wire)
+                self._response_cache.put(hashlib.sha256(wire).digest(), response_wire)
                 self._respond(rid, client, response_wire, threshold_sig=hit.signature)
                 return
         try:
@@ -505,14 +509,14 @@ class ReplicaServer:
             response = self.server.handle_query(query)
         owner_names, volatile = self._answer_meta(response)
         response_wire = response.to_wire()
-        self._cache_response(hashlib.sha256(wire).digest(), response_wire)
+        self._response_cache.put(hashlib.sha256(wire).digest(), response_wire)
         if self.config.sign_every_response:
             self._start_response_signing(
                 rid, client, response_wire, cache_key, owner_names, volatile
             )
             return
         if cache_key is not None:
-            self._cache_answer(cache_key, _CachedAnswer(
+            self._answer_cache.put(cache_key, _CachedAnswer(
                 wire=canonical_response_wire(response_wire),
                 signature=b"",
                 owner_names=owner_names,
@@ -537,28 +541,6 @@ class ReplicaServer:
         )
         return frozenset(names), volatile
 
-    def _cache_response(self, wire_hash: bytes, response_wire: bytes) -> None:
-        """Bounded LRU insert into the retry cache.
-
-        Re-inserting an existing key moves it to the back of the eviction
-        order, so entries that clients are actively retrying survive a
-        flood of one-shot queries; the least-recently-used entry is
-        evicted at capacity.
-        """
-        self._response_cache.pop(wire_hash, None)
-        if len(self._response_cache) >= MAX_RESPONSE_CACHE_ENTRIES:
-            self._response_cache.pop(next(iter(self._response_cache)))
-        self._response_cache[wire_hash] = response_wire
-
-    def _cache_answer(
-        self, cache_key: Tuple[bytes, int], entry: "_CachedAnswer"
-    ) -> None:
-        """Bounded insert into the signed-answer cache (oldest evicted)."""
-        if cache_key not in self._answer_cache:
-            if len(self._answer_cache) >= MAX_ANSWER_CACHE_ENTRIES:
-                self._answer_cache.pop(next(iter(self._answer_cache)))
-        self._answer_cache[cache_key] = entry
-
     def _invalidate_answer_cache(self, result: UpdateResult) -> None:
         """Per-name invalidation after a data-changing update.
 
@@ -578,14 +560,16 @@ class ReplicaServer:
         except ZoneError:
             self._answer_cache.clear()
             return
-        survivors: Dict[Tuple[bytes, int], _CachedAnswer] = {}
+        survivors: List[Tuple[Tuple[bytes, int], _CachedAnswer]] = []
         for (query_tail, _serial), entry in self._answer_cache.items():
             if entry.volatile or self._names_related(entry.owner_names, affected):
                 self.stats["answer_cache_invalidated"] += 1
                 continue
-            survivors[(query_tail, new_serial)] = entry
+            survivors.append(((query_tail, new_serial), entry))
             self.stats["answer_cache_retained"] += 1
-        self._answer_cache = survivors
+        self._answer_cache.clear()
+        for key, entry in survivors:
+            self._answer_cache.put(key, entry)
 
     @staticmethod
     def _names_related(owner_names: frozenset, affected: Set[Name]) -> bool:
@@ -622,7 +606,7 @@ class ReplicaServer:
         response_wire = response.to_wire()
         wire_hash = hashlib.sha256(wire).digest()
         if not (self.config.signed_zone and result.ok and result.data_changed):
-            self._cache_response(wire_hash, response_wire)
+            self._response_cache.put(wire_hash, response_wire)
             self._respond(rid, client, response_wire)
             return
         if self.config.resign_whole_zone:
@@ -637,7 +621,7 @@ class ReplicaServer:
                 self.zone, result, self.deployment.zone_key_record, self.policy
             )
         if not tasks:
-            self._cache_response(wire_hash, response_wire)
+            self._response_cache.put(wire_hash, response_wire)
             self._respond(rid, client, response_wire)
             return
         self._busy = True
@@ -762,7 +746,7 @@ class ReplicaServer:
         self._pending_update = None
         self._busy = False
         if done.wire_hash:
-            self._cache_response(done.wire_hash, done.response_wire)
+            self._response_cache.put(done.wire_hash, done.response_wire)
         self._respond(done.request_id, done.client, done.response_wire)
         self._drain_exec_queue()
 
@@ -810,7 +794,7 @@ class ReplicaServer:
                     self._busy = False
                     self.stats["signatures_completed"] += 1
                     if done.cache_key is not None:
-                        self._cache_answer(done.cache_key, _CachedAnswer(
+                        self._answer_cache.put(done.cache_key, _CachedAnswer(
                             wire=canonical_response_wire(done.response_wire),
                             signature=signature,
                             owner_names=done.owner_names,

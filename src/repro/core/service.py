@@ -320,12 +320,24 @@ class NameService(Generic[R]):
         """
         return sum(r.signing_rounds for r in self.honest_replicas())
 
-    def render_cache_stats(self) -> Dict[str, int]:
-        """Summed canonical-render-cache stats across honest replicas."""
-        totals: Dict[str, int] = {}
+    def cache_stats(self) -> Dict[str, Dict[str, int]]:
+        """Per-cache stats of every cache a replica owns, summed over the
+        honest replicas: ``render``, ``response``, ``answer``,
+        ``payloads`` and ``fragments``."""
+        totals: Dict[str, Dict[str, int]] = {}
         for replica in self.honest_replicas():
-            for key, value in replica.zone.render.stats.items():
-                totals[key] = totals.get(key, 0) + value
+            caches = {
+                "render": replica.zone.render.stats,
+                "response": replica._response_cache.stats,
+                "answer": replica._answer_cache.stats,
+            }
+            if replica.abc is not None:
+                caches["payloads"] = replica.abc._payload_archive.stats
+                caches["fragments"] = replica.abc._frag_store.stats
+            for cache, stats in caches.items():
+                summed = totals.setdefault(cache, {})
+                for key, value in stats.items():
+                    summed[key] = summed.get(key, 0) + value
         return totals
 
     def cancelled_trials(self) -> int:

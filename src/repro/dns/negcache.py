@@ -11,10 +11,10 @@ front of the replicated authoritative service:
   ``a.example ↦ d.example`` NXT synthesizes NXDOMAIN for ``b.example``
   and NODATA for covered owner names, without touching the replicas.
 
-Both caches are strictly bounded LRU maps (KeyTrap hygiene — every
-key is attacker-influenceable, so growth must be capped), mirror the
-``stats`` discipline of :mod:`repro.dns.rendercache`, and are enumerated
-in :data:`repro.util.cachestats.AUDITED_INSTANCE_CACHES`.
+Both keep their entries in a :class:`~repro.util.lru.BoundedLRU`
+(KeyTrap hygiene — every key is attacker-influenceable, so growth must
+be capped and evictions counted); the classes here add only TTL expiry,
+the secondary indexes and the domain lookups.
 
 Serial keying gives cheap whole-zone invalidation: a serial bump makes
 every old-serial key unreachable, and :meth:`invalidate_origin` reclaims
@@ -31,6 +31,7 @@ from repro.dns import constants as c
 from repro.dns.message import RR
 from repro.dns.name import Name
 from repro.dns.rdata import NXT
+from repro.util.lru import BoundedLRU
 
 #: Default bounds: sized like the replica's answer cache (positive) and
 #: the zone's NXT chain plus adversarial churn headroom (negative).
@@ -97,19 +98,13 @@ class PositiveAnswerCache:
     __slots__ = ("max_entries", "_entries", "_by_origin", "stats")
 
     def __init__(self, max_entries: int = DEFAULT_POSITIVE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("positive answer cache needs at least one entry")
+        self._entries: BoundedLRU[_PosKey, CachedAnswer] = BoundedLRU(
+            max_entries, on_evict=self._unindex
+        )
         self.max_entries = max_entries
-        # dict preserves insertion order; re-inserting on hit gives LRU.
-        self._entries: Dict[_PosKey, CachedAnswer] = {}
         self._by_origin: Dict[Name, Set[_PosKey]] = {}
-        self.stats: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "expired": 0,
-            "invalidated": 0,
-        }
+        self.stats = self._entries.stats
+        self.stats.update(expired=0, invalidated=0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -118,33 +113,19 @@ class PositiveAnswerCache:
         self, qname: Name, qtype: int, serial: int, now: float
     ) -> Optional[CachedAnswer]:
         key = (qname, qtype, serial)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats["misses"] += 1
-            return None
-        if now >= entry.expires:
-            self._drop(key)
+        entry = self._entries.peek(key)
+        if entry is not None and now >= entry.expires:
+            self._unindex(key, self._entries.pop(key))
             self.stats["expired"] += 1
             self.stats["misses"] += 1
             return None
-        # Refresh recency; re-inserting a just-deleted key cannot grow
-        # the dict past the store()-enforced bound.
-        del self._entries[key]
-        self._entries[key] = entry
-        self.stats["hits"] += 1
-        return entry
+        return self._entries.get(key)
 
     def store(self, qname: Name, qtype: int, entry: CachedAnswer) -> None:
         key = (qname, qtype, entry.serial)
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            self._drop(oldest)
-            self.stats["evictions"] += 1
-        # Bounded: the eviction branch above caps len(_entries) at
-        # max_entries, and _by_origin only indexes live entry keys.
-        self._entries[key] = entry
+        self._entries.put(key, entry)
+        # Bounded: _by_origin only indexes live entry keys (evictions are
+        # unindexed through on_evict).
         self._by_origin.setdefault(entry.origin, set()).add(key)
 
     def invalidate_origin(
@@ -156,12 +137,11 @@ class PositiveAnswerCache:
             return 0
         doomed = [k for k in keys if keep_serial is None or k[2] != keep_serial]
         for key in doomed:
-            self._drop(key)
+            self._unindex(key, self._entries.pop(key))
             self.stats["invalidated"] += 1
         return len(doomed)
 
-    def _drop(self, key: _PosKey) -> None:
-        entry = self._entries.pop(key)
+    def _unindex(self, key: _PosKey, entry: CachedAnswer) -> None:
         keys = self._by_origin.get(entry.origin)
         if keys is not None:
             keys.discard(key)
@@ -184,33 +164,22 @@ class NxtProofCache:
     __slots__ = ("max_entries", "_entries", "_owners", "stats")
 
     def __init__(self, max_entries: int = DEFAULT_NEGATIVE_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("NXT proof cache needs at least one entry")
+        self._entries: BoundedLRU[_NegKey, NxtProof] = BoundedLRU(
+            max_entries, on_evict=self._unindex
+        )
         self.max_entries = max_entries
-        self._entries: Dict[_NegKey, NxtProof] = {}
         self._owners: Dict[Tuple[Name, int], List[Name]] = {}
-        self.stats: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "expired": 0,
-            "invalidated": 0,
-        }
+        self.stats = self._entries.stats
+        self.stats.update(expired=0, invalidated=0)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def store(self, proof: NxtProof) -> None:
         key = (proof.origin, proof.serial, proof.owner)
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            self._drop(oldest)
-            self.stats["evictions"] += 1
-        # Bounded: the eviction branch above caps len(_entries) at
-        # max_entries, and _owners only indexes live entry keys.
-        self._entries[key] = proof
+        self._entries.put(key, proof)
+        # Bounded: _owners only indexes live entry keys (evictions are
+        # unindexed through on_evict).
         owners = self._owners.setdefault((proof.origin, proof.serial), [])
         idx = bisect.bisect_left(owners, proof.owner)
         if idx >= len(owners) or owners[idx] != proof.owner:
@@ -240,16 +209,16 @@ class NxtProofCache:
             candidates.append(owners[-1])
         for owner in candidates:
             key = (origin, serial, owner)
-            proof = self._entries.get(key)
+            proof = self._entries.peek(key)
             if proof is None:
                 continue
             if now >= proof.expires:
-                self._drop(key)
+                self._unindex(key, self._entries.pop(key))
                 self.stats["expired"] += 1
                 continue
             if owner == qname:
                 if proof.denies_type(qtype):
-                    self._refresh(key, proof)
+                    self._entries.get(key)  # refresh recency, count the hit
                     return ("nodata", proof)
                 break  # the name exists with that type; nothing to deny
             if proof.covers(qname):
@@ -257,7 +226,7 @@ class NxtProofCache:
                     # Below a zone cut the authoritative answer is a
                     # referral; an NXT at the cut proves nothing here.
                     break
-                self._refresh(key, proof)
+                self._entries.get(key)  # refresh recency, count the hit
                 return ("nxdomain", proof)
         self.stats["misses"] += 1
         return None
@@ -268,24 +237,16 @@ class NxtProofCache:
         """Drop an origin's proofs; ``keep_serial`` spares that serial."""
         doomed = [
             key
-            for key in self._entries
+            for key, _proof in self._entries.items()
             if key[0] == origin
             and (keep_serial is None or key[1] != keep_serial)
         ]
         for key in doomed:
-            self._drop(key)
+            self._unindex(key, self._entries.pop(key))
             self.stats["invalidated"] += 1
         return len(doomed)
 
-    def _refresh(self, key: _NegKey, proof: NxtProof) -> None:
-        # Recency refresh: re-inserting a just-deleted key cannot grow
-        # the dict past the store()-enforced bound.
-        del self._entries[key]
-        self._entries[key] = proof
-        self.stats["hits"] += 1
-
-    def _drop(self, key: _NegKey) -> None:
-        del self._entries[key]
+    def _unindex(self, key: _NegKey, _proof: NxtProof) -> None:
         owners = self._owners.get((key[0], key[1]))
         if owners is not None:
             idx = bisect.bisect_left(owners, key[2])

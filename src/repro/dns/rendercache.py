@@ -17,9 +17,9 @@ Invalidation mirrors the answer cache's per-name semantics:
   touched names and re-keys untouched survivors to the new serial, so an
   update to one name does not cold-start rendering for the whole zone.
 
-The cache is strictly bounded (KeyTrap hygiene): insertion beyond
-``max_entries`` evicts the least-recently-used entry and counts it in
-``stats["evictions"]``.
+The entries live in a :class:`~repro.util.lru.BoundedLRU` (KeyTrap
+hygiene: bound, LRU eviction and the hits/misses/evictions counters);
+this class adds the per-name index and the two invalidation paths.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.dns.name import Name
+from repro.util.lru import BoundedLRU
 
 #: Default bound: comfortably covers the benchmark zones (a few hundred
 #: RRsets) while capping adversarial name churn at a few MB of wire.
@@ -38,56 +39,31 @@ _Key = Tuple[Name, int, int]  # (owner, rtype, serial)
 class CanonicalRenderCache:
     """LRU map ``(name, rtype, serial) -> canonical wire bytes``."""
 
-    __slots__ = ("max_entries", "_entries", "_by_name", "stats")
+    __slots__ = ("_entries", "_by_name", "stats")
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("render cache needs at least one entry")
-        self.max_entries = max_entries
-        # dict preserves insertion order; re-inserting on hit gives LRU.
-        self._entries: Dict[_Key, bytes] = {}
+        self._entries: BoundedLRU[_Key, bytes] = BoundedLRU(
+            max_entries, on_evict=self._unindex
+        )
         self._by_name: Dict[Name, Set[_Key]] = {}
-        self.stats: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidated": 0,
-            "rekeyed": 0,
-        }
+        self.stats = self._entries.stats
+        self.stats.update(invalidated=0, rekeyed=0)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, name: Name, rtype: int, serial: int) -> Optional[bytes]:
-        key = (name, rtype, serial)
-        wire = self._entries.get(key)
-        if wire is None:
-            self.stats["misses"] += 1
-            return None
-        # refresh recency; re-inserting a just-deleted key cannot grow
-        # the dict past the store()-enforced bound.
-        del self._entries[key]
-        # repro-lint: disable=T404
-        self._entries[key] = wire
-        self.stats["hits"] += 1
-        return wire
+        return self._entries.get((name, rtype, serial))
 
     def store(self, name: Name, rtype: int, serial: int, wire: bytes) -> None:
         key = (name, rtype, serial)
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            self._drop(oldest)
-            self.stats["evictions"] += 1
-        self._entries[key] = wire
-        # Bounded: the eviction branch above caps len(_entries) at
-        # max_entries, and _by_name only indexes live entry keys.
+        self._entries.put(key, wire)
+        # Bounded: _by_name only indexes live entry keys (evictions are
+        # unindexed through on_evict).
         # repro-lint: disable=T404
         self._by_name.setdefault(name, set()).add(key)
 
-    def _drop(self, key: _Key) -> None:
-        del self._entries[key]
+    def _unindex(self, key: _Key, _wire: bytes) -> None:
         keys = self._by_name.get(key[0])
         if keys is not None:
             keys.discard(key)
@@ -101,7 +77,7 @@ class CanonicalRenderCache:
             return
         doomed = [k for k in keys if rtype is None or k[1] == rtype]
         for key in doomed:
-            self._drop(key)
+            self._unindex(key, self._entries.pop(key))
             self.stats["invalidated"] += 1
 
     def rekey_for_update(
@@ -120,20 +96,16 @@ class CanonicalRenderCache:
         their key is stale — so they migrate to ``new_serial`` instead of
         being re-rendered.
         """
-        survivors: Dict[_Key, bytes] = {}
+        survivors = []
         for (name, rtype, _serial), wire in self._entries.items():
             if name in affected or (name == soa_name and rtype == soa_type):
                 self.stats["invalidated"] += 1
                 continue
-            survivors[(name, rtype, new_serial)] = wire
+            survivors.append((name, rtype, wire))
             self.stats["rekeyed"] += 1
-        self._entries = survivors
-        self._by_name = {}
-        for key in survivors:
-            # Bounded: survivors is a subset of the already-bounded
-            # entry set; this only rebuilds the per-name index over it.
-            # repro-lint: disable=T404
-            self._by_name.setdefault(key[0], set()).add(key)
+        self.clear()
+        for name, rtype, wire in survivors:
+            self.store(name, rtype, new_serial, wire)
 
     def clear(self) -> None:
         self._entries.clear()

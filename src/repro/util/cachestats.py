@@ -11,21 +11,15 @@ test — and an operator — can audit the whole set:
   coefficients per ``(delta, subset, i, x)``
 * ``repro.crypto.shoup._verification_base`` — ``x^{4 delta} mod N``
 * ``repro.crypto.pkcs1._encode_to_int_cached`` — PKCS#1 digest encoding
-* per-zone :class:`repro.dns.rendercache.CanonicalRenderCache` instances
-  (not process-global, so audited through their own ``stats`` dict)
-* per-resolver :class:`repro.dns.negcache.PositiveAnswerCache` and
-  :class:`repro.dns.negcache.NxtProofCache` instances (ditto)
-* per-replica :class:`repro.broadcast.stores.PayloadStore` and
-  :class:`repro.broadcast.stores.FragmentStore` instances — the
-  digest-vote broadcast plane buffers payloads/fragments keyed by
-  attacker-visible request ids and Merkle roots (ditto)
 
-Instance caches cannot be reached by dotted path (one per zone or per
-resolver, not process-global), so :data:`AUDITED_INSTANCE_CACHES` lists
-their *classes*; the audit test instantiates each and checks the bound +
-stats discipline (``max_entries`` ctor arg enforced >= 1, ``stats`` dict
-with at least hits/misses/evictions, ``__len__`` never exceeding the
-bound under flood).
+Every *instance* cache (one per zone, replica or resolver, so not
+reachable by dotted path) stores its entries in a
+:class:`repro.util.lru.BoundedLRU`: the zone render cache, the
+resolver's positive and NXT-proof caches, the replica's response and
+answer caches, and the broadcast plane's payload archive and fragment
+store.  The bound, the LRU order and the hits/misses/evictions counters
+are therefore audited once, on that class, and a structural test checks
+that each of those caches really is built on it.
 
 For ``functools.lru_cache`` functions the eviction count is derived:
 ``evictions = misses - currsize`` (every miss inserts; every insert past
@@ -34,7 +28,7 @@ capacity evicts exactly one).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 #: Dotted paths of every audited ``lru_cache``-decorated function.
 AUDITED_LRU_CACHES: List[str] = [
@@ -43,18 +37,6 @@ AUDITED_LRU_CACHES: List[str] = [
     "repro.crypto.shoup._verification_base",
     "repro.crypto.pkcs1._encode_to_int_cached",
 ]
-
-#: Dotted paths of every audited bounded instance-cache *class*.
-AUDITED_INSTANCE_CACHES: List[str] = [
-    "repro.dns.rendercache.CanonicalRenderCache",
-    "repro.dns.negcache.PositiveAnswerCache",
-    "repro.dns.negcache.NxtProofCache",
-    "repro.broadcast.stores.PayloadStore",
-    "repro.broadcast.stores.FragmentStore",
-]
-
-#: Stats keys every instance cache must expose.
-INSTANCE_CACHE_STAT_KEYS: Tuple[str, ...] = ("hits", "misses", "evictions")
 
 
 def _resolve(dotted: str) -> Callable[..., Any]:
@@ -82,15 +64,4 @@ def lru_cache_stats() -> Dict[str, Dict[str, int]]:
             "misses": info.misses,
             "evictions": info.misses - info.currsize,
         }
-    return out
-
-
-def instance_cache_classes() -> Dict[str, type]:
-    """Resolve :data:`AUDITED_INSTANCE_CACHES` to their classes."""
-    out: Dict[str, type] = {}
-    for dotted in AUDITED_INSTANCE_CACHES:
-        resolved = _resolve(dotted)
-        if not isinstance(resolved, type):
-            raise TypeError(f"{dotted} is not a class")
-        out[dotted] = resolved
     return out

@@ -171,7 +171,7 @@ class TestSignEveryResponse:
         svc.settle()
         checked = 0
         for replica in svc.honest_replicas():
-            for entry in replica._answer_cache.values():
+            for _key, entry in replica._answer_cache.items():
                 if entry.signature:
                     svc.deployment.zone_public.verify_signature(
                         entry.wire, entry.signature

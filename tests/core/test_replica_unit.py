@@ -55,7 +55,7 @@ class TestAnswerCacheMeta:
         op = svc.query("www.example.com.", c.TYPE_SIG)
         assert op.response.rcode == c.RCODE_NOERROR and op.response.answers
         for replica in svc.replicas:
-            assert all(entry.volatile for entry in replica._answer_cache.values())
+            assert all(entry.volatile for _key, entry in replica._answer_cache.items())
 
 
 class TestResponseCache:

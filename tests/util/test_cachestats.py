@@ -3,14 +3,8 @@
 import pytest
 
 from repro.crypto import shoup
-from repro.util.cachestats import (
-    AUDITED_INSTANCE_CACHES,
-    AUDITED_LRU_CACHES,
-    INSTANCE_CACHE_STAT_KEYS,
-    _resolve,
-    instance_cache_classes,
-    lru_cache_stats,
-)
+from repro.util.cachestats import AUDITED_LRU_CACHES, _resolve, lru_cache_stats
+from repro.util.lru import BoundedLRU
 
 STAT_KEYS = {"maxsize", "currsize", "hits", "misses", "evictions"}
 
@@ -71,8 +65,18 @@ def test_shoup_verification_base_stats_exposed():
     assert stats["evictions"] >= 0
 
 
-def _flood_instance(cache) -> None:
-    """Insert far more entries than the bound, via the class's own API."""
+#: The bounded instance caches whose constructor takes the bound.
+BOUNDED_CACHE_CLASSES = [
+    "repro.broadcast.stores.FragmentStore",
+    "repro.dns.negcache.NxtProofCache",
+    "repro.dns.negcache.PositiveAnswerCache",
+    "repro.dns.rendercache.CanonicalRenderCache",
+]
+
+
+def _flood_instance(cache, count: int) -> None:
+    """Insert ``count`` distinct entries via the class's own API."""
+    from repro.broadcast.stores import FragmentStore
     from repro.dns import constants as c
     from repro.dns.name import Name
     from repro.dns.negcache import (
@@ -83,14 +87,11 @@ def _flood_instance(cache) -> None:
     )
     from repro.dns.rdata import NXT
     from repro.dns.rendercache import CanonicalRenderCache
-    from repro.broadcast.stores import FragmentStore, PayloadStore
 
     origin = Name.from_text("audit.example.")
-    for i in range(cache.max_entries * 4):
+    for i in range(count):
         name = Name((f"n{i:05d}".encode(),) + origin.labels)
-        if isinstance(cache, PayloadStore):
-            cache.put(f"rid-{i:05d}", b"payload")
-        elif isinstance(cache, FragmentStore):
+        if isinstance(cache, FragmentStore):
             cache.put(f"rid-{i:05d}", b"root", 0, b"frag", None)
         elif isinstance(cache, CanonicalRenderCache):
             cache.store(name, c.TYPE_A, 1, b"wire")
@@ -110,28 +111,59 @@ def _flood_instance(cache) -> None:
             raise AssertionError(f"no flood driver for {type(cache).__name__}")
 
 
+@pytest.fixture(scope="module")
+def instance_caches():
+    """Every instance cache of a real (4,1) replica and a resolver, with
+    the ``BoundedLRU`` it keeps its entries in."""
+    from repro.config import ServiceConfig
+    from repro.core.service import ReplicatedNameService
+    from repro.dns.resolver import CachingResolver, build_in_memory_tree
+    from repro.sim.machines import lan_setup
+
+    replica = ReplicatedNameService(
+        ServiceConfig(n=4, t=1), topology=lan_setup(4)
+    ).replicas[0]
+    resolver = CachingResolver(build_in_memory_tree([]))
+    assert replica.abc is not None
+    return {
+        "render": (replica.zone.render, replica.zone.render._entries),
+        "response": (replica._response_cache, replica._response_cache),
+        "answer": (replica._answer_cache, replica._answer_cache),
+        "payloads": (replica.abc._payload_archive, replica.abc._payload_archive),
+        "fragments": (replica.abc._frag_store, replica.abc._frag_store._groups),
+        "positive": (resolver.positive_cache, resolver.positive_cache._entries),
+        "negative": (resolver.negative_cache, resolver.negative_cache._entries),
+    }
+
+
 class TestInstanceCacheAudit:
-    """AUDITED_INSTANCE_CACHES: per-instance bound + stats discipline."""
+    """Every instance cache is a BoundedLRU underneath (audited in
+    tests/util/test_lru.py), and each bounded class holds its bound when
+    flooded through its own API."""
 
-    def test_registry_resolves_to_classes(self):
-        classes = instance_cache_classes()
-        assert set(classes) == set(AUDITED_INSTANCE_CACHES)
+    @pytest.mark.parametrize(
+        "name",
+        ["render", "response", "answer", "payloads", "fragments", "positive", "negative"],
+    )
+    def test_stores_entries_in_bounded_lru(self, instance_caches, name):
+        cache, lru = instance_caches[name]
+        assert isinstance(lru, BoundedLRU)
+        assert cache.stats is lru.stats
 
-    @pytest.mark.parametrize("dotted", AUDITED_INSTANCE_CACHES)
+    @pytest.mark.parametrize("dotted", BOUNDED_CACHE_CLASSES)
     def test_stats_discipline(self, dotted):
-        cache = instance_cache_classes()[dotted](max_entries=8)
-        assert set(INSTANCE_CACHE_STAT_KEYS) <= set(cache.stats)
+        cache = _resolve(dotted)(max_entries=8)
+        assert {"hits", "misses", "evictions"} <= set(cache.stats)
         assert all(isinstance(v, int) for v in cache.stats.values())
 
-    @pytest.mark.parametrize("dotted", AUDITED_INSTANCE_CACHES)
+    @pytest.mark.parametrize("dotted", BOUNDED_CACHE_CLASSES)
     def test_rejects_nonpositive_bound(self, dotted):
-        cls = instance_cache_classes()[dotted]
         with pytest.raises(ValueError):
-            cls(max_entries=0)
+            _resolve(dotted)(max_entries=0)
 
-    @pytest.mark.parametrize("dotted", AUDITED_INSTANCE_CACHES)
+    @pytest.mark.parametrize("dotted", BOUNDED_CACHE_CLASSES)
     def test_flood_never_exceeds_bound(self, dotted):
-        cache = instance_cache_classes()[dotted](max_entries=8)
-        _flood_instance(cache)
+        cache = _resolve(dotted)(max_entries=8)
+        _flood_instance(cache, 8 * 4)
         assert len(cache) <= 8
         assert cache.stats["evictions"] > 0
