@@ -361,33 +361,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import baseline as bl
     from repro.lint import mypy_ratchet, report
     from repro.lint.framework import (
-        STALE_SUPPRESSION_RULE,
         LintConfig,
+        Program,
         find_repo_root,
         load_rules,
-        run_paths_ctx,
-        stale_suppression_findings,
+        run_program,
     )
-    from repro.taint import TAINT_RULES
 
     # Anchor to the repository root (marker files, src layout) so the
     # command behaves identically from any subdirectory; --root overrides.
     root = Path(args.root).resolve() if args.root else find_repo_root()
-    rules = load_rules()
     if args.list_rules:
-        from repro.analysis import QUORUM_RULES, RACE_RULES
-
-        print(report.render_rule_catalog(rules))
-        for rule_id, (summary, _description) in sorted(TAINT_RULES.items()):
-            print(f"{rule_id}  [{'taint':>13}]  {summary}")
-        for rule_id, (summary, _description) in sorted(QUORUM_RULES.items()):
-            print(f"{rule_id}  [{'quorum':>13}]  {summary}")
-        for rule_id, (summary, _description) in sorted(RACE_RULES.items()):
-            print(f"{rule_id}  [{'races':>13}]  {summary}")
-        print(
-            f"{STALE_SUPPRESSION_RULE}  [{'framework':>13}]  "
-            "suppression comment no longer shields any finding"
-        )
+        print(report.render_rule_catalog(load_rules()))
         return 0
 
     config = LintConfig.from_pyproject(root / "pyproject.toml")
@@ -401,85 +386,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
             return exit_code
 
     paths = [Path(p) for p in args.paths] if args.paths else [root / "src" / "repro"]
-    findings, contexts = run_paths_ctx(paths, root, config=config)
-
-    active_rules = [rule.rule_id for rule in rules]
-    if args.taint:
-        from repro.taint import analyze_files as taint_analyze
-        from repro.taint.indexer import module_files
-
-        shared_suppressions = {
-            path: ctx.suppressions for path, ctx in contexts.items()
-        }
-        findings.extend(
-            taint_analyze(
-                module_files(paths, root),
-                config=config,
-                suppressions=shared_suppressions,
-            )
-        )
-        active_rules.extend(TAINT_RULES)
-
-    if args.quorum or args.races:
-        from repro.analysis import (
-            QUORUM_RULES,
-            RACE_RULES,
-            analyze_quorum,
-            analyze_races,
-        )
-        from repro.taint.indexer import ProgramIndex, module_files
-
-        files = module_files(paths, root)
-        index = ProgramIndex.build(files)  # shared by both analyzers
-        shared_suppressions = {
-            path: ctx.suppressions for path, ctx in contexts.items()
-        }
-        if args.quorum:
-            findings.extend(
-                analyze_quorum(
-                    files,
-                    config=config,
-                    suppressions=shared_suppressions,
-                    index=index,
-                )
-            )
-            active_rules.extend(QUORUM_RULES)
-        if args.races:
-            findings.extend(
-                analyze_races(
-                    files,
-                    config=config,
-                    suppressions=shared_suppressions,
-                    index=index,
-                )
-            )
-            active_rules.extend(RACE_RULES)
-
-    # Stale-suppression reporting must run after every producer above has
-    # marked the comments it actually used.
-    for ctx in contexts.values():
-        findings.extend(stale_suppression_findings(ctx, active_rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings = run_program(Program.from_paths(paths, root, config))
 
     if args.sarif:
-        from repro.taint import render_sarif
-
-        catalog = {
-            rule.rule_id: (rule.summary, getattr(rule, "description", rule.summary))
-            for rule in rules
-        }
-        catalog.update(TAINT_RULES)
-        from repro.analysis import QUORUM_RULES, RACE_RULES
-
-        catalog.update(QUORUM_RULES)
-        catalog.update(RACE_RULES)
-        catalog[STALE_SUPPRESSION_RULE] = (
-            "stale suppression comment",
-            "A repro-lint suppression comment that no longer shields any "
-            "finding; delete it so the suppression set ratchets down.",
-        )
         sarif_path = Path(args.sarif)
-        sarif_path.write_text(render_sarif(findings, catalog), encoding="utf-8")
+        sarif_path.write_text(
+            report.render_sarif(findings, load_rules()), encoding="utf-8"
+        )
         print(f"SARIF written to {sarif_path}")
 
     baseline_path = Path(args.baseline) if args.baseline else root / "lint-baseline.json"
@@ -525,11 +438,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         save_schedule,
     )
     from repro.lint import report
-    from repro.taint.sarif import render_sarif
 
     if args.list_rules:
-        for rule_id, (summary, _description) in sorted(EXPLORE_RULES.items()):
-            print(f"{rule_id}  [{'explore':>13}]  {summary}")
+        print(report.render_rule_catalog(EXPLORE_RULES.values()))
         return 0
 
     if args.replay:
@@ -553,14 +464,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         return 2
 
     if args.confirm_races:
-        from repro.lint.framework import find_repo_root
-        from repro.taint.indexer import module_files
+        from repro.lint.framework import LintConfig, Program, find_repo_root
 
         root = Path(args.root).resolve() if args.root else find_repo_root()
         paths = [Path(p) for p in args.paths] if args.paths else [root / "src" / "repro"]
-        files = module_files(paths, root)
+        config = LintConfig.from_pyproject(root / "pyproject.toml")
         outcomes = confirm_races(
-            files,
+            Program.from_paths(paths, root, config),
             max_schedules=args.max_schedules or 5_000,
             deadline_s=args.deadline,
         )
@@ -575,7 +485,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
         if args.sarif:
             Path(args.sarif).write_text(
-                render_sarif(findings, EXPLORE_RULES), encoding="utf-8"
+                report.render_sarif(findings, EXPLORE_RULES.values()), encoding="utf-8"
             )
             print(f"SARIF written to {args.sarif}")
         return 1 if any(o.status == "confirmed" for o in outcomes) else 0
@@ -621,7 +531,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             print(line)
     if args.sarif:
         Path(args.sarif).write_text(
-            render_sarif(findings, EXPLORE_RULES), encoding="utf-8"
+            report.render_sarif(findings, EXPLORE_RULES.values()), encoding="utf-8"
         )
         print(f"SARIF written to {args.sarif}")
     return 0 if result.ok else 1
@@ -774,24 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         default=None,
         help="repository root (default: auto-discovered from marker files)",
-    )
-    p.add_argument(
-        "--taint",
-        action="store_true",
-        help="also run the interprocedural Byzantine-taint analysis (T401-T408)",
-    )
-    p.add_argument(
-        "--quorum",
-        action="store_true",
-        help="also run symbolic quorum-arithmetic verification (Q501-Q505): "
-        "every n/t threshold must match a declared obligation proven over "
-        "all admissible (n, t) with n >= 3t+1",
-    )
-    p.add_argument(
-        "--races",
-        action="store_true",
-        help="also run asyncio yield-point atomicity checking (Y601-Y604) "
-        "over dispatcher-reachable async handlers",
     )
     p.add_argument(
         "--sarif",

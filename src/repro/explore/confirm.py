@@ -1,6 +1,6 @@
 """Dynamic confirmation of the static race findings (Y601-Y604).
 
-The static yield-point checker (``repro.analysis.races``) reasons about
+The static yield-point checker (``repro.lint.races``) reasons about
 one function's source; it cannot tell whether a flagged await window is
 actually reachable by two concurrent activations.  ``repro explore
 --confirm-races`` closes that loop: for every Y-finding it searches the
@@ -27,18 +27,16 @@ harnesses side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import race_windows
-from repro.analysis.races import RaceWindow
 from repro.explore.dpor import Choice, DporEngine, replay_schedule
 from repro.explore.schedule import minimize_violation
 from repro.explore.tasks import BuildFn, CheckFn, TaskModel
-from repro.lint.framework import Finding
+from repro.lint.framework import SCOPE_ALL, Finding, Program, rule_table
+from repro.lint.races import RaceWindow, race_windows
 
-#: Rule catalog for the exploration family, in the lint catalog format.
-EXPLORE_RULES: Dict[str, Tuple[str, str]] = {
+#: Rule catalog for the exploration family, rendered by the lint reporter.
+EXPLORE_RULES = rule_table("explore", SCOPE_ALL, "error", {
     "X701": (
         "invariant violated under systematic exploration",
         "Exhaustive (or delay-bounded) exploration of the protocol's "
@@ -61,7 +59,7 @@ EXPLORE_RULES: Dict[str, Tuple[str, str]] = {
         "static finding stands but no dynamic witness exists at this "
         "bound.",
     ),
-}
+})
 
 
 @dataclass
@@ -211,31 +209,22 @@ def _match(
 
 
 def confirm_races(
-    files: Sequence[Tuple[Any, str, str]],
+    program: Program,
     *,
     max_schedules: Optional[int] = 5_000,
     deadline_s: Optional[float] = None,
     harnesses: Optional[Dict[str, List[RaceHarness]]] = None,
-    config: Optional[Any] = None,
 ) -> List[ConfirmOutcome]:
-    """Reclassify every Y601-Y604 finding in ``files`` as X702 or X703.
+    """Reclassify every Y601-Y604 finding in ``program`` as X702 or X703.
 
-    ``files`` is the lint file tuple sequence ``(path, module, text)``
-    produced by :func:`repro.taint.indexer.module_files`.  ``harnesses``
-    overrides harness discovery (finding path -> harness list); by
-    default each flagged file is executed and its module-level
-    ``EXPLORE_HARNESSES`` collected.  ``config`` is an
-    optional :class:`~repro.lint.framework.LintConfig` forwarded to the
-    static checker — fixture corpora outside ``src/`` need a widened
-    ``races_modules`` scope, since files outside the package tree carry
-    an empty module name.
+    ``harnesses`` overrides harness discovery (finding path -> harness
+    list); by default each flagged file is executed and its module-level
+    ``EXPLORE_HARNESSES`` collected.
     """
-    paired = race_windows(files, config=config)
+    paired = race_windows(program)
     if not paired:
         return []
-    by_rel: Dict[str, Tuple[Any, str]] = {
-        Path(path).as_posix(): (path, text) for path, _module, text in files
-    }
+    sources = {ctx.path: ctx.source for ctx in program.contexts}
     evidence_cache: Dict[str, List[_HarnessEvidence]] = {}
     outcomes: List[ConfirmOutcome] = []
     for finding, window in paired:
@@ -243,8 +232,7 @@ def confirm_races(
             if harnesses is not None:
                 hs = harnesses.get(finding.path, [])
             else:
-                abs_path, text = by_rel[finding.path]
-                hs = _load_harnesses(abs_path, text)
+                hs = _load_harnesses(finding.path, sources[finding.path])
             evidence_cache[finding.path] = [
                 _explore_harness(
                     h, max_schedules=max_schedules, deadline_s=deadline_s

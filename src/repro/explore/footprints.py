@@ -1,4 +1,4 @@
-"""Static commutativity footprints from the PR-5 program index.
+"""Static commutativity footprints from the lint program index.
 
 For each message type a protocol dispatcher handles, compute the set of
 ``self.*`` attributes the handler's call closure can touch.  Two
@@ -25,7 +25,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.taint.indexer import FunctionInfo, ProgramIndex, module_files
+from repro.lint.framework import Program
+from repro.lint.index import FunctionInfo, ProgramIndex
 
 _SRC_ROOT = Path(__file__).resolve().parents[2]  # .../src
 _REPO_ROOT = _SRC_ROOT.parent
@@ -34,8 +35,7 @@ _REPO_ROOT = _SRC_ROOT.parent
 @lru_cache(maxsize=1)
 def broadcast_index() -> ProgramIndex:
     """Shared index over the broadcast package (built once per process)."""
-    files = module_files([_SRC_ROOT / "repro" / "broadcast"], _REPO_ROOT)
-    return ProgramIndex.build(files)
+    return Program.from_paths([_SRC_ROOT / "repro" / "broadcast"], _REPO_ROOT).index
 
 
 def _self_attrs(node: ast.AST) -> Set[str]:

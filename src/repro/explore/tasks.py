@@ -3,7 +3,7 @@
 The message models explore *network* nondeterminism; this module
 explores *scheduler* nondeterminism — the interleavings of ``async def``
 handlers at their ``await`` suspension points, which is exactly the
-territory of the Y601–Y604 static race rules (``repro.analysis.races``).
+territory of the Y601–Y604 static race rules (``repro.lint.races``).
 
 A fixture builds a :class:`Scheduler`, a shared :class:`TrackedObject`,
 and a set of coroutine tasks whose only suspension is ``await

@@ -42,6 +42,7 @@ class SecretEqualityRule(Rule):
     rule_id = "C301"
     summary = "non-constant-time comparison of secret material"
     scope = SCOPE_CRYPTO
+    level = "error"
 
     def visit_Compare(self, node: ast.Compare) -> None:
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -64,6 +65,7 @@ class SecretInOutputRule(Rule):
     rule_id = "C302"
     summary = "secret material in a log/format string"
     scope = SCOPE_CRYPTO
+    level = "error"
 
     def visit_JoinedStr(self, node: ast.JoinedStr) -> None:
         for value in node.values:
@@ -106,6 +108,7 @@ class SeededRandomForKeysRule(Rule):
     rule_id = "C303"
     summary = "random module used in a crypto path (use secrets)"
     scope = SCOPE_CRYPTO
+    level = "error"
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.ctx.imports.resolve(node.func)
@@ -135,6 +138,7 @@ class UnboundedHandlerGrowthRule(Rule):
     rule_id = "C304"
     summary = "unbounded collection growth in a message handler"
     scope = SCOPE_HANDLERS
+    level = "error"
 
     _GROW_METHODS = {"append", "add", "setdefault", "insert", "appendleft", "extend"}
 

@@ -1,15 +1,23 @@
-"""Rule framework for the ``repro lint`` static analyzer.
+"""The ``repro lint`` static-analysis framework.
 
 The analyzer enforces the repository's protocol-correctness contract
 (DESIGN.md §5c): replicas are deterministic state machines, so the
 execute/broadcast paths must not read wall clocks or entropy, iterate
 unordered collections into ordered output, or do float arithmetic on
 sequence numbers; crypto paths must compare secrets in constant time and
-bound work on untrusted collections (KeyTrap).
+bound work on untrusted collections (KeyTrap); attacker-controlled
+message fields must be verified before they reach a protocol sink;
+every n/t threshold must meet a declared quorum obligation; async
+handlers must not lose updates across an ``await``.
 
-Everything here is stdlib-only (``ast`` + ``tokenize``-free comment
-scanning); rules are small :class:`Rule` visitors registered with
-:func:`register` and scoped to module families via fnmatch patterns.
+One run (:func:`run_program`) reads and parses each file once
+(:class:`Program`), runs the per-file AST rules (small :class:`Rule`
+visitors registered with :func:`register`), then the whole-program
+passes (taint, quorum, races; registered with :func:`register_pass`)
+over one lazily built :class:`~repro.lint.index.ProgramIndex`, then
+applies inline suppressions and reports stale ones (S101).  Every rule
+lives in one registry (:data:`RULES`) and is scoped to module families
+through :attr:`LintConfig.scope_patterns`.
 
 Suppressions::
 
@@ -26,8 +34,23 @@ import ast
 import fnmatch
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
+
+if TYPE_CHECKING:
+    from repro.lint.index import FunctionInfo, ProgramIndex
 
 # -- scopes -------------------------------------------------------------------
 
@@ -38,8 +61,19 @@ SCOPE_DETERMINISTIC = "deterministic"
 SCOPE_CRYPTO = "crypto"
 #: Modules with network-facing message handlers (KeyTrap-style bounds).
 SCOPE_HANDLERS = "handlers"
+#: The protocol surface the Byzantine-taint pass defends.
+SCOPE_TAINT = "taint"
+#: Modules whose n/t threshold arithmetic the quorum pass proves.
+SCOPE_QUORUM = "quorum"
+#: Modules whose async handlers the yield-point pass checks.
+SCOPE_RACES = "races"
 #: Everything.
 SCOPE_ALL = "all"
+
+#: Scopes of the whole-program passes.  Unlike the AST-rule scopes they
+#: also cover files outside the package (tests, corpus fixtures) that are
+#: passed explicitly.
+PASS_SCOPES = (SCOPE_TAINT, SCOPE_QUORUM, SCOPE_RACES)
 
 DEFAULT_SCOPE_PATTERNS: Dict[str, Tuple[str, ...]] = {
     SCOPE_DETERMINISTIC: (
@@ -59,6 +93,23 @@ DEFAULT_SCOPE_PATTERNS: Dict[str, Tuple[str, ...]] = {
         "repro.crypto.protocols",
         "repro.core.replica",
     ),
+    # Tooling (cli/lint/chaos) is out; the fault injector is the modeled
+    # adversary, not the defended surface.
+    SCOPE_TAINT: (
+        "repro.broadcast.*",
+        "repro.crypto.*",
+        "repro.core.*",
+        "repro.net.*",
+        "repro.sim.*",
+        "repro.dns.*",
+        "!repro.core.faults",
+    ),
+    SCOPE_QUORUM: (
+        "repro.broadcast.*",
+        "repro.crypto.protocols",
+        "repro.crypto.shoup",
+    ),
+    SCOPE_RACES: ("repro.*",),
     SCOPE_ALL: ("*",),
 }
 
@@ -70,19 +121,10 @@ class LintConfig:
     scope_patterns: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_SCOPE_PATTERNS)
     )
-    strict_modules: Tuple[str, ...] = ()
-    #: fnmatch patterns selecting modules for ``--taint`` analysis; empty
-    #: means the taint engine's built-in protocol-surface default.
-    taint_modules: Tuple[str, ...] = ()
-    #: fnmatch patterns scoping ``--quorum`` threshold verification;
-    #: empty means the analyzer's built-in broadcast/crypto default.
-    quorum_modules: Tuple[str, ...] = ()
-    #: fnmatch patterns scoping ``--races`` yield-point verification;
-    #: empty means every repro module.
-    races_modules: Tuple[str, ...] = ()
 
     @classmethod
     def from_pyproject(cls, pyproject: Path) -> "LintConfig":
+        """Read ``[tool.repro-lint] <scope>_modules`` for every scope."""
         config = cls()
         if not pyproject.is_file():
             return config
@@ -93,19 +135,32 @@ class LintConfig:
         with open(pyproject, "rb") as handle:
             data = tomllib.load(handle)
         section = data.get("tool", {}).get("repro-lint", {})
-        for scope in (SCOPE_DETERMINISTIC, SCOPE_CRYPTO, SCOPE_HANDLERS):
+        for scope in config.scope_patterns:
             key = f"{scope}_modules"
             if key in section:
                 config.scope_patterns[scope] = tuple(section[key])
-        config.strict_modules = tuple(section.get("strict_modules", ()))
-        config.taint_modules = tuple(section.get("taint_modules", ()))
-        config.quorum_modules = tuple(section.get("quorum_modules", ()))
-        config.races_modules = tuple(section.get("races_modules", ()))
         return config
 
     def module_in_scope(self, module: str, scope: str) -> bool:
+        """Whether ``scope``'s rules apply to ``module``.
+
+        ``!pattern`` entries exclude and win over inclusions.  A file
+        outside the package (module ``""``) is in the ``all`` scope and in
+        every whole-program pass scope, never in a package-specific one.
+        """
+        if not module:
+            return scope == SCOPE_ALL or scope in PASS_SCOPES
         patterns = self.scope_patterns.get(scope, ())
-        return any(fnmatch.fnmatchcase(module, pat) for pat in patterns)
+        if any(
+            pat.startswith("!") and fnmatch.fnmatchcase(module, pat[1:])
+            for pat in patterns
+        ):
+            return False
+        return any(
+            fnmatch.fnmatchcase(module, pat)
+            for pat in patterns
+            if not pat.startswith("!")
+        )
 
 
 # -- findings -----------------------------------------------------------------
@@ -125,58 +180,149 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
+#: Rule id of a file that does not parse (reported, never registered).
+PARSE_ERROR_RULE = "E000"
+#: Rule id of the stale-suppression finding.
+STALE_SUPPRESSION_RULE = "S101"
+
 # -- rule registry ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RuleInfo:
+    """One registered rule, as the catalog and the SARIF log show it."""
+
+    rule_id: str
+    summary: str
+    description: str
+    scope: str
+    level: str  # SARIF level: "error", "warning" or "note"
+    check: str  # "ast", a whole-program pass name, or "framework"
+
+
+#: Every rule of ``repro lint``, by id.
+RULES: Dict[str, RuleInfo] = {}
+
+#: The per-file AST rules, in registration order.
+AST_RULES: List[Type["Rule"]] = []
+
+#: Whole-program passes by scope name: each maps a :class:`Program` to
+#: its raw (unsuppressed) findings.
+PASSES: Dict[str, Callable[["Program"], List[Finding]]] = {}
+
+
+def rule_table(
+    check: str, scope: str, level: str, entries: Dict[str, Tuple[str, str]]
+) -> Dict[str, RuleInfo]:
+    """:class:`RuleInfo` for each ``id -> (summary, description)`` entry."""
+    return {
+        rule_id: RuleInfo(rule_id, summary, description, scope, level, check)
+        for rule_id, (summary, description) in entries.items()
+    }
+
+
+def _add_rule(info: RuleInfo) -> None:
+    if not info.rule_id:
+        raise ValueError("rule must define rule_id")
+    if info.rule_id in RULES:
+        raise ValueError(f"duplicate rule id {info.rule_id}")
+    RULES[info.rule_id] = info
+
+
+_add_rule(
+    RuleInfo(
+        STALE_SUPPRESSION_RULE,
+        "stale suppression comment",
+        "A repro-lint suppression comment that no longer shields any "
+        "finding, or that names no registered rule; delete it so the "
+        "suppression set ratchets down.",
+        SCOPE_ALL,
+        "note",
+        "framework",
+    )
+)
+
+
 class Rule(ast.NodeVisitor):
-    """Base class: one instance per (rule, file) pass."""
+    """Base class of the AST rules: one instance per (rule, file) pass."""
 
     rule_id: str = ""
     summary: str = ""
     scope: str = SCOPE_ALL
+    level: str = "warning"
 
     def __init__(self, ctx: "FileContext") -> None:
         self.ctx = ctx
 
     def report(self, node: ast.AST, message: str) -> None:
-        self.ctx.add(
-            self.rule_id,
-            getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0),
-            message,
+        self.ctx.findings.append(
+            Finding(
+                self.rule_id,
+                self.ctx.path,
+                getattr(node, "lineno", 1),
+                getattr(node, "col_offset", 0),
+                message,
+            )
         )
 
     def run(self, tree: ast.Module) -> None:
         self.visit(tree)
 
 
-RULES: List[Type[Rule]] = []
-
-
 def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global catalog."""
-    if not rule_cls.rule_id:
-        raise ValueError("rule must define rule_id")
-    if any(existing.rule_id == rule_cls.rule_id for existing in RULES):
-        raise ValueError(f"duplicate rule id {rule_cls.rule_id}")
-    RULES.append(rule_cls)
+    """Class decorator adding an AST rule to the registry."""
+    _add_rule(
+        RuleInfo(
+            rule_cls.rule_id,
+            rule_cls.summary,
+            rule_cls.summary,
+            rule_cls.scope,
+            rule_cls.level,
+            "ast",
+        )
+    )
+    AST_RULES.append(rule_cls)
     return rule_cls
 
 
-def load_rules() -> List[Type[Rule]]:
-    """Import the rule modules (populating :data:`RULES`) and return them."""
-    from repro.lint import asyncsafety, cryptohygiene, determinism  # noqa: F401
+def register_pass(
+    scope: str, entries: Dict[str, Tuple[str, str]]
+) -> Callable[
+    [Callable[["Program"], List[Finding]]], Callable[["Program"], List[Finding]]
+]:
+    """Decorator registering a whole-program pass and its rules; the
+    pass is named after (and selects modules by) ``scope``."""
 
-    return sorted(RULES, key=lambda rule: rule.rule_id)
+    def decorate(
+        check: Callable[["Program"], List[Finding]]
+    ) -> Callable[["Program"], List[Finding]]:
+        for info in rule_table(scope, scope, "error", entries).values():
+            _add_rule(info)
+        PASSES[scope] = check
+        return check
+
+    return decorate
+
+
+def load_rules() -> List[RuleInfo]:
+    """Import every rule module (filling :data:`RULES`) and return the
+    catalog sorted by id."""
+    from repro.lint import (  # noqa: F401
+        asyncsafety,
+        cryptohygiene,
+        determinism,
+        quorum,
+        races,
+        taint,
+    )
+
+    return [RULES[rule_id] for rule_id in sorted(RULES)]
 
 
 # -- suppressions -------------------------------------------------------------
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9, ]+)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Z0-9, ]+)")
-
-#: Rule id of the stale-suppression finding itself (always active).
-STALE_SUPPRESSION_RULE = "S101"
 
 
 @dataclass
@@ -240,60 +386,35 @@ def parse_suppression_comments(source: str) -> List[Suppression]:
     return out
 
 
-def parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Legacy view: line -> suppressed rules, plus whole-file suppressions."""
-    per_line: Dict[int, Set[str]] = {}
-    whole_file: Set[str] = set()
-    for sup in parse_suppression_comments(source):
-        if not sup.covered:
-            whole_file.update(sup.rules)
-        else:
-            for line in sup.covered:
-                per_line.setdefault(line, set()).update(sup.rules)
-    return per_line, whole_file
-
-
 def stale_suppression_findings(
     ctx: "FileContext", active_rules: Iterable[str]
 ) -> List[Finding]:
-    """S101 findings for suppression comments that shielded nothing.
+    """S101 findings for suppression comments that shield nothing.
 
-    A comment naming a rule that was not part of this run (e.g. a T-rule
-    suppression when ``--taint`` is off) is exempt — staleness can only be
-    judged for rules that actually executed.
+    A comment naming an id no rule is registered under is always
+    reported: it can never shield anything.  A registered rule is judged
+    only if it was among ``active_rules`` (the rules that ran).
     """
+    registered = {info.rule_id for info in load_rules()}
     active = set(active_rules)
     out: List[Finding] = []
     for sup in ctx.suppressions:
         for rule in sup.rules:
-            if rule in sup.used or rule not in active:
+            if rule not in registered:
+                message = (
+                    f"suppression names no registered rule '{rule}'; it "
+                    "shields nothing — fix the id or delete it"
+                )
+            elif rule in sup.used or rule not in active:
                 continue
-            out.append(
-                Finding(
-                    STALE_SUPPRESSION_RULE,
-                    ctx.path,
-                    sup.line,
-                    0,
+            else:
+                message = (
                     f"stale suppression: no {rule} finding is shielded by "
                     "this comment any more; delete it so the suppression "
-                    "set ratchets down",
+                    "set ratchets down"
                 )
-            )
+            out.append(Finding(STALE_SUPPRESSION_RULE, ctx.path, sup.line, 0, message))
     return out
-
-
-def apply_suppressions(
-    findings: Sequence[Finding], contexts: Dict[str, "FileContext"]
-) -> List[Finding]:
-    """Filter externally-produced findings (e.g. taint) through per-file
-    suppression comments, marking the matching comments as used."""
-    kept: List[Finding] = []
-    for finding in findings:
-        ctx = contexts.get(finding.path)
-        if ctx is not None and ctx.suppress(finding.rule, finding.line):
-            continue
-        kept.append(finding)
-    return kept
 
 
 # -- import resolution --------------------------------------------------------
@@ -342,11 +463,11 @@ class ImportMap:
         return None
 
 
-# -- per-file context & runner ------------------------------------------------
+# -- the program and the run --------------------------------------------------
 
 
 class FileContext:
-    """Everything a rule needs to analyze one file."""
+    """One parsed file: everything a rule needs to analyze it."""
 
     def __init__(
         self,
@@ -362,6 +483,7 @@ class FileContext:
         self.tree = tree
         self.config = config
         self.imports = ImportMap(tree, module)
+        #: raw findings of the AST rules in the current run
         self.findings: List[Finding] = []
         self.suppressions: List[Suppression] = parse_suppression_comments(source)
 
@@ -374,10 +496,119 @@ class FileContext:
                 hit = True
         return hit
 
-    def add(self, rule: str, line: int, col: int, message: str) -> None:
-        if self.suppress(rule, line):
-            return
-        self.findings.append(Finding(rule, self.path, line, col, message))
+
+class Program:
+    """The input of one run: every file read and ``ast.parse``d once.
+
+    The AST rules walk :attr:`contexts`; the whole-program passes share
+    :attr:`index`, built on first use from the same trees.  ``files`` are
+    ``(repo-relative path, dotted module or "", source)`` triples.
+    """
+
+    def __init__(
+        self,
+        files: Iterable[Tuple[str, str, str]],
+        config: Optional[LintConfig] = None,
+    ) -> None:
+        self.config = config if config is not None else LintConfig()
+        self.contexts: List[FileContext] = []
+        self.errors: List[Finding] = []
+        for path, module, source in files:
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                self.errors.append(
+                    Finding(
+                        PARSE_ERROR_RULE,
+                        path,
+                        exc.lineno or 1,
+                        0,
+                        f"syntax error: {exc.msg}",
+                    )
+                )
+                continue
+            self.contexts.append(FileContext(path, module, source, tree, self.config))
+        self._by_path = {ctx.path: ctx for ctx in self.contexts}
+
+    @classmethod
+    def from_paths(
+        cls, paths: Sequence[Path], root: Path, config: Optional[LintConfig] = None
+    ) -> "Program":
+        """Every ``.py`` file under ``paths``, with paths relative to ``root``."""
+        files: List[Tuple[str, str, str]] = []
+        for file_path in iter_python_files(paths):
+            try:
+                rel = file_path.resolve().relative_to(root.resolve())
+            except ValueError:
+                rel = file_path
+            source = file_path.read_text(encoding="utf-8")
+            files.append((rel.as_posix(), module_name_for_path(rel), source))
+        return cls(files, config)
+
+    @cached_property
+    def index(self) -> "ProgramIndex":
+        from repro.lint.index import ProgramIndex
+
+        return ProgramIndex(self.contexts)
+
+    def in_scope(self, fn: "FunctionInfo", scope: str) -> bool:
+        """Scope test for an indexed function (the index keys a file
+        outside the package by its path, which stands for module "")."""
+        module = "" if fn.module == fn.path else fn.module
+        return self.config.module_in_scope(module, scope)
+
+    def shielded(self, finding: Finding) -> bool:
+        """True if an inline suppression covers ``finding``; marks the
+        comment as used."""
+        ctx = self._by_path.get(finding.path)
+        return ctx is not None and ctx.suppress(finding.rule, finding.line)
+
+
+def run_program(
+    program: Program, rules: Optional[Iterable[str]] = None
+) -> List[Finding]:
+    """One analyzer run over ``program``.
+
+    Runs the per-file AST rules, then every whole-program pass, drops
+    findings an inline suppression shields, and adds S101 for the
+    comments that shielded nothing.  ``rules`` selects rule ids (default:
+    every registered rule).
+    """
+    registered = load_rules()
+    selected = {info.rule_id for info in registered} if rules is None else set(rules)
+    raw = list(program.errors)
+    for ctx in program.contexts:
+        ctx.findings = []
+        for sup in ctx.suppressions:
+            sup.used.clear()
+        for rule_cls in AST_RULES:
+            if rule_cls.rule_id in selected and program.config.module_in_scope(
+                ctx.module, rule_cls.scope
+            ):
+                rule_cls(ctx).run(ctx.tree)
+        raw.extend(ctx.findings)
+    for name, check in PASSES.items():
+        if any(info.check == name and info.rule_id in selected for info in registered):
+            raw.extend(f for f in check(program) if f.rule in selected)
+    findings = [f for f in raw if not program.shielded(f)]
+    if STALE_SUPPRESSION_RULE in selected:
+        for ctx in program.contexts:
+            findings.extend(stale_suppression_findings(ctx, selected))
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+
+
+def run_source(
+    source: str,
+    module: str = "",
+    path: str = "<string>",
+    config: Optional[LintConfig] = None,
+    rules: Optional[Iterable[str]] = None,
+) -> List[Finding]:
+    """:func:`run_program` over one source blob analyzed as ``module``."""
+    return run_program(Program([(path, module, source)], config), rules)
+
+
+# -- paths --------------------------------------------------------------------
 
 
 def find_repo_root(start: Optional[Path] = None) -> Path:
@@ -407,83 +638,16 @@ def module_name_for_path(path: Path) -> str:
     """Dotted module path, derived from the ``src/`` layout.
 
     Files outside ``src/`` (tests, benchmarks, fixtures) get an empty
-    module name and therefore only match ``all``-scoped rules.
+    module name: only ``all``-scoped AST rules apply to them, and the
+    whole-program passes analyze them.
     """
     parts = path.with_suffix("").parts
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    elif parts and parts[0] in ("tests", "benchmarks"):
+    if "src" not in parts:
         return ""
-    else:
-        return ""
+    parts = parts[parts.index("src") + 1 :]
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
-
-
-def run_source(
-    source: str,
-    module: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Type[Rule]]] = None,
-) -> List[Finding]:
-    """Analyze one source blob as if it were module ``module``."""
-    findings, _ctx = run_source_ctx(source, module, path, config=config, rules=rules)
-    return findings
-
-
-def run_source_ctx(
-    source: str,
-    module: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Type[Rule]]] = None,
-) -> Tuple[List[Finding], Optional["FileContext"]]:
-    """Like :func:`run_source`, also returning the :class:`FileContext`
-    (None on syntax error) so callers can inspect suppression usage."""
-    config = config if config is not None else LintConfig()
-    rules = rules if rules is not None else load_rules()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return (
-            [Finding("E000", path, exc.lineno or 1, 0, f"syntax error: {exc.msg}")],
-            None,
-        )
-    ctx = FileContext(path, module, source, tree, config)
-    for rule_cls in rules:
-        if not config.module_in_scope(module, rule_cls.scope):
-            continue
-        rule_cls(ctx).run(tree)
-    return sorted(ctx.findings, key=lambda f: (f.line, f.col, f.rule)), ctx
-
-
-def run_file(
-    path: Path,
-    root: Path,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Type[Rule]]] = None,
-) -> List[Finding]:
-    """Analyze one file; finding paths are repo-relative POSIX paths."""
-    findings, _ctx = run_file_ctx(path, root, config=config, rules=rules)
-    return findings
-
-
-def run_file_ctx(
-    path: Path,
-    root: Path,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Type[Rule]]] = None,
-) -> Tuple[List[Finding], Optional["FileContext"]]:
-    """Context-returning variant of :func:`run_file`."""
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = path
-    module = module_name_for_path(rel)
-    source = path.read_text(encoding="utf-8")
-    return run_source_ctx(source, module, rel.as_posix(), config=config, rules=rules)
 
 
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
@@ -495,31 +659,3 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
         elif path.suffix == ".py":
             out.add(path)
     return sorted(out)
-
-
-def run_paths(
-    paths: Sequence[Path],
-    root: Path,
-    config: Optional[LintConfig] = None,
-) -> List[Finding]:
-    """Analyze every Python file under ``paths``."""
-    findings, _contexts = run_paths_ctx(paths, root, config=config)
-    return findings
-
-
-def run_paths_ctx(
-    paths: Sequence[Path],
-    root: Path,
-    config: Optional[LintConfig] = None,
-) -> Tuple[List[Finding], Dict[str, "FileContext"]]:
-    """Like :func:`run_paths`, also returning the per-file contexts keyed
-    by repo-relative path (for suppression-usage / taint integration)."""
-    rules = load_rules()
-    findings: List[Finding] = []
-    contexts: Dict[str, "FileContext"] = {}
-    for file_path in iter_python_files(paths):
-        file_findings, ctx = run_file_ctx(file_path, root, config=config, rules=rules)
-        findings.extend(file_findings)
-        if ctx is not None:
-            contexts[ctx.path] = ctx
-    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)), contexts

@@ -1,6 +1,7 @@
-"""Whole-program index for the interprocedural taint engine.
+"""Whole-program index shared by the ``repro lint`` passes.
 
-Parses every module once and builds:
+Built once per run from the :class:`~repro.lint.framework.Program`'s
+parsed trees, it holds:
 
 * a symbol table of functions/methods (:class:`FunctionInfo`) and classes
   (:class:`ClassInfo`, with base classes, dataclass fields, and attribute
@@ -18,21 +19,26 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.framework import ImportMap, module_name_for_path
-
-from repro.taint.specs import (
-    HANDLER_EXACT_NAMES,
-    HANDLER_NAME_PREFIXES,
-)
+from repro.lint.framework import FileContext, ImportMap
+from repro.lint.taint_specs import HANDLER_EXACT_NAMES, HANDLER_NAME_PREFIXES
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 
 #: Call names that register a callback as a transport/message handler.
 HANDLER_REGISTRARS = frozenset(
     {"set_handler", "add_handler", "register_handler", "subscribe", "on_receive"}
+)
+
+
+#: Public method names of the builtin containers and strings; a call
+#: ``x.<name>()`` on an unknown receiver is not resolved by name alone.
+_BUILTIN_METHODS = frozenset(
+    name
+    for kind in (dict, list, set, frozenset, tuple, str, bytes, bytearray)
+    for name in dir(kind)
+    if not name.startswith("_")
 )
 
 
@@ -116,7 +122,7 @@ def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
 class ProgramIndex:
     """Symbol table + call graph over a set of modules."""
 
-    def __init__(self) -> None:
+    def __init__(self, files: Sequence[FileContext]) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -124,28 +130,18 @@ class ProgramIndex:
         self.by_name: Dict[str, List[str]] = {}
         #: bare class name -> class qnames
         self.class_by_name: Dict[str, List[str]] = {}
+        for ctx in files:
+            self._index_module(ctx)
+        self._resolve_registrations()
 
     # -- construction ---------------------------------------------------------
 
-    @classmethod
-    def build(cls, files: Sequence[Tuple[Path, str, str]]) -> "ProgramIndex":
-        """Index ``(path, module, source)`` triples; files that fail to
-        parse are skipped (the lint pass reports E000 for them)."""
-        index = cls()
-        for path, module, source in files:
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue
-            index._index_module(path, module, tree)
-        index._resolve_registrations()
-        return index
-
-    def _index_module(self, path: Path, module: str, tree: ast.Module) -> None:
-        key = module or path.as_posix()
-        info = ModuleInfo(module=key, path=path.as_posix(), tree=tree, imports=ImportMap(tree, module))
+    def _index_module(self, ctx: FileContext) -> None:
+        # a file outside the package is keyed by its path
+        key = ctx.module or ctx.path
+        info = ModuleInfo(module=key, path=ctx.path, tree=ctx.tree, imports=ctx.imports)
         self.modules[key] = info
-        for node in tree.body:
+        for node in ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, node, cls=None)
             elif isinstance(node, ast.ClassDef):
@@ -374,7 +370,10 @@ class ProgramIndex:
                     qname = f"{mod_part}:{fn_part}" if mod_part else ""
                     if qname in self.functions:
                         return qname, name
-            # unique-name fallback
+            # unique-name fallback, except for builtin container methods:
+            # one user-defined ``add`` must not capture every ``set.add``
+            if name in _BUILTIN_METHODS:
+                return None, name
             candidates = self.by_name.get(name, [])
             if len(candidates) == 1:
                 return candidates[0], name
@@ -413,22 +412,3 @@ class ProgramIndex:
             return None
         return self.classes.get(cls_qname)
 
-
-def build_index(files: Sequence[Tuple[Path, str, str]]) -> ProgramIndex:
-    return ProgramIndex.build(files)
-
-
-def module_files(paths: Sequence[Path], root: Path) -> List[Tuple[Path, str, str]]:
-    """Expand paths into (path, module, source) triples, repo-relative."""
-    from repro.lint.framework import iter_python_files
-
-    out: List[Tuple[Path, str, str]] = []
-    for file_path in iter_python_files(paths):
-        try:
-            rel = file_path.resolve().relative_to(root.resolve())
-        except ValueError:
-            rel = file_path
-        module = module_name_for_path(rel)
-        source = file_path.read_text(encoding="utf-8")
-        out.append((rel, module, source))
-    return out

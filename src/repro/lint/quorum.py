@@ -1,11 +1,11 @@
 """Quorum-arithmetic checker (Q501-Q505, DESIGN.md §5h).
 
-Walks every function the PR-5 indexer knows about in the configured
-scope, extracts *threshold sites* — comparisons and slice bounds that
+Walks every indexed function in the ``quorum`` scope, extracts
+*threshold sites* — comparisons and slice bounds that
 mention the protocol parameters ``n``/``t`` — normalizes them with the
-:mod:`repro.analysis.linexpr` algebra, resolves each site's declared
+:mod:`repro.lint.linexpr` algebra, resolves each site's declared
 obligation (inline ``# repro-quorum:`` comment first, then the central
-:data:`~repro.analysis.specs.QUORUM_SPEC` table), and proves the
+:data:`~repro.lint.quorum_specs.QUORUM_SPEC` table), and proves the
 obligation over every admissible ``(n, t)``.  Failures carry the first
 concrete counterexample deployment.
 
@@ -21,12 +21,11 @@ import ast
 import fnmatch
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.framework import Finding
-from repro.taint.indexer import FunctionInfo, ProgramIndex
-
-from .linexpr import (
+from repro.lint.framework import SCOPE_QUORUM, Finding, Program, register_pass
+from repro.lint.index import FunctionInfo
+from repro.lint.linexpr import (
     LinExpr,
     N,
     T,
@@ -36,7 +35,7 @@ from .linexpr import (
     parse_expr_text,
     parse_linear,
 )
-from .specs import INLINE_MARKER, QUORUM_SPEC
+from repro.lint.quorum_specs import INLINE_MARKER, QUORUM_RULES, QUORUM_SPEC
 
 _INLINE_RE = re.compile(
     rf"#\s*{INLINE_MARKER}:\s*([A-Za-z\-]+(?::[^#\s]+)?)"
@@ -152,32 +151,18 @@ def _slice_site(fn: FunctionInfo, node: ast.Subscript) -> Optional[Site]:
 class QuorumChecker:
     """Extract threshold sites, resolve obligations, prove them."""
 
-    def __init__(
-        self,
-        index: ProgramIndex,
-        files: Sequence[Tuple[object, str, str]],
-        modules: Sequence[str],
-    ) -> None:
-        self.index = index
-        self.modules = tuple(modules)
+    def __init__(self, program: Program) -> None:
+        self.program = program
         #: path -> {line: declared kind} from inline comments
         self.inline: Dict[str, Dict[int, str]] = {}
-        for path, _module, source in files:
+        for ctx in program.contexts:
             decls: Dict[int, str] = {}
-            for lineno, line in enumerate(source.splitlines(), start=1):
+            for lineno, line in enumerate(ctx.source.splitlines(), start=1):
                 match = _INLINE_RE.search(line)
                 if match:
                     decls[lineno] = match.group(1).strip()
             if decls:
-                key = path.as_posix() if hasattr(path, "as_posix") else str(path)
-                self.inline[key] = decls
-
-    def in_scope(self, module: str) -> bool:
-        # Files outside the src layout (tests, corpus fixtures) are keyed
-        # by path: always analyzed when explicitly passed.
-        if not module or module.endswith(".py"):
-            return True
-        return any(fnmatch.fnmatchcase(module, pat) for pat in self.modules)
+                self.inline[ctx.path] = decls
 
     # -- obligation resolution ------------------------------------------------
 
@@ -312,8 +297,8 @@ class QuorumChecker:
     def run(self) -> List[Finding]:
         findings: List[Finding] = []
         seen: set = set()
-        for fn in self.index.functions.values():
-            if not self.in_scope(fn.module):
+        for fn in self.program.index.functions.values():
+            if not self.program.in_scope(fn, SCOPE_QUORUM):
                 continue
             for node in _walk_no_nested(fn.node):
                 site: Optional[Site] = None
@@ -345,3 +330,8 @@ class QuorumChecker:
                 findings.extend(self._check_site(site, kind))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
+
+
+@register_pass(SCOPE_QUORUM, QUORUM_RULES)
+def quorum_pass(program: Program) -> List[Finding]:
+    return QuorumChecker(program).run()

@@ -1,4 +1,4 @@
-"""Rule catalogs and the per-site obligation spec table (DESIGN.md §5h).
+"""Quorum rule catalog and the per-site obligation spec table (DESIGN.md §5h).
 
 Every threshold comparison or certificate truncation over the protocol
 parameters must be *declared*: either inline ::
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-# -- rule catalogs ------------------------------------------------------------
+# -- rule catalog -------------------------------------------------------------
 
 QUORUM_RULES: Dict[str, Tuple[str, str]] = {
     "Q501": (
@@ -98,54 +98,6 @@ QUORUM_RULES: Dict[str, Tuple[str, str]] = {
         "mark it 'declared' with a justification.",
     ),
 }
-
-RACE_RULES: Dict[str, Tuple[str, str]] = {
-    "Y601": (
-        "lost update across await (TOCTOU)",
-        "An await interposes between a guard that reads a protocol field "
-        "and a write the guard protects, with no re-validation after the "
-        "yield; a concurrent handler activation can invalidate the guard "
-        "while this one is suspended.",
-    ),
-    "Y602": (
-        "shared handler state mutated across await",
-        "A field read before an await and written after it is also "
-        "touched by other dispatcher-reachable handlers; without a "
-        "re-check after the yield the write can clobber a concurrent "
-        "activation's update.",
-    ),
-    "Y603": (
-        "busy/session flag held across await without finally",
-        "A _busy-style flag is set and an await runs while it is held, "
-        "but the reset is not guaranteed by a try/finally; an exception "
-        "at the yield point wedges the flag and deadlocks the session.",
-    ),
-    "Y604": (
-        "fire-and-forget task drops exceptions",
-        "asyncio.create_task/ensure_future result is discarded, so the "
-        "task's exceptions vanish into the 'Task exception was never "
-        "retrieved' log; keep a reference and attach a done callback or "
-        "await it.",
-    ),
-}
-
-# -- analyzer scopes ----------------------------------------------------------
-
-#: Modules whose threshold arithmetic the quorum checker verifies.
-DEFAULT_QUORUM_MODULES: Tuple[str, ...] = (
-    "repro.broadcast.*",
-    "repro.crypto.protocols",
-    "repro.crypto.shoup",
-)
-
-#: Modules whose async handlers the yield-point checker verifies.
-DEFAULT_RACES_MODULES: Tuple[str, ...] = ("repro.*",)
-
-#: Attribute-name fragments that mark a field as a busy/session flag.
-BUSY_FLAG_HINTS: Tuple[str, ...] = ("busy", "lock", "inflight", "in_flight")
-
-#: Call names that spawn a task whose exceptions vanish if unreferenced.
-TASK_SPAWNERS: Tuple[str, ...] = ("create_task", "ensure_future")
 
 #: Comment marker declaring a site's obligation inline.
 INLINE_MARKER = "repro-quorum"

@@ -10,7 +10,7 @@ handlers (Y602), or inside a busy-flag critical section with no
 ``finally`` reset (Y603) — plus fire-and-forget task spawns whose
 exceptions are silently dropped (Y604).
 
-Handler reachability reuses the PR-5 indexer: every function marked
+Handler reachability reuses the program index: every function marked
 ``is_handler`` (dispatcher registrations + ``on_``/``handle_`` naming)
 seeds a call-graph BFS; Y601-Y603 run over the async functions in that
 closure, Y604 over every in-scope ``async def``.
@@ -19,15 +19,48 @@ closure, Y604 over every in-scope ``async def``.
 from __future__ import annotations
 
 import ast
-import fnmatch
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.framework import Finding
-from repro.taint.indexer import FunctionInfo, ProgramIndex
+from repro.lint.framework import SCOPE_RACES, Finding, Program, register_pass
+from repro.lint.index import FunctionInfo
+from repro.lint.quorum import _walk_no_nested
 
-from .quorum import _walk_no_nested
-from .specs import BUSY_FLAG_HINTS, TASK_SPAWNERS
+RACE_RULES: Dict[str, Tuple[str, str]] = {
+    "Y601": (
+        "lost update across await (TOCTOU)",
+        "An await interposes between a guard that reads a protocol field "
+        "and a write the guard protects, with no re-validation after the "
+        "yield; a concurrent handler activation can invalidate the guard "
+        "while this one is suspended.",
+    ),
+    "Y602": (
+        "shared handler state mutated across await",
+        "A field read before an await and written after it is also "
+        "touched by other dispatcher-reachable handlers; without a "
+        "re-check after the yield the write can clobber a concurrent "
+        "activation's update.",
+    ),
+    "Y603": (
+        "busy/session flag held across await without finally",
+        "A _busy-style flag is set and an await runs while it is held, "
+        "but the reset is not guaranteed by a try/finally; an exception "
+        "at the yield point wedges the flag and deadlocks the session.",
+    ),
+    "Y604": (
+        "fire-and-forget task drops exceptions",
+        "asyncio.create_task/ensure_future result is discarded, so the "
+        "task's exceptions vanish into the 'Task exception was never "
+        "retrieved' log; keep a reference and attach a done callback or "
+        "await it.",
+    ),
+}
+
+#: Attribute-name fragments that mark a field as a busy/session flag.
+BUSY_FLAG_HINTS: Tuple[str, ...] = ("busy", "lock", "inflight", "in_flight")
+
+#: Call names that spawn a task whose exceptions vanish if unreferenced.
+TASK_SPAWNERS: Tuple[str, ...] = ("create_task", "ensure_future")
 
 
 def _call_name(call: ast.Call) -> str:
@@ -114,23 +147,14 @@ def _revalidated(ev: _Events, attr: str, after: int, before: int) -> bool:
 
 
 class RaceChecker:
-    def __init__(
-        self,
-        index: ProgramIndex,
-        modules: Sequence[str],
-    ) -> None:
-        self.index = index
-        self.modules = tuple(modules)
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.index = program.index
         self.reachable = self._handler_closure()
         self.attr_users = self._attr_users()
         #: RaceWindow per finding of the most recent :meth:`run`, aligned
         #: with the returned findings (same sort order).
         self.last_windows: List[RaceWindow] = []
-
-    def in_scope(self, module: str) -> bool:
-        if not module or module.endswith(".py"):
-            return True
-        return any(fnmatch.fnmatchcase(module, pat) for pat in self.modules)
 
     def _handler_closure(self) -> Set[str]:
         seeds = {
@@ -375,7 +399,7 @@ class RaceChecker:
         for fn in sorted(
             self.index.functions.values(), key=lambda f: (f.path, f.lineno)
         ):
-            if not self.in_scope(fn.module):
+            if not self.program.in_scope(fn, SCOPE_RACES):
                 continue
             if not isinstance(fn.node, ast.AsyncFunctionDef):
                 continue
@@ -392,3 +416,21 @@ class RaceChecker:
             self._window_map[(f.rule, f.path, f.line, f.col)] for f in findings
         ]
         return findings
+
+
+@register_pass(SCOPE_RACES, RACE_RULES)
+def races_pass(program: Program) -> List[Finding]:
+    return RaceChecker(program).run()
+
+
+def race_windows(program: Program) -> List[Tuple[Finding, RaceWindow]]:
+    """Unsuppressed race findings paired with their await windows; used
+    by ``repro explore --confirm-races`` to search for a schedule
+    exercising each window."""
+    checker = RaceChecker(program)
+    findings = checker.run()
+    return [
+        (f, window)
+        for f, window in zip(findings, checker.last_windows, strict=True)
+        if not program.shielded(f)
+    ]

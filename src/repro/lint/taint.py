@@ -21,21 +21,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.framework import Finding, LintConfig
-
-from repro.taint.indexer import (
-    FunctionInfo,
-    ProgramIndex,
-    module_files,
-)
-from repro.taint.specs import (
+from repro.lint.framework import SCOPE_TAINT, Finding, Program, register_pass
+from repro.lint.index import FunctionInfo
+from repro.lint.taint_specs import (
     ALLOC_CALLS,
     BOUND_NAME_HINTS,
     CONTROL_STATE_ATTRS,
-    DEFAULT_TAINT_MODULES,
     GROWTH_CALLS,
     IDENTITY_ATTRS,
     LAUNDERABLE_RULES,
@@ -43,6 +36,7 @@ from repro.taint.specs import (
     SINK_CALLS,
     SINK_MESSAGE_FIRST,
     SOURCE_CALLS,
+    TAINT_RULES,
     TRUSTED_PRODUCERS,
     UNTAINTED_HANDLER_PARAMS,
     VERDICT_CALLS,
@@ -159,9 +153,9 @@ class Summary:
 
 
 class TaintEngine:
-    def __init__(self, index: ProgramIndex, modules: Tuple[str, ...]) -> None:
-        self.index = index
-        self.module_patterns = modules or DEFAULT_TAINT_MODULES
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.index = program.index
         self.summaries: Dict[str, Summary] = {}
         #: (class qname, attr) -> real taint stored cross-function
         #: (whole-attr assignments and dynamic-key stores)
@@ -171,25 +165,6 @@ class TaintEngine:
         #: other keys (the T404/T405 over-approximation fix)
         self.attr_keys: Dict[Tuple[str, str], Dict[str, Taint]] = {}
         self.changed = False
-
-    def in_scope(self, fn: FunctionInfo) -> bool:
-        import fnmatch
-
-        module = fn.module
-        # files outside the src layout (tests, corpus fixtures) are keyed
-        # by path: always analyzed when explicitly passed
-        if not module or module.endswith(".py"):
-            return True
-        # "!pattern" entries exclude (and win over inclusions): the fault
-        # injector is the modeled adversary, not the defended surface
-        for pat in self.module_patterns:
-            if pat.startswith("!") and fnmatch.fnmatchcase(module, pat[1:]):
-                return False
-        return any(
-            fnmatch.fnmatchcase(module, pat)
-            for pat in self.module_patterns
-            if not pat.startswith("!")
-        )
 
     def store_attr(self, cls_qname: str, attr: str, taint: Taint) -> None:
         key = (cls_qname, attr)
@@ -236,7 +211,11 @@ class TaintEngine:
         return out
 
     def run(self) -> List[Finding]:
-        fns = [fn for fn in self.index.functions.values() if self.in_scope(fn)]
+        fns = [
+            fn
+            for fn in self.index.functions.values()
+            if self.program.in_scope(fn, SCOPE_TAINT)
+        ]
         fns.sort(key=lambda f: f.qname)
         for fn in fns:
             self.summaries[fn.qname] = Summary()
@@ -1366,49 +1345,9 @@ class FunctionAnalyzer(ast.NodeVisitor):
                 )
 
 
-# -- public API ---------------------------------------------------------------
+# -- the pass -----------------------------------------------------------------
 
 
-def analyze_files(
-    files: Sequence[Tuple[Path, str, str]],
-    config: Optional[LintConfig] = None,
-    suppressions: Optional[Dict[str, List["Suppression"]]] = None,
-) -> List[Finding]:
-    """Run the taint analysis over pre-loaded (path, module, source) files.
-
-    Inline ``# repro-lint: disable=T4xx`` comments are honored; pass
-    ``suppressions`` (path -> parsed suppressions, keyed like
-    ``Finding.path``) to share usage tracking with the caller (the CLI
-    does, so stale-suppression reporting sees taint-rule hits).
-    """
-    from repro.lint.framework import parse_suppression_comments
-
-    config = config or LintConfig()
-    index = ProgramIndex.build(files)
-    engine = TaintEngine(index, tuple(config.taint_modules))
-    findings = engine.run()
-    if suppressions is None:
-        suppressions = {
-            path.as_posix(): parse_suppression_comments(source)
-            for path, _module, source in files
-        }
-    kept: List[Finding] = []
-    for f in findings:
-        shields = [
-            s for s in suppressions.get(f.path, []) if s.shields(f.rule, f.line)
-        ]
-        if shields:
-            for s in shields:
-                s.used.add(f.rule)
-            continue
-        kept.append(f)
-    return kept
-
-
-def analyze(
-    paths: Sequence[Path],
-    root: Path,
-    config: Optional[LintConfig] = None,
-) -> List[Finding]:
-    """Run the taint analysis over every Python file under ``paths``."""
-    return analyze_files(module_files(paths, root), config=config)
+@register_pass(SCOPE_TAINT, TAINT_RULES)
+def taint_pass(program: Program) -> List[Finding]:
+    return TaintEngine(program).run()

@@ -1,4 +1,4 @@
-"""Declarative source / sink / sanitizer specifications for ``repro.taint``.
+"""Declarative source / sink / sanitizer specifications for the taint pass.
 
 The taint engine (DESIGN.md §5e) is driven entirely by the tables in this
 module so the protocol-security contract stays reviewable in one place:
@@ -237,19 +237,4 @@ BOUND_NAME_HINTS: Tuple[str, ...] = (
     "CAP",
     "WINDOW",
     "REMAINING",
-)
-
-#: Default module scope for whole-repo analysis: the protocol surface.
-#: Tooling (cli/lint/chaos) is excluded; "!"-prefixed patterns exclude
-#: modules and take precedence (the fault injector IS the attacker model,
-#: so taint rules about defending against remote input do not apply to
-#: it).  Explicitly-passed non-package paths are always analyzed.
-DEFAULT_TAINT_MODULES: Tuple[str, ...] = (
-    "repro.broadcast.*",
-    "repro.crypto.*",
-    "repro.core.*",
-    "repro.net.*",
-    "repro.sim.*",
-    "repro.dns.*",
-    "!repro.core.faults",
 )

@@ -1,78 +1,49 @@
-"""Seeded-corpus recall for the protocol-invariant verifiers.
+"""Quorum/race-family view of the shared corpus run
+(``tests/lint/test_corpus.py``).
 
-Mirrors ``tests/taint/test_corpus.py``: every planted violation must be
-found (full recall), the clean controls must stay silent (precision),
-and the directory must exactly match the expectation table so new
-fixtures cannot be added without pinning them here.
+The fixtures live in ``tests/lint/corpus/`` and are analyzed once, by
+the shared runner; these checks restate its Q- and Y-rule pins under
+the names the protocol-invariant suite has always used.
 """
-
-import time
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze
+from tests.lint import test_corpus as corpus
 
-CORPUS = Path(__file__).parent / "corpus"
-ROOT = Path(__file__).resolve().parents[2]
-
-#: file -> exact rule ids expected (sorted by line).
 EXPECTED = {
-    "vuln_q501_two_t_quorum.py": ["Q501"],
-    "vuln_q502_trunc_t_plus_1.py": ["Q502"],
-    "vuln_q503_amplify_t.py": ["Q503"],
-    "vuln_q504_cap.py": ["Q504"],
-    "vuln_q505_undeclared.py": ["Q505"],
-    "vuln_y601_toctou.py": ["Y601"],
-    "vuln_y602_cross_handler.py": ["Y602"],
-    "vuln_y603_busy_flag.py": ["Y603"],
-    "vuln_y604_fire_forget.py": ["Y604", "Y604"],
+    name: rules
+    for name, rules in corpus.EXPECTED.items()
+    if name.startswith(("vuln_q", "vuln_y"))
 }
 
 CLEAN = ["clean_quorum.py", "clean_races.py"]
 
 
-@pytest.fixture(scope="module")
-def corpus_findings():
-    return analyze([CORPUS], ROOT)
-
-
-def rules_for(findings, filename):
-    return [
-        f.rule
-        for f in sorted(findings, key=lambda f: (f.line, f.col))
-        if f.path.endswith(filename)
-    ]
-
-
 def test_corpus_is_complete():
-    present = sorted(p.name for p in CORPUS.glob("*.py"))
-    assert present == sorted(list(EXPECTED) + CLEAN)
+    assert len(EXPECTED) == 9
+    assert set(CLEAN) <= set(corpus.EXPECTED)
 
 
 @pytest.mark.parametrize("filename", sorted(EXPECTED))
-def test_planted_violation_found(corpus_findings, filename):
-    assert rules_for(corpus_findings, filename) == EXPECTED[filename]
+def test_planted_violation_found(filename):
+    assert corpus.rules_for(filename) == EXPECTED[filename]
 
 
 @pytest.mark.parametrize("filename", CLEAN)
-def test_clean_control_silent(corpus_findings, filename):
-    assert rules_for(corpus_findings, filename) == []
+def test_clean_control_silent(filename):
+    assert corpus.rules_for(filename) == []
 
 
-def test_full_recall_and_precision(corpus_findings):
-    want = sorted(rule for rules in EXPECTED.values() for rule in rules)
-    assert sorted(f.rule for f in corpus_findings) == want
+def test_full_recall_and_precision():
+    found = sorted(r for name in list(EXPECTED) + CLEAN for r in corpus.rules_for(name))
+    assert found == sorted(r for rules in EXPECTED.values() for r in rules)
 
 
-def test_counterexamples_name_concrete_deployments(corpus_findings):
-    q501 = [f for f in corpus_findings if f.rule == "Q501"]
+def test_counterexamples_name_concrete_deployments():
+    q501 = corpus.findings_for("vuln_q501_two_t_quorum.py")
     assert q501 and all("(n=" in f.message for f in q501)
 
 
-def test_full_repo_analysis_under_budget():
-    start = time.monotonic()
-    findings = analyze([ROOT / "src" / "repro"], ROOT)
-    elapsed = time.monotonic() - start
-    assert findings == []
-    assert elapsed < 30.0, f"--quorum --races took {elapsed:.1f}s"
+def test_full_repo_analysis_under_budget(tree_lint):
+    assert not [f for f in tree_lint.findings if f.rule[0] in "QY"]
+    assert tree_lint.elapsed_s < 30.0, f"whole-tree run took {tree_lint.elapsed_s:.1f}s"

@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.analysis.linexpr import (
+from repro.lint.linexpr import (
     LinExpr,
     N,
     T,

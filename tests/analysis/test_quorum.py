@@ -1,14 +1,14 @@
 """Unit tests for the quorum-arithmetic checker (Q501-Q505)."""
 
 import textwrap
-from pathlib import Path
 
-from repro.analysis import analyze_quorum
+from repro.lint.framework import load_rules, run_source
+
+QUORUM_RULES = [rule.rule_id for rule in load_rules() if rule.check == "quorum"]
 
 
 def check(source: str, path: str = "tests/fixture_quorum.py"):
-    files = [(Path(path), "", textwrap.dedent(source))]
-    return analyze_quorum(files)
+    return run_source(textwrap.dedent(source), "", path, rules=QUORUM_RULES)
 
 
 BOILER = """
@@ -136,8 +136,5 @@ class TestObligations:
 
 
 class TestSpecTableCoversRepo:
-    def test_whole_src_tree_is_quorum_clean(self):
-        from repro.taint.indexer import module_files
-
-        files = module_files([Path("src/repro")], Path("."))
-        assert analyze_quorum(files) == []
+    def test_whole_src_tree_is_quorum_clean(self, tree_lint):
+        assert [f for f in tree_lint.findings if f.rule in QUORUM_RULES] == []

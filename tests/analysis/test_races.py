@@ -1,14 +1,14 @@
 """Unit tests for the yield-point atomicity checker (Y601-Y604)."""
 
 import textwrap
-from pathlib import Path
 
-from repro.analysis import analyze_races
+from repro.lint.framework import load_rules, run_source
+
+RACE_RULES = [rule.rule_id for rule in load_rules() if rule.check == "races"]
 
 
 def check(source: str, path: str = "tests/fixture_races.py"):
-    files = [(Path(path), "", textwrap.dedent(source))]
-    return analyze_races(files)
+    return run_source(textwrap.dedent(source), "", path, rules=RACE_RULES)
 
 
 HANDLER = """
@@ -163,8 +163,5 @@ class NotAHandler:
 
 
 class TestRepoClean:
-    def test_whole_src_tree_is_race_clean(self):
-        from repro.taint.indexer import module_files
-
-        files = module_files([Path("src/repro")], Path("."))
-        assert analyze_races(files) == []
+    def test_whole_src_tree_is_race_clean(self, tree_lint):
+        assert [f for f in tree_lint.findings if f.rule in RACE_RULES] == []

@@ -9,6 +9,9 @@ from __future__ import annotations
 import inspect
 import os
 import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.config import ServiceConfig
 from repro.crypto.executor import ALL_EXECUTORS
 from repro.crypto.params import demo_threshold_key
 from repro.dns.zonefile import parse_zone_text
+from repro.lint.framework import Finding, LintConfig, Program, run_program
 
 _FORCED_PLANE = os.environ.get("REPRO_TEST_EXECUTOR")
 if _FORCED_PLANE:
@@ -32,6 +36,8 @@ if _FORCED_PLANE:
     _tail = _params[-len(_defaults):]
     _defaults[_tail.index("crypto_executor")] = _FORCED_PLANE
     ServiceConfig.__init__.__defaults__ = tuple(_defaults)  # type: ignore[misc]
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Tier-1 wall-time budget per test, in seconds; 0 disables.  CI sets it
 #: to 10 (ROADMAP carry-over), local runs leave it off so a loaded box
@@ -93,3 +99,24 @@ def threshold_7_2():
 def threshold_4_1_512():
     """(n=4, t=1) key over a 512-bit modulus (for DNSSEC-size tests)."""
     return demo_threshold_key(4, 1, 512)
+
+
+@dataclass
+class TreeLint:
+    """One all-pass ``repro lint`` run over ``src/repro``."""
+
+    program: Program
+    config: LintConfig
+    findings: List[Finding]
+    elapsed_s: float
+
+
+@pytest.fixture(scope="session")
+def tree_lint():
+    """The whole-tree analyzer run, shared by every test that asserts
+    something about the shipped tree (the run takes seconds)."""
+    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
+    started = time.perf_counter()
+    program = Program.from_paths([REPO_ROOT / "src" / "repro"], REPO_ROOT, config)
+    findings = run_program(program)
+    return TreeLint(program, config, findings, time.perf_counter() - started)

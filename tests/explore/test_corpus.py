@@ -27,14 +27,9 @@ from repro.explore.models import (
     RbcModel,
     rbc_strategies,
 )
-from repro.lint.framework import LintConfig
-from repro.taint.indexer import module_files
+from repro.lint.framework import Program
 
 CORPUS = Path(__file__).parent / "corpus"
-
-#: Static scope for corpus files: fixtures live outside ``src/`` and so
-#: carry an empty module name, which the default ``repro.*`` scope skips.
-CORPUS_CONFIG = LintConfig(races_modules=("*",))
 
 #: Protocol vulns: file -> expected violation hunt (built lazily below).
 PROTOCOL_VULNS = [
@@ -199,8 +194,7 @@ def test_protocol_bug_witnessed(filename):
     "filename,rule", sorted(TASK_VULNS.items())
 )
 def test_task_race_confirmed(filename, rule):
-    files = module_files([CORPUS / filename], CORPUS)
-    outcomes = confirm_races(files, config=CORPUS_CONFIG)
+    outcomes = confirm_races(Program.from_paths([CORPUS / filename], CORPUS))
     assert outcomes, f"{filename}: no {rule} finding to confirm"
     confirmed = [o for o in outcomes if o.original.rule == rule]
     assert confirmed, f"{filename}: static finding is not {rule}"
@@ -219,8 +213,7 @@ def test_task_race_confirmed(filename, rule):
 
 def test_task_corpus_exact_rules():
     # One Y finding per task file, no cross-contamination.
-    files = module_files([CORPUS], CORPUS)
-    outcomes = confirm_races(files, config=CORPUS_CONFIG)
+    outcomes = confirm_races(Program.from_paths([CORPUS], CORPUS))
     by_file = {}
     for o in outcomes:
         by_file.setdefault(Path(o.original.path).name, []).append(o)
@@ -254,8 +247,7 @@ def test_clean_rbc_control_stays_silent():
 def test_clean_task_control_stays_silent():
     path = CORPUS / "clean_task.py"
     # Statically clean: nothing to confirm.
-    files = module_files([path], CORPUS)
-    assert confirm_races(files, config=CORPUS_CONFIG) == []
+    assert confirm_races(Program.from_paths([path], CORPUS)) == []
     # Dynamically clean: every published harness explores exhaustively
     # with zero violations.
     harnesses = _load_harnesses(path, path.read_text())
@@ -280,8 +272,7 @@ def test_whole_corpus_under_budget():
             model, stop_on_first=True, max_schedules=budget
         ).run()
         assert result.violations, filename
-    files = module_files([CORPUS], CORPUS)
-    outcomes = confirm_races(files, config=CORPUS_CONFIG)
+    outcomes = confirm_races(Program.from_paths([CORPUS], CORPUS))
     assert len(outcomes) == len(TASK_VULNS)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"corpus run took {elapsed:.1f}s"

@@ -17,14 +17,9 @@ Y601-Y604 window in production code, this file is the tier-1 tripwire;
 the wide exploration legs live in nightly CI.
 """
 
-from pathlib import Path
-
 from repro.explore.confirm import confirm_races
 from repro.explore.dpor import DporEngine
 from repro.explore.runner import build_model, explore_protocol
-from repro.taint.indexer import module_files
-
-ROOT = Path(__file__).resolve().parents[2]
 
 # Byzantine-sender strategies whose (4, 1) full-mode space the engine
 # finishes in well under a second each (measured: 1-27 DPOR schedules
@@ -101,7 +96,6 @@ class TestProductionProtocolsClean:
 
 
 class TestProductionSourceRaceClean:
-    def test_confirm_races_has_nothing_to_confirm(self):
-        files = module_files([ROOT / "src" / "repro"], ROOT)
-        outcomes = confirm_races(files)
+    def test_confirm_races_has_nothing_to_confirm(self, tree_lint):
+        outcomes = confirm_races(tree_lint.program)
         assert outcomes == [], [o.finding.rule for o in outcomes]

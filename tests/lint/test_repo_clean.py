@@ -1,26 +1,25 @@
 """The shipped tree must be lint-clean against the shipped baseline.
 
-This mirrors the CI ``lint-protocol`` job: running the analyzer over
-``src/repro`` with ``lint-baseline.json`` must produce zero new and zero
-stale findings.  If this test fails you either introduced a violation
-(fix it or suppress it with a justification) or fixed a baselined one
-(run ``repro lint --update-baseline`` to ratchet the ceiling down).
+This mirrors the CI ``lint-protocol`` job: one all-pass run over
+``src/repro`` (the session's ``tree_lint`` fixture, shared by every
+whole-tree assertion) must produce zero new and zero stale findings
+against ``lint-baseline.json``.  If a test here fails you either
+introduced a violation (fix it or suppress it with a justification) or
+fixed a baselined one (run ``repro lint --update-baseline`` to ratchet
+the ceiling down).
 """
 
 from pathlib import Path
 
 from repro.lint.baseline import check_against_baseline, load_baseline
-from repro.lint.framework import LintConfig, run_paths
 from repro.lint.mypy_ratchet import check_strict_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_tree_matches_baseline():
-    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    findings = run_paths([REPO_ROOT / "src" / "repro"], REPO_ROOT, config=config)
+def test_tree_matches_baseline(tree_lint):
     baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-    problems = check_against_baseline(findings, baseline)
+    problems = check_against_baseline(tree_lint.findings, baseline)
     assert problems == [], "\n".join(problems)
 
 
@@ -32,6 +31,11 @@ def test_baseline_is_empty():
     assert baseline == {}, f"baseline grew again: {baseline}"
 
 
+def test_whole_tree_run_under_budget(tree_lint):
+    # Every pass over the whole tree, parsing and indexing included.
+    assert tree_lint.elapsed_s < 30.0, f"repro lint took {tree_lint.elapsed_s:.1f}s"
+
+
 def test_strict_modules_config_consistent():
     strict, problems = check_strict_config(REPO_ROOT / "pyproject.toml")
     assert problems == [], "\n".join(problems)
@@ -41,40 +45,30 @@ def test_strict_modules_config_consistent():
     assert len(strict) >= 3
 
 
-def test_tree_taint_clean():
-    # The interprocedural taint analysis must run clean over the shipped
-    # tree: every true positive it surfaced was fixed, every intentional
-    # pattern carries a justified inline suppression (DESIGN.md §5e).
-    from repro.taint import analyze
-
-    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    findings = analyze([REPO_ROOT / "src" / "repro"], REPO_ROOT, config=config)
-    assert findings == [], "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
-    )
+def test_tree_taint_clean(tree_lint):
+    # Every true positive the taint pass surfaced was fixed, every
+    # intentional pattern carries a justified inline suppression
+    # (DESIGN.md §5e).
+    taint = [f.render() for f in tree_lint.findings if f.rule.startswith("T")]
+    assert taint == [], "\n".join(taint)
 
 
-def test_taint_modules_configured():
-    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    assert "repro.broadcast.*" in config.taint_modules
+def test_taint_modules_configured(tree_lint):
+    patterns = tree_lint.config.scope_patterns["taint"]
+    assert "repro.broadcast.*" in patterns
     # the fault injector is the modeled adversary, not the defended surface
-    assert "!repro.core.faults" in config.taint_modules
+    assert "!repro.core.faults" in patterns
+    assert not tree_lint.config.module_in_scope("repro.core.faults", "taint")
 
 
-def test_tree_protocol_invariants_clean():
-    # The quorum-arithmetic and yield-point checkers (DESIGN.md §5h) must
-    # run clean: every first-run true positive (the 2t+1 quorums) was
-    # fixed to n-t, and every threshold site carries a declared kind.
-    from repro.analysis import analyze
-
-    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    findings = analyze([REPO_ROOT / "src" / "repro"], REPO_ROOT, config=config)
-    assert findings == [], "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
-    )
+def test_tree_protocol_invariants_clean(tree_lint):
+    # The quorum-arithmetic and yield-point passes (DESIGN.md §5h): every
+    # first-run true positive (the 2t+1 quorums) was fixed to n-t, and
+    # every threshold site carries a declared kind.
+    found = [f.render() for f in tree_lint.findings if f.rule[0] in "QY"]
+    assert found == [], "\n".join(found)
 
 
-def test_protocol_invariant_modules_configured():
-    config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
-    assert "repro.broadcast.*" in config.quorum_modules
-    assert "repro.*" in config.races_modules
+def test_protocol_invariant_modules_configured(tree_lint):
+    assert "repro.broadcast.*" in tree_lint.config.scope_patterns["quorum"]
+    assert "repro.*" in tree_lint.config.scope_patterns["races"]

@@ -10,9 +10,11 @@ CRYPTO_MODULE = "repro.crypto.shoup"  # in the crypto scope
 HANDLER_MODULE = "repro.broadcast.abc"  # in the handler scope
 PLAIN_MODULE = "repro.util.events"  # none of the special scopes
 
+AST_RULES = [rule.rule_id for rule in load_rules() if rule.check == "ast"]
+
 
 def rules_for(source, module):
-    findings = run_source(textwrap.dedent(source), module)
+    findings = run_source(textwrap.dedent(source), module, rules=AST_RULES)
     return [f.rule for f in findings]
 
 

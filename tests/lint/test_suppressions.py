@@ -1,14 +1,17 @@
-"""Suppression-comment parsing, staleness reporting (S101), and the
-repo-root anchoring that makes suppressions/baselines work from subdirs."""
+"""Suppression-comment parsing, staleness reporting (S101), scope
+exclusions, and the repo-root anchoring that makes suppressions/baselines
+work from subdirs."""
 
 import textwrap
 
+from repro.cli import main
 from repro.lint.framework import (
     STALE_SUPPRESSION_RULE,
     FileContext,
     LintConfig,
     find_repo_root,
     parse_suppression_comments,
+    run_source,
     stale_suppression_findings,
 )
 
@@ -130,6 +133,60 @@ class TestStaleReporting:
         findings = stale_suppression_findings(ctx, active_rules=["C304", "T404"])
         assert len(findings) == 1
         assert "T404" in findings[0].message
+
+
+class TestOneRun:
+    def test_unregistered_rule_id_is_reported(self):
+        findings = run_source("x = 1  # repro-lint: disable=ZZZ9\n", path="x.py")
+        assert [f.rule for f in findings] == [STALE_SUPPRESSION_RULE]
+        assert "names no registered rule 'ZZZ9'" in findings[0].message
+
+    def test_typo_in_rule_id_is_reported(self):
+        # "T4O4" (letter O) shields nothing, whatever the T404 pass finds.
+        findings = run_source("x = 1  # repro-lint: disable=T4O4\n", path="x.py")
+        assert [f.rule for f in findings] == [STALE_SUPPRESSION_RULE]
+        assert "T4O4" in findings[0].message
+
+    def test_pass_rule_suppression_judged_stale_by_default_run(self, tmp_path, capsys):
+        # Every pass runs by default, so a T/Q/Y suppression that shields
+        # nothing is stale without any opt-in flag.
+        target = tmp_path / "only.py"
+        target.write_text("x = 1  # repro-lint: disable=T404\n")
+        assert main(["lint", "--root", str(tmp_path), str(target)]) == 1
+        out = capsys.readouterr().out
+        assert "S101" in out and "T404" in out
+
+
+class TestScopeExclusion:
+    SOURCE = "import time\ndef f():\n    return time.time()\n"
+
+    def test_exclusion_applies_to_ast_scopes(self):
+        config = LintConfig()
+        config.scope_patterns["deterministic"] = ("repro.*", "!repro.core.faults")
+        excluded = run_source(self.SOURCE, "repro.core.faults", config=config)
+        included = run_source(self.SOURCE, "repro.core.replica", config=config)
+        assert [f.rule for f in excluded] == []
+        assert [f.rule for f in included] == ["D101"]
+
+    def test_pyproject_scope_keys_read_in_one_loop(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro-lint]\n"
+            'deterministic_modules = ["repro.*", "!repro.core.faults"]\n'
+            'races_modules = ["repro.net.*"]\n'
+        )
+        config = LintConfig.from_pyproject(tmp_path / "pyproject.toml")
+        assert not config.module_in_scope("repro.core.faults", "deterministic")
+        assert config.module_in_scope("repro.core.replica", "deterministic")
+        assert config.scope_patterns["races"] == ("repro.net.*",)
+        # untouched scopes keep their defaults
+        assert "repro.broadcast.*" in config.scope_patterns["taint"]
+
+    def test_file_outside_package_only_in_all_and_pass_scopes(self):
+        config = LintConfig()
+        for scope in ("all", "taint", "quorum", "races"):
+            assert config.module_in_scope("", scope)
+        for scope in ("deterministic", "crypto", "handlers"):
+            assert not config.module_in_scope("", scope)
 
 
 class TestRepoRootAnchoring:

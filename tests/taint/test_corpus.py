@@ -1,23 +1,15 @@
-"""Recall pinning for the seeded-vulnerability corpus.
+"""Taint-family view of the shared corpus run (``tests/lint/test_corpus.py``).
 
-Every ``vuln_*`` snippet in ``tests/taint/corpus/`` plants exactly one
-class of Byzantine-taint bug; the analyzer must flag each one with the
-expected rule, and must stay silent on the ``clean_*`` controls.  The
-acceptance bar from the issue is >= 8/10 detected; we pin the exact
-per-file rule sets so a regression in any single rule fails loudly.
+The fixtures live in ``tests/lint/corpus/`` and are analyzed once, by
+the shared runner; these checks restate its T-rule pins under the
+names the taint suite has always used.
 """
-
-import time
-from pathlib import Path
 
 import pytest
 
-from repro.taint import analyze
+from tests.lint import test_corpus as corpus
 
-CORPUS = Path(__file__).parent / "corpus"
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: vuln file -> rule that must fire on it (the seeded bug's rule).
+#: vuln fixture -> rule that must fire on it (the seeded bug's rule).
 EXPECTED = {
     "vuln_t401_share_assembly.py": "T401",
     "vuln_t402_epoch_change.py": "T402",
@@ -40,64 +32,31 @@ CLEAN = [
 ]
 
 
-def rules_for(filename):
-    findings = analyze([CORPUS / filename], CORPUS)
-    return sorted({f.rule for f in findings})
-
-
 def test_corpus_is_complete():
-    names = sorted(p.name for p in CORPUS.glob("*.py"))
-    assert names == sorted(list(EXPECTED) + CLEAN)
+    assert set(EXPECTED) | set(CLEAN) <= set(corpus.EXPECTED)
 
 
 @pytest.mark.parametrize("filename,rule", sorted(EXPECTED.items()))
 def test_seeded_vulnerability_detected(filename, rule):
-    assert rule in rules_for(filename), f"{filename} must trigger {rule}"
+    assert rule in corpus.rules_for(filename), f"{filename} must trigger {rule}"
 
 
 @pytest.mark.parametrize("filename", CLEAN)
 def test_clean_controls_stay_silent(filename):
-    assert rules_for(filename) == []
+    assert corpus.rules_for(filename) == []
 
 
 def test_recall_at_least_eight_of_ten():
-    # Redundant with the per-file pins, but states the issue's acceptance
-    # criterion directly: >= 8/10 seeded vulnerabilities detected.
     detected = sum(
-        1 for filename, rule in EXPECTED.items() if rule in rules_for(filename)
+        1 for filename, rule in EXPECTED.items() if rule in corpus.rules_for(filename)
     )
-    assert detected >= 8, (
-        f"only {detected}/{len(EXPECTED)} seeded vulnerabilities detected"
-    )
+    assert detected >= 8, f"only {detected}/{len(EXPECTED)} seeded vulnerabilities detected"
 
 
 def test_exact_finding_rules_per_file():
-    # The full per-file signature: catches both missed bugs and new
-    # false positives inside the corpus.
-    assert rules_for("vuln_t401_share_assembly.py") == ["T401"]
-    assert rules_for("vuln_t402_epoch_change.py") == ["T402"]
-    assert rules_for("vuln_t403_alloc.py") == ["T403"]
-    assert rules_for("vuln_t404_growth.py") == ["T404"]
-    assert rules_for("vuln_t405_zone_write.py") == ["T405"]
-    assert rules_for("vuln_t406_identity_slot.py") == ["T406"]
-    assert rules_for("vuln_t407_launder.py") == ["T407"]
-    # The late-verify snippet both hits the sink unverified (T401) and
-    # shows the sanitizer-after-sink ordering bug (T408).
-    assert rules_for("vuln_t408_late_verify.py") == ["T401", "T408"]
-    # The cross-function variant: the sanitizer lives one call-hop below
-    # the handler, so only the summary's sanitize replay can order it
-    # against the sink already hit in the caller.
-    assert rules_for("vuln_t408_cross_function.py") == ["T401", "T408"]
-    assert rules_for("vuln_interprocedural.py") == ["T401"]
-    # Attr-flow stores the share under an attacker-chosen key (T404)
-    # and assembles it unverified elsewhere (T401).
-    assert rules_for("vuln_attr_flow.py") == ["T401", "T404"]
+    for filename in EXPECTED:
+        assert corpus.rules_for(filename) == corpus.EXPECTED[filename], filename
 
 
-def test_full_repo_analysis_under_budget():
-    # Issue acceptance: whole-program analysis completes in < 30 s.
-    src = REPO_ROOT / "src"
-    start = time.monotonic()
-    analyze([src], REPO_ROOT)
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0, f"full-repo taint analysis took {elapsed:.1f}s"
+def test_full_repo_analysis_under_budget(tree_lint):
+    assert tree_lint.elapsed_s < 30.0, f"whole-tree run took {tree_lint.elapsed_s:.1f}s"

@@ -7,21 +7,21 @@ marker/sanitizer mechanics the corpus relies on.
 """
 
 import textwrap
-from pathlib import Path
 
-from repro.lint.framework import LintConfig
-from repro.taint import analyze_files
+from repro.lint.framework import LintConfig, Program, load_rules, run_program
 
 MODULE = "repro.broadcast.snippet"
 
+TAINT_RULES = [rule.rule_id for rule in load_rules() if rule.check == "taint"]
+
 
 def run(*sources, module=MODULE, config=None):
-    """Analyze in-memory sources; returns the sorted rule list."""
+    """Taint-analyze in-memory sources; returns the sorted rule list."""
     files = [
-        (Path(f"snippet{i}.py"), module if i == 0 else f"{module}{i}", textwrap.dedent(src))
+        (f"snippet{i}.py", module if i == 0 else f"{module}{i}", textwrap.dedent(src))
         for i, src in enumerate(sources)
     ]
-    return sorted(f.rule for f in analyze_files(files, config=config))
+    return sorted(f.rule for f in run_program(Program(files, config), TAINT_RULES))
 
 
 class TestHandlerRegistration:
@@ -123,6 +123,30 @@ class TestProtocolAttributeResolution:
 
                 def on_message(self, sender, msg):
                     return self.executor.finish([msg.share])
+            """
+        ) == []
+
+
+    def test_lone_user_method_does_not_capture_builtin_calls(self):
+        # The only user-defined ``add`` in the program must not become the
+        # target of every ``set.add`` on a receiver of unknown type.
+        assert run(
+            """
+            class Keyring:
+                def __init__(self):
+                    self._keys = {}
+
+                def add(self, key):
+                    self._keys[key.name] = key
+
+            class Endpoint:
+                def __init__(self):
+                    self.seen = set()
+
+                def on_message(self, sender, msg):
+                    if len(self.seen) < 8:
+                        local = set()
+                        local.add(msg.key)
             """
         ) == []
 
@@ -279,9 +303,8 @@ class TestSanitizerMechanics:
 
 class TestScope:
     def test_exclusion_pattern_wins(self):
-        config = LintConfig(
-            taint_modules=("repro.broadcast.*", "!" + MODULE)
-        )
+        config = LintConfig()
+        config.scope_patterns["taint"] = ("repro.broadcast.*", "!" + MODULE)
         assert run(
             """
             class Endpoint:
