@@ -69,8 +69,8 @@ ECHO_TYPES: Dict[str, Tuple[str, ...]] = {
 #: each replica forwards its own fragment once (FRAG).
 DISSEMINATION_TYPES: Dict[str, Tuple[str, ...]] = {
     "full": ("RbcSend",),
-    "digest": ("RbcSend", "RbcPayload"),
-    "erasure": ("RbcVal", "RbcFrag", "RbcPayload"),
+    "digest": ("RbcSend", "PayloadReply"),
+    "erasure": ("RbcVal", "RbcFrag", "PayloadReply"),
 }
 
 _results: dict = {}

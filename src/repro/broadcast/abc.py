@@ -53,15 +53,16 @@ from repro.broadcast.messages import (
     AbcInitiate,
     AbcNewEpoch,
     AbcOrder,
-    AbcPayload,
     AbcPrepare,
-    AbcPull,
     CoinShare,
+    PayloadPull,
+    PayloadReply,
     PrepareCertificate,
     decode_batch,
     encode_batch,
     is_batch_payload,
 )
+from repro.broadcast.recovery import PayloadRecovery, PullKey
 from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES, FragmentStore
 from repro.crypto.executor import CryptoExecutor
 from repro.crypto.merkle import merkle_proof, merkle_root, merkle_verify
@@ -116,20 +117,6 @@ DISSEMINATION_MODES = ("full", "digest", "erasure")
 #: (``AtomicBroadcast(rebatch_max=1)`` keeps the paper's one request per
 #: slot.)
 LEADER_BATCH_MAX = 32
-
-#: Delay before (re)pulling the payload behind an unresolved digest-mode
-#: ORDER.  The happy path never pulls: the INITIATE or the reconstructed
-#: erasure payload is already in flight when the ORDER arrives.
-PULL_RETRY_TIMEOUT = 0.25
-
-#: Pull attempts per request before giving up and letting the complaint /
-#: epoch-change machinery own liveness for the stalled slot.
-MAX_PULL_ATTEMPTS = 8
-
-#: Pull responses served per requesting peer — a pull serves a full
-#: payload, so without a budget a Byzantine peer could use an honest
-#: replica as a bandwidth amplifier.
-MAX_PULL_SERVES_PER_SENDER = 64
 
 #: Payloads below this size are cheaper to fan out whole than to frame as
 #: ``n`` Merkle-proven fragments; erasure mode sends them as plain
@@ -396,8 +383,6 @@ class AtomicBroadcast:
         # the pull fallback.  The payload archive keeps recently delivered
         # payloads around so this replica can serve late peers' pulls.
         self._awaiting_order: Dict[str, Tuple[int, AbcOrder]] = {}
-        self._pull_attempt: Dict[str, int] = {}
-        self._pull_served: Dict[int, int] = {}
         self._payload_archive: BoundedLRU[str, bytes] = BoundedLRU(
             PAYLOAD_STORE_ENTRIES
         )
@@ -421,11 +406,13 @@ class AtomicBroadcast:
             "surplus_prepares": 0,
             "rebatches": 0,
             "rebatched_requests": 0,
-            "pulls_sent": 0,
-            "pulls_served": 0,
             "erasure_disperses": 0,
             "erasure_reconstructions": 0,
         }
+        self._recovery = PayloadRecovery(
+            n, me, self.stats, self._serve_pull, schedule,
+            lambda outgoing: [self._send(dest, m) for dest, m in outgoing],
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -479,10 +466,12 @@ class AtomicBroadcast:
             self._on_epoch_final(sender, msg)
         elif isinstance(msg, AbcNewEpoch):
             self._on_new_epoch(sender, msg)
-        elif isinstance(msg, AbcPull):
-            self._on_pull(sender, msg)
-        elif isinstance(msg, AbcPayload):
-            self._on_payload(sender, msg)
+        elif isinstance(msg, PayloadPull):
+            for dest, reply in self._recovery.on_pull(sender, msg):
+                self._send(dest, reply)
+        elif isinstance(msg, PayloadReply):
+            if self._recovery.on_reply(sender, msg):
+                self._on_pulled(msg.sid, msg.payload)
         elif isinstance(msg, AbcFrag):
             self._on_frag(sender, msg)
         elif isinstance(msg, tuple) and len(msg) == 2 and isinstance(msg[0], AbcEpochFinal):
@@ -693,7 +682,7 @@ class AtomicBroadcast:
 
         The happy path resolves itself: the INITIATE (or the reconstructed
         erasure payload) is already in flight and replays the order on
-        arrival.  The pull timer only ends up sending traffic against a
+        arrival.  The pull chain only ends up sending traffic against a
         gateway or leader that withheld the payload.
         """
         if msg.request_id in self._awaiting_order:
@@ -701,66 +690,43 @@ class AtomicBroadcast:
         if len(self._awaiting_order) >= MAX_SEQ_AHEAD:
             return  # window-bounded; the slot stalls and complaints fire
         self._awaiting_order[msg.request_id] = (sender, msg)
-        self._pull_attempt[msg.request_id] = 0
-        self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry_pull(msg.request_id))
+        self._recovery.want(
+            (msg.request_id, b""),
+            self._pull_candidates,
+            lambda key, payload: derive_request_id(payload) == key[0],
+        )
 
     def _replay_awaited(self, rid: str, payload: bytes) -> None:
         """Re-dispatch a buffered digest ORDER now that its payload is known."""
         entry = self._awaiting_order.pop(rid, None)
-        self._pull_attempt.pop(rid, None)
         if entry is None:
             return
+        self._recovery.cancel((rid, b""))
         sender, order = entry
         self._on_order(
             sender, AbcOrder(order.epoch, order.seq, order.request_id, payload)
         )
 
-    def _retry_pull(self, rid: str) -> None:
-        if rid not in self._awaiting_order or rid in self.delivered_ids:
-            return
-        payload = self._resolve_payload(rid)
-        if payload is not None:
-            self._replay_awaited(rid, payload)
-            return
-        attempt = self._pull_attempt.get(rid, 0)
-        if attempt >= MAX_PULL_ATTEMPTS:
-            # Stop pulling; the complaint / epoch-change machinery owns
-            # liveness for the stalled slot from here.
-            return
-        self._pull_attempt[rid] = attempt + 1
-        # Start with the leader (an honest leader always holds what it
-        # ordered) and rotate through the other replicas on retry.
-        target = (self.leader + attempt) % self.n
-        if target == self.me:
-            target = (target + 1) % self.n
-        self.stats["pulls_sent"] += 1
-        self._send(target, AbcPull(rid))
-        self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry_pull(rid))
+    def _on_pulled(self, rid: str, payload: bytes) -> None:
+        """The withheld INITIATE, pulled and verified: it replaces a forged
+        ``pending`` entry, and its ORDER replays even if ``pending`` is full
+        (the chain that fetched it is closed)."""
+        if rid in self.pending or len(self.pending) < MAX_PENDING_REQUESTS:
+            self.pending[rid] = payload
+        else:
+            self.stats["initiates_dropped"] += 1
+        self._replay_awaited(rid, payload)
 
-    def _on_pull(self, sender: int, msg: AbcPull) -> None:
-        if sender == self.me or not 0 <= sender < self.n:  # repro-quorum: identity-bound
-            return
-        served = self._pull_served.get(sender, 0)
-        if served >= MAX_PULL_SERVES_PER_SENDER:
-            return  # per-peer budget: pulls cannot become an amplifier
-        payload = self._resolve_payload(msg.request_id)
-        if payload is None:
-            return
-        self._pull_served[sender] = served + 1
-        self.stats["pulls_served"] += 1
-        self._send(sender, AbcPayload(msg.request_id, payload))
+    def _pull_candidates(self) -> List[int]:
+        """The leader (it holds what it ordered), then the ring."""
+        ring = [(self.leader + k) % self.n for k in range(self.n)]
+        return [replica for replica in ring if replica != self.me]
 
-    def _on_payload(self, sender: int, msg: AbcPayload) -> None:
-        if msg.request_id not in self._awaiting_order:
-            return  # unsolicited payload push
-        if derive_request_id(msg.payload) != msg.request_id:
-            return  # forged response; the retry chain keeps pulling
-        if msg.request_id not in self.pending:
-            if len(self.pending) >= MAX_PENDING_REQUESTS:
-                self.stats["initiates_dropped"] += 1
-            else:
-                self.pending[msg.request_id] = msg.payload
-        self._replay_awaited(msg.request_id, msg.payload)
+    def _serve_pull(self, key: PullKey) -> List[object]:
+        # Only the canonical key: a fresh digest per pull must not buy a
+        # fresh serve budget.
+        payload = self._resolve_payload(key[0]) if key[1] == b"" else None
+        return [] if payload is None else [PayloadReply(key[0], b"", payload)]
 
     def _disperse(self, rid: str, payload: bytes) -> None:
         """Erasure-mode request introduction (AVID-M style).
@@ -986,7 +952,7 @@ class AtomicBroadcast:
         self.delivered_log.append((seq, rid))
         self.pending.pop(rid, None)
         self._awaiting_order.pop(rid, None)
-        self._pull_attempt.pop(rid, None)
+        self._recovery.cancel((rid, b""))
         self._frag_forwarded.pop(rid, None)
         self._frag_store.discard(rid)
         # Keep the payload pullable for peers whose digest ORDER outlived

@@ -139,19 +139,27 @@ class RbcFrag:
     proof: MerkleProof
 
 
+# --------------------------------------------------------------------------
+# Payload recovery (both digest fast paths, broadcast/recovery.py)
+# --------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class RbcPull:
-    """Request the payload (or fragments) behind a quorum-agreed digest."""
+class PayloadPull:
+    """Ask a peer for the payload behind ``(sid, digest)``: an RBC session
+    and its payload digest or fragment root, or an ABC request id and
+    ``b""`` (request ids are payload digests themselves)."""
 
     sid: str
     digest: bytes
 
 
 @dataclass(frozen=True)
-class RbcPayload:
-    """Pull response: the full payload for a previously requested digest."""
+class PayloadReply:
+    """The payload for ``(sid, digest)``, checked against that key."""
 
     sid: str
+    digest: bytes
     payload: bytes
 
 
@@ -284,21 +292,6 @@ class AbcNewEpoch:
     epoch: int  # the NEW epoch
     certificates: Tuple[Tuple[AbcEpochFinal, bytes], ...]
     start_seq: int
-
-
-@dataclass(frozen=True)
-class AbcPull:
-    """Request the payload behind a digest-mode ORDER we could not match."""
-
-    request_id: str
-
-
-@dataclass(frozen=True)
-class AbcPayload:
-    """Pull response: the full request payload for ``request_id``."""
-
-    request_id: str
-    payload: bytes
 
 
 @dataclass(frozen=True)

@@ -45,15 +45,16 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.messages import (
     MerkleProof,
+    PayloadPull,
+    PayloadReply,
     RbcEcho,
     RbcEchoDigest,
     RbcFrag,
-    RbcPayload,
-    RbcPull,
     RbcReady,
     RbcSend,
     RbcVal,
 )
+from repro.broadcast.recovery import PayloadRecovery, PullKey
 from repro.crypto.merkle import merkle_proof, merkle_root, merkle_verify
 from repro.errors import ConfigError
 from repro.util.erasure import ErasureError, rs_encode, rs_decode
@@ -63,18 +64,6 @@ BROADCAST = -1
 
 #: Dissemination modes accepted by :class:`ReliableBroadcast`.
 RBC_MODES = ("full", "digest", "erasure")
-
-#: A replica answers at most this many pulls per requester per session —
-#: enough to survive adversarial duplication, bounded against spam.
-MAX_PULL_SERVES = 3
-
-#: Pull retries stop after cycling the candidate list this many times;
-#: the final round falls back to pulling from every candidate at once,
-#: so delivery needs only one honest echo voter (>= t+1 of them exist).
-MAX_PULL_ROUNDS = 3
-
-#: Seconds between staged pull retries (when a scheduler is wired in).
-PULL_RETRY_TIMEOUT = 0.25
 
 
 def _digest(payload: bytes) -> bytes:
@@ -106,8 +95,6 @@ class RbcInstance:
         #: the ready quorum formed before the payload arrived.  The
         #: multiplexer owns the retry schedule.
         self.want_pull: Optional[bytes] = None
-        self.pull_active = False
-        self.pull_attempt = 0
         self._echoes: Dict[bytes, Set[int]] = {}
         self._readies: Dict[bytes, Set[int]] = {}
         self._payload_by_digest: Dict[bytes, bytes] = {}
@@ -119,7 +106,6 @@ class RbcInstance:
         #: Roots whose reconstruction failed the re-encode check: the
         #: sender encoded inconsistently, so no honest replica delivers.
         self._bad_roots: Set[bytes] = set()
-        self._pull_served: Dict[int, int] = {}
         self._sent_echo = False
         self._sent_ready = False
 
@@ -155,10 +141,6 @@ class RbcInstance:
             out.extend(self._on_frag(sender, msg))
         elif isinstance(msg, RbcReady):
             out.extend(self._on_ready(sender, msg))
-        elif isinstance(msg, RbcPull):
-            out.extend(self._on_pull(sender, msg))
-        elif isinstance(msg, RbcPayload):
-            out.extend(self._on_payload(sender, msg))
         return out
 
     # -- payload introduction -------------------------------------------------
@@ -298,7 +280,6 @@ class RbcInstance:
             payload = self._reconstruct(digest)
         if payload is not None:
             self.delivered = payload
-            self.want_pull = None
             return
         if self.want_pull is None:
             self.want_pull = digest
@@ -332,37 +313,18 @@ class RbcInstance:
             return []
         return sorted(self._echoes.get(self.want_pull, set()) - {self.me})
 
-    def _on_pull(self, sender: int, msg: RbcPull) -> List[Outgoing]:
-        served = self._pull_served.get(sender, 0)
-        if sender == self.me or served >= MAX_PULL_SERVES:
-            return []
-        payload = self._payload_by_digest.get(msg.digest)
+    def pull_reply(self, digest: bytes) -> List[object]:
+        """A puller gets the payload, else the stored fragments, else []."""
+        payload = self._payload_by_digest.get(digest)
         if payload is not None:
-            self._pull_served[sender] = served + 1
-            return [(sender, RbcPayload(self.sid, payload))]
-        group = self._frags.get(msg.digest)
-        if group:
-            self._pull_served[sender] = served + 1
-            return [
-                (sender, RbcFrag(self.sid, msg.digest, idx, frag, proof))
-                for idx, (frag, proof) in sorted(group.items())
-            ]
-        return []
+            return [PayloadReply(self.sid, digest, payload)]
+        return [
+            RbcFrag(self.sid, digest, idx, frag, proof)
+            for idx, (frag, proof) in sorted(self._frags.get(digest, {}).items())
+        ]
 
-    def _on_payload(self, sender: int, msg: RbcPayload) -> List[Outgoing]:
-        if self.delivered is not None or self.want_pull is None:
-            return []
-        digest = self.want_pull
-        if not self._payload_matches(digest, msg.payload):
-            return []  # unsolicited or forged payload: dropped
-        # Bounded: only the single quorum-agreed digest is ever stored
-        # from a pull response.
-        # repro-lint: disable=C304
-        self._payload_by_digest[digest] = msg.payload
-        self._maybe_complete(digest)
-        return []
-
-    def _payload_matches(self, digest: bytes, payload: bytes) -> bool:
+    def _payload_matches(self, key: PullKey, payload: bytes) -> bool:
+        digest = key[1]  # the awaited digest or fragment root
         if _digest(payload) == digest:
             return True
         if self.mode == "erasure" or digest in self._frags:
@@ -374,12 +336,9 @@ class RbcInstance:
 class ReliableBroadcast:
     """Session multiplexer: one per replica, any number of concurrent sids.
 
-    ``schedule``/``emit`` wire in staged pull retries: ``schedule(delay,
-    thunk)`` arms a timer and ``emit(outgoing)`` transmits messages from
-    timer context.  Without them, a needed pull degrades to one burst to
-    every candidate — correct (>= t+1 candidates are honest) but less
-    frugal; with them, candidates are tried one at a time with a timeout,
-    ending in a burst after :data:`MAX_PULL_ROUNDS` cycles.
+    ``schedule(delay, thunk)`` / ``emit(outgoing)`` drive the pull chains
+    of :mod:`repro.broadcast.recovery`.  Without them, a needed pull is one
+    burst to every echo voter: correct (>= t+1 are honest), less frugal.
     """
 
     def __init__(
@@ -391,7 +350,6 @@ class ReliableBroadcast:
         mode: str = "digest",
         schedule: Optional[Callable[[float, Callable[[], None]], object]] = None,
         emit: Optional[Callable[[List[Outgoing]], None]] = None,
-        pull_timeout: float = PULL_RETRY_TIMEOUT,
     ) -> None:
         if n <= 3 * t:
             raise ConfigError("reliable broadcast requires n > 3t")
@@ -401,11 +359,12 @@ class ReliableBroadcast:
         self.t = t
         self.me = me
         self.mode = mode
-        self.pull_timeout = pull_timeout
         self._deliver = deliver
-        self._schedule = schedule
-        self._emit = emit
         self._instances: Dict[str, RbcInstance] = {}
+        self.stats: Dict[str, int] = {}
+        self._recovery = PayloadRecovery(
+            n, me, self.stats, self._serve_pull, schedule, emit
+        )
 
     def _instance(self, sid: str) -> RbcInstance:
         if sid not in self._instances:
@@ -430,15 +389,27 @@ class ReliableBroadcast:
         return out
 
     def on_message(self, sender: int, msg: object) -> List[Outgoing]:
+        if isinstance(msg, PayloadPull):
+            return self._recovery.on_pull(sender, msg)
         sid = getattr(msg, "sid", None)
         if not isinstance(sid, str):
             return []
         instance = self._instance(sid)
         already = instance.delivered is not None
-        out = instance.on_message(sender, msg)
-        if instance.delivered is None and instance.want_pull is not None:
-            out.extend(self._start_pull(instance))
+        out: List[Outgoing] = []
+        if not isinstance(msg, PayloadReply):
+            out = instance.on_message(sender, msg)
+        elif self._recovery.on_reply(sender, msg):  # key (sid, want_pull), verified
+            instance._payload_by_digest[msg.digest] = msg.payload
+            instance._maybe_complete(msg.digest)
+        wanted = instance.want_pull
+        if wanted is not None and instance.delivered is None:
+            out += self._recovery.want(
+                (sid, wanted), instance.pull_candidates, instance._payload_matches
+            )
         if instance.delivered is not None and not already:
+            if wanted is not None:
+                self._recovery.cancel((sid, wanted))
             self._deliver(sid, instance.delivered)
         return out
 
@@ -446,54 +417,6 @@ class ReliableBroadcast:
         instance = self._instances.get(sid)
         return instance.delivered if instance else None
 
-    # -- pull fallback ---------------------------------------------------------
-
-    def _start_pull(self, instance: RbcInstance) -> List[Outgoing]:
-        if instance.pull_active or instance.want_pull is None:
-            return []
-        candidates = instance.pull_candidates()
-        if not candidates:
-            return []  # re-triggered when the next vote arrives
-        instance.pull_active = True
-        if self._schedule is None or self._emit is None:
-            # No timer plumbing: pull from everyone at once.  At least
-            # t+1 candidates are honest, so one response is guaranteed.
-            return [
-                (dest, RbcPull(instance.sid, instance.want_pull))
-                for dest in candidates
-            ]
-        target = candidates[instance.pull_attempt % len(candidates)]
-        instance.pull_attempt += 1
-        self._schedule(
-            self.pull_timeout, lambda: self._retry_pull(instance.sid)
-        )
-        return [(target, RbcPull(instance.sid, instance.want_pull))]
-
-    def _retry_pull(self, sid: str) -> None:
-        instance = self._instances.get(sid)
-        if (
-            instance is None
-            or instance.delivered is not None
-            or instance.want_pull is None
-            or self._emit is None
-        ):
-            return
-        candidates = instance.pull_candidates()
-        if not candidates:
-            return
-        if instance.pull_attempt >= MAX_PULL_ROUNDS * len(candidates):
-            # Terminal burst: ask every candidate, stop the timer chain.
-            self._emit(
-                [
-                    (dest, RbcPull(instance.sid, instance.want_pull))
-                    for dest in candidates
-                ]
-            )
-            return
-        target = candidates[instance.pull_attempt % len(candidates)]
-        instance.pull_attempt += 1
-        self._emit([(target, RbcPull(instance.sid, instance.want_pull))])
-        if self._schedule is not None:
-            self._schedule(
-                self.pull_timeout, lambda: self._retry_pull(sid)
-            )
+    def _serve_pull(self, key: PullKey) -> List[object]:
+        instance = self._instances.get(key[0])
+        return [] if instance is None else instance.pull_reply(key[1])

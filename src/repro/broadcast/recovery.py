@@ -1,0 +1,135 @@
+"""Payload recovery: the one pull of both digest fast paths (DESIGN.md §5i).
+
+RBC (ready quorum, no payload) and ABC (digest ORDER, no INITIATE) each
+hold one :class:`PayloadRecovery`: one retry chain per wanted key, one
+serve budget, and the counters :data:`PULL_COUNTERS` in the host's stats.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.broadcast.messages import PayloadPull, PayloadReply
+from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES
+from repro.util.lru import BoundedLRU
+
+Outgoing = Tuple[int, object]
+PullKey = Tuple[str, bytes]  # (sid, digest), as both messages carry it
+Candidates = Callable[[], List[int]]
+Accept = Callable[[PullKey, bytes], bool]
+
+#: Seconds before the first pull (the payload is usually in flight) and
+#: between the single pulls that follow.
+PULL_RETRY_TIMEOUT = 0.25
+#: Cycles through the candidates before the burst that ends a chain.
+MAX_PULL_ROUNDS = 3
+#: Replies per (requester, key): a reply is a whole payload, so an
+#: unbudgeted server would be a bandwidth amplifier.
+MAX_PULL_SERVES = 3
+
+#: refused = budget hit; rejected = forged or unsolicited; exhausted =
+#: chains that reached their burst.
+PULL_COUNTERS = ("pulls_sent", "pulls_served", "pulls_refused",
+                 "pull_replies_rejected", "pull_chains_exhausted")
+
+
+@dataclass
+class _Chain:
+    candidates: Candidates
+    accept: Accept
+    attempt: int = 0
+
+
+class PayloadRecovery:
+    """One replica's pull requester and server for one protocol.
+
+    ``serve(key)`` returns the replies for a key held here (``[]`` for
+    any other key); ``emit`` sends from ``schedule``'s timers, and
+    without both a chain is its burst alone.  RBC passes bound methods,
+    so the explorer's deep-copied snapshots stay self-contained.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        me: int,
+        stats: Dict[str, int],
+        serve: Callable[[PullKey], List[object]],
+        schedule: Optional[Callable[[float, Callable[[], None]], Any]] = None,
+        emit: Optional[Callable[[List[Outgoing]], Any]] = None,
+    ) -> None:
+        self.n = n
+        self.me = me
+        self.stats = stats
+        stats.update(dict.fromkeys(PULL_COUNTERS, 0))
+        self._serve = serve
+        self._schedule = schedule
+        self._emit = emit
+        # One chain per key the host awaits (ABC: buffered digest ORDERs,
+        # <= MAX_SEQ_AHEAD; RBC: undelivered sessions) until it cancels.
+        # An accepted reply closes its chain; a burst leaves it open (for
+        # the replies) without a timer.
+        self._chains: Dict[PullKey, _Chain] = {}
+        self._served: BoundedLRU[Tuple[int, PullKey], int] = BoundedLRU(
+            n * PAYLOAD_STORE_ENTRIES
+        )
+
+    def want(self, key: PullKey, candidates: Candidates, accept: Accept) -> List[Outgoing]:
+        """Open the chain for ``key`` unless one is open or nobody holds
+        the payload yet; returns what to send now (the timerless burst)."""
+        if key in self._chains or not candidates():
+            return []
+        chain = self._chains[key] = _Chain(candidates, accept)
+        if self._schedule is None or self._emit is None:
+            return self._burst(key, chain)
+        self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry(key, chain))
+        return []
+
+    def cancel(self, key: PullKey) -> None:
+        self._chains.pop(key, None)
+
+    def on_reply(self, sender: int, msg: PayloadReply) -> bool:
+        """Whether the reply answers an open chain and verifies; if so,
+        the chain is closed and the host takes ``msg.payload``."""
+        key = (msg.sid, msg.digest)
+        chain = self._chains.get(key)
+        if chain is None or not chain.accept(key, msg.payload):
+            self.stats["pull_replies_rejected"] += 1
+            return False
+        del self._chains[key]
+        return True
+
+    def _retry(self, key: PullKey, chain: _Chain) -> None:
+        if self._chains.get(key) is not chain:
+            return  # cancelled or answered: send nothing
+        assert self._schedule is not None and self._emit is not None  # armed only with both
+        candidates = chain.candidates()
+        if chain.attempt >= MAX_PULL_ROUNDS * len(candidates):
+            self._emit(self._burst(key, chain))
+            return
+        target = candidates[chain.attempt % len(candidates)]
+        chain.attempt += 1
+        self.stats["pulls_sent"] += 1
+        self._emit([(target, PayloadPull(*key))])
+        self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry(key, chain))
+
+    def _burst(self, key: PullKey, chain: _Chain) -> List[Outgoing]:
+        self.stats["pull_chains_exhausted"] += 1
+        out: List[Outgoing] = [(dest, PayloadPull(*key)) for dest in chain.candidates()]
+        self.stats["pulls_sent"] += len(out)
+        return out
+
+    def on_pull(self, sender: int, msg: PayloadPull) -> List[Outgoing]:
+        if sender == self.me or not 0 <= sender < self.n:  # repro-quorum: identity-bound
+            return []
+        key = (msg.sid, msg.digest)
+        served = self._served.peek((sender, key)) or 0
+        if served >= MAX_PULL_SERVES:
+            self.stats["pulls_refused"] += 1
+            return []
+        replies = self._serve(key)
+        if replies:
+            self._served.put((sender, key), served + 1)
+            self.stats["pulls_served"] += 1
+        return [(sender, reply) for reply in replies]

@@ -19,6 +19,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.broadcast.recovery import PULL_COUNTERS
 from repro.chaos.invariants import InvariantReport, check_invariants
 from repro.config import ServiceConfig
 from repro.core.client import CompletedOp
@@ -527,15 +528,10 @@ def run_scenario(
             sum(r.stats["batches_delivered"] for r in honest),
         )
     )
+    bcast_keys = PULL_COUNTERS + ("erasure_disperses", "erasure_reconstructions")
     lines.append(
-        "bcast stats mode={} pulls_sent={} pulls_served={} "
-        "erasure_disperses={} erasure_reconstructions={}".format(
-            scenario.broadcast_mode,
-            sum(s["pulls_sent"] for s in abc_stats),
-            sum(s["pulls_served"] for s in abc_stats),
-            sum(s["erasure_disperses"] for s in abc_stats),
-            sum(s["erasure_reconstructions"] for s in abc_stats),
-        )
+        f"bcast stats mode={scenario.broadcast_mode} "
+        + " ".join(f"{k}={sum(s[k] for s in abc_stats)}" for k in bcast_keys)
     )
     # Per-replica bandwidth ledger (replica node ids are 0..n-1; higher
     # ids are client endpoints).  Deterministic: byte counters are part

@@ -50,6 +50,7 @@ from repro.broadcast.messages import (
     AbaEst,
     AbcCommit,
     AbcComplain,
+    AbcInitiate,
     AbcOrder,
     CoinShare,
     RbcEcho,
@@ -425,7 +426,9 @@ def abc_strategies(
 ) -> List[ByzStrategy]:
     """Byzantine-*leader* palettes for atomic broadcast (leader of epoch 0
     is replica 0): silence forces the complaint/recovery path; sequence
-    equivocation assigns the same slot to different requests per camp."""
+    equivocation assigns the same slot to different requests per camp;
+    withholding INITIATEs a fresh request at one honest replica only and
+    digest-ORDERs it everywhere, so the rest must pull it from there."""
     strategies = [ByzStrategy("silent")]
     if len(payloads) >= 2 and len(honest) >= 2:
         group_a, group_b = _split(honest)
@@ -440,6 +443,11 @@ def abc_strategies(
                 ),
             )
         )
+    if honest:
+        rid = derive_request_id(b"req-withheld")
+        initiate = (honest[0], AbcInitiate(rid, b"req-withheld"))
+        orders = tuple((dest, AbcOrder(0, 0, rid, b"")) for dest in honest)
+        strategies.append(ByzStrategy("withhold-payload", (initiate,) + orders))
     return strategies
 
 
@@ -685,10 +693,8 @@ class RbcModel(BaseMessageModel):
         if rbc_cls is RbcInstance:
             self._oracle = oracle_for("repro.broadcast.rbc:RbcInstance")
         # Wrapper-level effects invisible to the RbcInstance-scoped
-        # static footprints (pull kick-off, delivery hand-off).
-        self._footprint_extra = frozenset(
-            {"pull_active", "want_pull", "delivered", "pull_attempt"}
-        )
+        # static footprints (PayloadRecovery state, delivery hand-off).
+        self._footprint_extra = frozenset({"want_pull", "delivered", "_chains", "_served"})
 
     @property
     def _honest(self) -> List[int]:
@@ -716,7 +722,7 @@ class RbcModel(BaseMessageModel):
         # digest), never on the transport-layer sender; READY votes are
         # per-sender set-inserts counted per digest.  Equal votes from
         # different replicas therefore commute.  Pull traffic
-        # (RbcPull/RbcPayload/RbcVal/RbcFrag) stays order-sensitive:
+        # (PayloadPull/PayloadReply/RbcVal/RbcFrag) stays order-sensitive:
         # responses depend on who asked and what arrived first.
         if self.rbc_cls is not RbcInstance:
             return None  # corpus fixtures may break the commutation proof
@@ -989,7 +995,8 @@ class AbcModel(BaseMessageModel):
         self._current_index = -1
         if abc_cls is AtomicBroadcast:
             self._oracle = oracle_for("repro.broadcast.abc:AtomicBroadcast")
-        self._footprint_extra = frozenset({"aba", "delivered_log"})
+        # ABA and PayloadRecovery state: reached through attributes.
+        self._footprint_extra = frozenset({"aba", "delivered_log", "_chains", "_served"})
 
     @property
     def _honest(self) -> List[int]:

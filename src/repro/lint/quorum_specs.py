@@ -136,13 +136,12 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     ("repro.broadcast.abc", "_on_new_epoch", "msg.epoch % self.n", "declared"),
     ("repro.broadcast.abc", "_validate_new_epoch", "n", "identity-bound"),
     ("repro.broadcast.abc", "_validate_new_epoch", "n-t", "intersect"),
-    # Digest-mode pull serving: requester identity bounds the per-peer
-    # serve budget table.
-    ("repro.broadcast.abc", "_on_pull", "n", "identity-bound"),
     # Erasure dissemination: fragment indices are replica identities, and
     # any n-2t verified fragments reconstruct the request payload.
     ("repro.broadcast.abc", "_on_frag", "n", "identity-bound"),
     ("repro.broadcast.abc", "_on_frag", "n-2t", "reconstruct"),
+    # Pull serving (RBC and ABC): requester identity bounds the serve budget.
+    ("repro.broadcast.recovery", "on_pull", "n", "identity-bound"),
     # -- repro.broadcast.rbc: Bracha reliable broadcast -------------------
     ("repro.broadcast.rbc", "__init__", "3t", "config"),
     # Echo votes (payload-carrying or digest-only) funnel into one

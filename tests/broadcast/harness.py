@@ -1,6 +1,6 @@
 """Shared harness: run sans-IO broadcast protocols on the simulator."""
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.broadcast.messages import decode_batch, is_batch_payload
 from repro.crypto.params import demo_threshold_key
@@ -34,6 +34,26 @@ class OutgoingRouter:
                     self.loopback(self.me, msg)
             else:
                 self.net.node(self.me).send(dest, msg)
+
+
+class ManualTimers:
+    """A ``schedule(delay, thunk)`` whose timers fire only when the test
+    calls :meth:`fire_all` (so never, if it does not)."""
+
+    class _Handle:
+        def cancel(self) -> None:
+            pass
+
+    def __init__(self) -> None:
+        self.armed: List[Callable[[], None]] = []
+
+    def __call__(self, delay: float, thunk: Callable[[], None]) -> "_Handle":
+        self.armed.append(thunk)
+        return self._Handle()
+
+    def fire_all(self) -> None:
+        while self.armed:
+            self.armed.pop(0)()
 
 
 def coin_keys(n: int, t: int):

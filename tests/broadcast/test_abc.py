@@ -12,7 +12,7 @@ from repro.broadcast.abc import (
 )
 from repro.broadcast.messages import AbcCommit, AbcOrder, AbcPrepare
 
-from tests.broadcast.harness import auth_keys, coin_keys, make_lan, unwrap
+from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan, unwrap
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +194,6 @@ def slot_state_sizes(abc):
     return {name: len(getattr(abc, name)) for name in SLOT_STATE}
 
 
-class _NoTimer:
-    def cancel(self):
-        pass
-
-
 def build_solo(keys, me=1, n=4, t=1):
     """One replica with its outgoing messages captured instead of sent."""
     pairs, pubs, coins = keys
@@ -210,7 +205,7 @@ def build_solo(keys, me=1, n=4, t=1):
         coin_key=coins[me],
         deliver=lambda rid, payload: delivered.append(payload),
         send=lambda dest, msg: sent.append(msg),
-        schedule=lambda delay, fn: _NoTimer(),
+        schedule=ManualTimers(),
     )
     return abc, sent, delivered
 

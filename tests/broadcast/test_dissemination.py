@@ -14,18 +14,20 @@ import pytest
 from repro.broadcast.abc import AtomicBroadcast
 from repro.broadcast.messages import (
     AbcInitiate,
+    PayloadPull,
+    PayloadReply,
     RbcEchoDigest,
     RbcFrag,
-    RbcPull,
     RbcSend,
     RbcVal,
 )
-from repro.broadcast.rbc import MAX_PULL_SERVES, RbcInstance, ReliableBroadcast
+from repro.broadcast.rbc import RbcInstance, ReliableBroadcast
+from repro.broadcast.recovery import MAX_PULL_SERVES
 from repro.crypto.merkle import merkle_proof, merkle_root
 from repro.errors import ConfigError
 from repro.util.erasure import rs_encode
 
-from tests.broadcast.harness import auth_keys, coin_keys, make_lan
+from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
 
 N, T = 10, 3
 K = N - 2 * T
@@ -125,19 +127,20 @@ class TestRbcDigestMode:
         net.run(until=60)
         for i in range(1, N):
             assert delivered[i].get("s") == payload, f"replica {i}"
-        assert net.bytes_by_type.get("RbcPull", 0) > 0
-        assert net.bytes_by_type.get("RbcPayload", 0) > 0
+        assert net.bytes_by_type.get("PayloadPull", 0) > 0
+        assert net.bytes_by_type.get("PayloadReply", 0) > 0
 
     def test_pull_serve_budget_per_requester(self):
-        inst = RbcInstance(N, T, me=0, sid="s", mode="digest")
+        rbc = ReliableBroadcast(N, T, 0, deliver=lambda sid, p: None)
         payload = b"served"
-        inst.on_message(0, RbcSend("s", payload))
-        digest = next(iter(inst._payload_by_digest))
+        rbc.on_message(0, RbcSend("s", payload))
+        digest = next(iter(rbc._instances["s"]._payload_by_digest))
         responses = [
-            inst.on_message(4, RbcPull("s", digest))
+            rbc.on_message(4, PayloadPull("s", digest))
             for _ in range(MAX_PULL_SERVES + 3)
         ]
         assert sum(1 for r in responses if r) == MAX_PULL_SERVES
+        assert rbc.stats["pulls_refused"] == 3
 
 
 class TestRbcErasureMode:
@@ -245,6 +248,34 @@ class TestAbcDigestMode:
         assert len(orders) == 1 and len(delivered[3]) == 3
         assert abcs[3].stats["pulls_sent"] > 0
         assert sum(abc.stats["pulls_served"] for abc in abcs) > 0
+
+    def test_serve_budget_is_per_key_not_per_process(self, keys_4_1):
+        """An honest peer pulling many distinct payloads is served every
+        time; only repeats of one key hit the budget."""
+        pairs, pubs, coins = keys_4_1
+        sent = []
+        abc = AtomicBroadcast(
+            4, 1, 2,
+            auth_key=pairs[2].private,
+            auth_public=pubs,
+            coin_key=coins[2],
+            deliver=lambda rid, payload: None,
+            send=lambda dest, msg: sent.append((dest, msg)),
+            schedule=ManualTimers(),
+        )
+        rids = [abc.a_broadcast(f"held-{k}".encode()) for k in range(70)]
+        sent.clear()
+        for rid in rids:
+            abc.on_message(3, PayloadPull(rid, b""))
+        replies = [m for dest, m in sent if dest == 3 and isinstance(m, PayloadReply)]
+        assert len(replies) == 70
+        for _ in range(MAX_PULL_SERVES - 1):
+            abc.on_message(3, PayloadPull(rids[0], b""))
+        sent.clear()
+        abc.on_message(3, PayloadPull(rids[0], b""))  # the 4th for one key
+        assert sent == []
+        assert abc.stats["pulls_refused"] == 1
+        assert abc.stats["pulls_served"] == 70 + MAX_PULL_SERVES - 1
 
     def test_empty_payload_travels_full(self, keys_4_1):
         # b"" hashes to the sentinel rid, so its ORDER must not be

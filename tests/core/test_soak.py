@@ -78,6 +78,7 @@ def test_state_is_proportional_to_inflight_work(monkeypatch):
         sizes = slot_state_sizes(abc)
         assert not any(sizes.values()), sizes
         assert len(abc.pending) == 0 and len(abc._awaiting_order) == 0
+        assert len(abc._recovery._chains) == 0
         assert len(replica.coordinator.sessions) == 0
         assert len(replica.coordinator._pending) == 0
         assert len(replica._exec_queue) == 0

@@ -11,6 +11,7 @@ a regression in any single detection path fails loudly, and the whole
 corpus must finish well inside the issue's 60 s budget.
 """
 
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -60,16 +61,18 @@ def _corpus_on_path():
 
 
 def _forged_pull_strategy():
-    from repro.broadcast.messages import RbcPayload
+    from repro.broadcast.messages import PayloadReply
 
     base = next(
         s
         for s in rbc_strategies(4, 1, "s", "digest", 0, [1, 2, 3])
         if s.name == "withhold-partial"
     )
+    # The forged reply names the key the starved replica pulls for: the
+    # withheld payload_a's digest.
+    forged = PayloadReply("s", hashlib.sha256(b"alpha").digest(), b"forged")
     return ByzStrategy(
-        "withhold-forge-pull",
-        tuple(base.messages) + ((3, RbcPayload("s", b"forged")),),
+        "withhold-forge-pull", tuple(base.messages) + ((3, forged),)
     )
 
 

@@ -8,13 +8,14 @@ determinism, and small end-to-end explorations of the real protocol
 models.
 """
 
+import hashlib
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.broadcast.messages import RbcPayload
+from repro.broadcast.messages import PayloadReply
 from repro.broadcast.rbc import RbcInstance
 from repro.explore.dpor import (
     DporEngine,
@@ -243,9 +244,11 @@ def _forge_pull_model(rbc_cls):
         for s in rbc_strategies(4, 1, "s", "digest", 0, [1, 2, 3])
         if s.name == "withhold-partial"
     )
+    # The forged reply names the key the starved replica pulls for: the
+    # withheld payload_a's digest.
+    forged = PayloadReply("s", hashlib.sha256(b"alpha").digest(), b"forged")
     strategy = ByzStrategy(
-        "withhold-forge-pull",
-        tuple(base.messages) + ((3, RbcPayload("s", b"forged")),),
+        "withhold-forge-pull", tuple(base.messages) + ((3, forged),)
     )
     return RbcModel(
         4, 1, mode="digest", byz=0, strategy=strategy, rbc_cls=rbc_cls
@@ -411,6 +414,8 @@ def test_strategy_specs_cover_documented_palettes():
     assert any(name.startswith("voter-") for name in rbc)
     aba = [s.name for s in strategy_specs("aba", "", 4, 1)]
     assert "honest-mixed" in aba
+    abc = [s.name for s in strategy_specs("abc", "digest", 4, 1)]
+    assert "leader-withhold-payload" in abc
     e2e = [s.name for s in strategy_specs("e2e", "digest", 4, 1)]
     assert e2e == ["honest", "crash-follower"]
 
@@ -418,3 +423,25 @@ def test_strategy_specs_cover_documented_palettes():
 def test_build_model_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         build_model("rbc", "full", 4, 1, "no-such-strategy")
+
+
+@pytest.mark.parametrize(
+    "protocol,mode,strategy",
+    [
+        ("rbc", "digest", "sender-withhold-partial"),
+        ("abc", "digest", "leader-withhold-payload"),
+    ],
+)
+def test_footprint_extras_name_live_state(protocol, mode, strategy):
+    """Every name a model adds to each step's footprint is an attribute
+    the wrapped protocol objects really hold — a stale name (say, of a
+    pull field that moved into ``PayloadRecovery``) would let DPOR treat
+    dependent steps as independent."""
+    model = build_model(protocol, mode, 4, 1, strategy)
+    model.reset()
+    names = set()
+    for replica in model.state.replicas.values():
+        names |= set(vars(replica)) | set(vars(replica._recovery))
+        if protocol == "rbc":
+            names |= set(vars(replica._instance(model.sid)))
+    assert model._footprint_extra <= names, model._footprint_extra - names

@@ -88,6 +88,17 @@ class TestProductionProtocolsClean:
         assert leader.stats["rebatches"] >= 1
         assert leader.next_deliver < len(model.payloads)  # slots < requests
 
+    def test_abc_leader_withhold_payload_budget_bounded(self):
+        # The Byzantine leader digest-ORDERs a request only one honest
+        # replica holds and never answers pulls: the other two must pull
+        # it from that replica through the timer rail.
+        model = build_model("abc", "digest", 4, 1, "leader-withhold-payload")
+        result = DporEngine(model, max_schedules=400).run()
+        assert not result.violations, [v.messages for v in result.violations]
+        assert result.schedules >= 400, "budget should bind, not the space"
+        replicas = model.state.replicas.values()
+        assert any(abc.stats["pulls_sent"] > 0 for abc in replicas)
+
     def test_e2e_delay_bounded_clean(self):
         report = explore_protocol(
             "e2e", mode="digest", n=4, t=1, strategies=["honest"], bound=1
