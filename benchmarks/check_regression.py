@@ -58,10 +58,18 @@ def _resolver_metrics(data: dict) -> Dict[str, float]:
 
 
 def _broadcast_metrics(data: dict) -> Dict[str, float]:
+    # The erasure lane's busiest-link win only exists with one request in
+    # flight; in the burst the leader's full batch frame erases it.
     return {
-        "digest_echo_reduction": float(data["digest_echo_reduction"]),
-        "erasure_echo_reduction": float(data["erasure_echo_reduction"]),
-        "erasure_flatness_headroom": float(data["erasure_flatness_headroom"]),
+        "sequential.digest_order_reduction": float(
+            data["sequential"]["digest_order_reduction"]
+        ),
+        "burst.digest_order_reduction": float(
+            data["burst"]["digest_order_reduction"]
+        ),
+        "sequential.erasure_max_link_reduction": float(
+            data["sequential"]["erasure_max_link_reduction"]
+        ),
     }
 
 

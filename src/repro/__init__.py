@@ -18,8 +18,8 @@ Public entry points:
   BASIC/OptProof/OptTE signing protocols.
 * :mod:`repro.dns` — the full DNS substrate (wire format, zones,
   authoritative serving, RFC 2136 updates, DNSSEC, TSIG, resolver).
-* :mod:`repro.broadcast` — reliable broadcast, threshold-coin Byzantine
-  agreement, and the optimistic atomic broadcast.
+* :mod:`repro.broadcast` — the optimistic atomic broadcast, with the
+  threshold-coin Byzantine agreement its fall-back runs.
 * ``python -m repro.cli`` — keygen / signzone / verifyzone / dig /
   nsupdate / bench.
 """

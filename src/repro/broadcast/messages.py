@@ -81,74 +81,14 @@ def decode_batch(payload: bytes) -> List[bytes]:
 
 
 # --------------------------------------------------------------------------
-# Reliable broadcast (Bracha)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RbcSend:
-    sid: str
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class RbcEcho:
-    sid: str
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class RbcReady:
-    sid: str
-    digest: bytes
-
-
-#: One Merkle proof step per tree level: (sibling digest, sibling_is_right).
-MerkleProof = Tuple[Tuple[bytes, bool], ...]
-
-
-@dataclass(frozen=True)
-class RbcEchoDigest:
-    """Digest-only echo vote (digest/erasure modes): 32 bytes, not |m|."""
-
-    sid: str
-    digest: bytes
-
-
-@dataclass(frozen=True)
-class RbcVal:
-    """Erasure dispersal: the sender ships fragment ``index`` to replica
-    ``index`` with its Merkle proof against ``root`` (AVID-M)."""
-
-    sid: str
-    root: bytes
-    index: int
-    fragment: bytes
-    proof: MerkleProof
-
-
-@dataclass(frozen=True)
-class RbcFrag:
-    """A replica forwarding a proof-carrying fragment (the erasure-mode
-    echo: one |m|/k fragment per link instead of the whole payload)."""
-
-    sid: str
-    root: bytes
-    index: int
-    fragment: bytes
-    proof: MerkleProof
-
-
-# --------------------------------------------------------------------------
-# Payload recovery (both digest fast paths, broadcast/recovery.py)
+# Payload recovery (ABC's digest fast path, broadcast/recovery.py)
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PayloadPull:
-    """Ask a peer for the payload behind ``(sid, digest)``: an RBC session
-    and its payload digest or fragment root, or an ABC request id and
-    ``b""`` (request ids are payload digests themselves)."""
+    """Ask a peer for the payload behind ``(sid, digest)``: an ABC request
+    id and ``b""`` (request ids are payload digests themselves)."""
 
     sid: str
     digest: bytes
@@ -292,6 +232,10 @@ class AbcNewEpoch:
     epoch: int  # the NEW epoch
     certificates: Tuple[Tuple[AbcEpochFinal, bytes], ...]
     start_seq: int
+
+
+#: One Merkle proof step per tree level: (sibling digest, sibling_is_right).
+MerkleProof = Tuple[Tuple[bytes, bool], ...]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
-"""Payload recovery: the one pull of both digest fast paths (DESIGN.md §5i).
+"""Payload recovery: the pull behind ABC's digest ORDERs (DESIGN.md §5i).
 
-RBC (ready quorum, no payload) and ABC (digest ORDER, no INITIATE) each
-hold one :class:`PayloadRecovery`: one retry chain per wanted key, one
-serve budget, and the counters :data:`PULL_COUNTERS` in the host's stats.
+A replica holding a digest ORDER but no INITIATE (and no erasure
+reconstruction) opens one retry chain per wanted key; the same
+:class:`PayloadRecovery` keeps the serve budget for its peers' pulls and
+the counters :data:`PULL_COUNTERS` in the host's stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.broadcast.messages import PayloadPull, PayloadReply
 from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES
@@ -42,12 +43,11 @@ class _Chain:
 
 
 class PayloadRecovery:
-    """One replica's pull requester and server for one protocol.
+    """One replica's pull requester and server.
 
     ``serve(key)`` returns the replies for a key held here (``[]`` for
-    any other key); ``emit`` sends from ``schedule``'s timers, and
-    without both a chain is its burst alone.  RBC passes bound methods,
-    so the explorer's deep-copied snapshots stay self-contained.
+    any other key); ``schedule`` arms the chain's retry timers and
+    ``emit`` sends what they fire.
     """
 
     def __init__(
@@ -56,8 +56,8 @@ class PayloadRecovery:
         me: int,
         stats: Dict[str, int],
         serve: Callable[[PullKey], List[object]],
-        schedule: Optional[Callable[[float, Callable[[], None]], Any]] = None,
-        emit: Optional[Callable[[List[Outgoing]], Any]] = None,
+        schedule: Callable[[float, Callable[[], None]], Any],
+        emit: Callable[[List[Outgoing]], Any],
     ) -> None:
         self.n = n
         self.me = me
@@ -66,25 +66,22 @@ class PayloadRecovery:
         self._serve = serve
         self._schedule = schedule
         self._emit = emit
-        # One chain per key the host awaits (ABC: buffered digest ORDERs,
-        # <= MAX_SEQ_AHEAD; RBC: undelivered sessions) until it cancels.
-        # An accepted reply closes its chain; a burst leaves it open (for
-        # the replies) without a timer.
+        # One chain per key the host awaits (buffered digest ORDERs,
+        # <= MAX_SEQ_AHEAD) until it cancels.  An accepted reply closes
+        # its chain; a burst leaves it open (for the replies) without a
+        # timer.
         self._chains: Dict[PullKey, _Chain] = {}
         self._served: BoundedLRU[Tuple[int, PullKey], int] = BoundedLRU(
             n * PAYLOAD_STORE_ENTRIES
         )
 
-    def want(self, key: PullKey, candidates: Candidates, accept: Accept) -> List[Outgoing]:
+    def want(self, key: PullKey, candidates: Candidates, accept: Accept) -> None:
         """Open the chain for ``key`` unless one is open or nobody holds
-        the payload yet; returns what to send now (the timerless burst)."""
+        the payload yet; its first pull waits one retry timeout."""
         if key in self._chains or not candidates():
-            return []
+            return
         chain = self._chains[key] = _Chain(candidates, accept)
-        if self._schedule is None or self._emit is None:
-            return self._burst(key, chain)
         self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry(key, chain))
-        return []
 
     def cancel(self, key: PullKey) -> None:
         self._chains.pop(key, None)
@@ -103,22 +100,18 @@ class PayloadRecovery:
     def _retry(self, key: PullKey, chain: _Chain) -> None:
         if self._chains.get(key) is not chain:
             return  # cancelled or answered: send nothing
-        assert self._schedule is not None and self._emit is not None  # armed only with both
         candidates = chain.candidates()
         if chain.attempt >= MAX_PULL_ROUNDS * len(candidates):
-            self._emit(self._burst(key, chain))
+            # The burst that ends the chain: every candidate, no timer.
+            self.stats["pull_chains_exhausted"] += 1
+            self.stats["pulls_sent"] += len(candidates)
+            self._emit([(dest, PayloadPull(*key)) for dest in candidates])
             return
         target = candidates[chain.attempt % len(candidates)]
         chain.attempt += 1
         self.stats["pulls_sent"] += 1
         self._emit([(target, PayloadPull(*key))])
         self._schedule(PULL_RETRY_TIMEOUT, lambda: self._retry(key, chain))
-
-    def _burst(self, key: PullKey, chain: _Chain) -> List[Outgoing]:
-        self.stats["pull_chains_exhausted"] += 1
-        out: List[Outgoing] = [(dest, PayloadPull(*key)) for dest in chain.candidates()]
-        self.stats["pulls_sent"] += len(out)
-        return out
 
     def on_pull(self, sender: int, msg: PayloadPull) -> List[Outgoing]:
         if sender == self.me or not 0 <= sender < self.n:  # repro-quorum: identity-bound

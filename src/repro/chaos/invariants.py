@@ -240,53 +240,6 @@ def check_invariants(
 # state without any service plumbing.
 
 
-def check_broadcast_agreement(
-    delivered: "Dict[int, Optional[bytes]]",
-) -> List[str]:
-    """Bracha agreement (G1): no two honest replicas deliver different
-    payloads for the same broadcast instance.  ``None`` = not delivered
-    yet, which is always admissible mid-run."""
-    values = {i: v for i, v in delivered.items() if v is not None}
-    if len(set(values.values())) > 1:
-        detail = ", ".join(
-            f"replica {i}: {v!r:.40}" for i, v in sorted(values.items())
-        )
-        return [f"broadcast agreement violated: {detail}"]
-    return []
-
-
-def check_broadcast_validity(
-    delivered: "Dict[int, Optional[bytes]]", payload: bytes
-) -> List[str]:
-    """With an honest sender (G3 direction): anything delivered must be
-    the sender's payload."""
-    out = []
-    for i, value in sorted(delivered.items()):
-        if value is not None and value != payload:
-            out.append(
-                f"broadcast validity violated: replica {i} delivered"
-                f" {value!r:.40} != sender payload {payload!r:.40}"
-            )
-    return out
-
-
-def check_broadcast_totality(
-    delivered: "Dict[int, Optional[bytes]]",
-) -> List[str]:
-    """At quiescence (all messages drained): if any honest replica
-    delivered, every honest replica must have (G2 at the protocol layer)."""
-    values = [v for v in delivered.values() if v is not None]
-    if not values:
-        return []
-    missing = sorted(i for i, v in delivered.items() if v is None)
-    if missing:
-        return [
-            f"broadcast totality violated: replicas {missing} never"
-            " delivered while others did"
-        ]
-    return []
-
-
 def check_agreement_decisions(
     decisions: "Dict[int, Optional[int]]",
     proposed: "Optional[Sequence[int]]" = None,

@@ -734,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--protocol",
-        choices=["rbc", "aba", "abc", "e2e"],
+        choices=["aba", "abc", "e2e"],
         default=None,
         help="which protocol layer to explore",
     )
@@ -742,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["full", "digest", "erasure"],
         default=None,
-        help="dissemination mode (rbc/abc/e2e; default: full for rbc, digest otherwise)",
+        help="dissemination mode (abc/e2e; default: digest)",
     )
     p.add_argument(
         "--cluster",

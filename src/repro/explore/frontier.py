@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-BROADCAST = -1  # mirror of repro.broadcast.rbc.BROADCAST
+BROADCAST = -1  # mirror of repro.broadcast.aba.BROADCAST / coin.BROADCAST
 
 ChannelKey = Tuple[int, int]  # (src, dest)
 

@@ -1,8 +1,8 @@
 """Explorer models: the real protocol objects under scheduler control.
 
-Each model wraps unmodified protocol instances (``ReliableBroadcast``,
-``BinaryAgreement``, ``AtomicBroadcast``) behind the engine's duck-typed
-interface: ``enabled()`` exposes the deliverable-event frontier,
+Each model wraps unmodified protocol instances (``BinaryAgreement``,
+``AtomicBroadcast``) behind the engine's duck-typed interface:
+``enabled()`` exposes the deliverable-event frontier,
 ``execute((src, dest), i)`` delivers one head-of-channel message into the
 real handler and routes whatever it emits back into the frontier, and the
 ``check_*`` hooks evaluate the protocol-level G1/G2/G3 invariants from
@@ -25,11 +25,11 @@ a Byzantine node's outputs never depend on its inputs in any way the
 honest replicas can distinguish beyond the messages themselves — and it
 keeps the choice space finite.
 
-State restore: ``RbcModel`` and ``AbaModel`` hold all mutable state in
-one container that deep-copies correctly (callbacks are callable objects
-or bound methods — ``copy.deepcopy`` rebinds bound methods through its
-memo, but treats plain closures as atomic, which would leave them
-pointing at the *original* state).  ``AtomicBroadcast`` arms timers over
+State restore: ``AbaModel`` holds all mutable state in one container
+that deep-copies correctly (callbacks are callable objects or bound
+methods — ``copy.deepcopy`` rebinds bound methods through its memo, but
+treats plain closures as atomic, which would leave them pointing at the
+*original* state).  ``AtomicBroadcast`` arms timers over
 ``lambda: self._on_timeout(...)`` closures, so ``AbcModel`` opts out of
 snapshots (``snapshot() -> None``) and the engine replays the choice
 prefix from ``reset()`` instead.
@@ -53,18 +53,10 @@ from repro.broadcast.messages import (
     AbcInitiate,
     AbcOrder,
     CoinShare,
-    RbcEcho,
-    RbcEchoDigest,
-    RbcReady,
-    RbcSend,
 )
-from repro.broadcast.rbc import ReliableBroadcast, RbcInstance
 from repro.chaos.invariants import (
     check_agreement_decisions,
     check_agreement_termination,
-    check_broadcast_agreement,
-    check_broadcast_totality,
-    check_broadcast_validity,
     check_total_order,
 )
 from repro.explore.dpor import StepMeta
@@ -86,24 +78,6 @@ def _sha(data: bytes) -> bytes:
 # --------------------------------------------------------------------------
 # Deepcopy-safe callback objects
 # --------------------------------------------------------------------------
-
-
-class DeliveryLog:
-    """Per-replica RBC delivery recorder; a callable object (not a
-    closure) so snapshots deep-copy it consistently with the protocol."""
-
-    def __init__(self) -> None:
-        self.delivered: Dict[str, bytes] = {}
-        self.duplicates: List[str] = []
-
-    def __call__(self, sid: str, payload: bytes) -> None:
-        if sid in self.delivered:
-            self.duplicates.append(sid)
-            return
-        self.delivered[sid] = payload
-
-    def get(self, sid: str) -> Optional[bytes]:
-        return self.delivered.get(sid)
 
 
 class DecisionLog:
@@ -291,107 +265,6 @@ def _split(honest: Sequence[int]) -> Tuple[List[int], List[int]]:
     return list(honest[:mid]), list(honest[mid:])
 
 
-def rbc_strategies(
-    n: int,
-    t: int,
-    sid: str,
-    mode: str,
-    byz: int,
-    honest: Sequence[int],
-    payload_a: bytes = b"alpha",
-    payload_b: bytes = b"bravo",
-) -> List[ByzStrategy]:
-    """Byzantine-*sender* palettes for one RBC instance.
-
-    Equivocation splits the honest replicas into two camps and feeds each
-    camp a consistent (SEND, ECHO, READY) story for a different payload —
-    the strongest single-instance attack available to a corrupt sender,
-    and exactly the one the n-t echo quorum must defeat.
-    """
-    group_a, group_b = _split(honest)
-    digest_a, digest_b = _sha(payload_a), _sha(payload_b)
-
-    def echo(payload: bytes, digest: bytes) -> object:
-        if mode == "full":
-            return RbcEcho(sid, payload)
-        return RbcEchoDigest(sid, digest)
-
-    def camp(dests: Sequence[int], payload: bytes, digest: bytes) -> List[Outgoing]:
-        out: List[Outgoing] = []
-        for dest in dests:
-            out.append((dest, RbcSend(sid, payload)))
-            out.append((dest, echo(payload, digest)))
-            out.append((dest, RbcReady(sid, digest)))
-        return out
-
-    strategies = [ByzStrategy("silent")]
-    strategies.append(
-        ByzStrategy(
-            "equivocate-split",
-            tuple(
-                camp(group_a, payload_a, digest_a)
-                + camp(group_b, payload_b, digest_b)
-            ),
-        )
-    )
-    strategies.append(
-        ByzStrategy(
-            "withhold-partial",
-            tuple(
-                [(dest, RbcSend(sid, payload_a)) for dest in group_a]
-                + [(dest, echo(payload_a, digest_a)) for dest in group_a]
-            ),
-        )
-    )
-    # Vote-only lies without any SEND: tries to drive the ready
-    # amplification path to deliver something nobody can fetch.
-    strategies.append(
-        ByzStrategy(
-            "phantom-votes",
-            tuple(
-                [(dest, echo(payload_b, digest_b)) for dest in honest]
-                + [(dest, RbcReady(sid, digest_b)) for dest in honest]
-            ),
-        )
-    )
-    return strategies
-
-
-def rbc_voter_strategies(
-    n: int,
-    t: int,
-    sid: str,
-    mode: str,
-    byz: int,
-    honest: Sequence[int],
-    payload: bytes,
-    wrong: bytes = b"forged",
-) -> List[ByzStrategy]:
-    """Byzantine-*voter* palettes (the sender is honest): double votes and
-    forged readies against the honest payload."""
-    digest, wrong_digest = _sha(payload), _sha(wrong)
-
-    def echo(p: bytes, d: bytes) -> object:
-        if mode == "full":
-            return RbcEcho(sid, p)
-        return RbcEchoDigest(sid, d)
-
-    return [
-        ByzStrategy("silent"),
-        ByzStrategy(
-            "double-vote",
-            tuple(
-                [(dest, echo(wrong, wrong_digest)) for dest in honest]
-                + [(dest, RbcReady(sid, wrong_digest)) for dest in honest]
-            ),
-        ),
-        ByzStrategy(
-            "early-ready",
-            tuple((dest, RbcReady(sid, digest)) for dest in honest),
-        ),
-    ]
-
-
 def aba_strategies(
     n: int, t: int, sid: str, byz: int, honest: Sequence[int]
 ) -> List[ByzStrategy]:
@@ -465,7 +338,7 @@ class _ModelState:
 
 
 class BaseMessageModel:
-    """Frontier bookkeeping shared by the three protocol models.
+    """Frontier bookkeeping shared by the protocol models.
 
     Subclasses implement ``_build_state`` (fresh protocol objects),
     ``_handle`` (feed one delivery into the real handler and route its
@@ -610,170 +483,6 @@ class BaseMessageModel:
     @property
     def _honest(self) -> List[int]:
         raise NotImplementedError
-
-
-# --------------------------------------------------------------------------
-# Reliable broadcast
-# --------------------------------------------------------------------------
-
-
-class _RbcState(_ModelState):
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        honest: List[int],
-        mode: str,
-        rbc_cls: type,
-    ) -> None:
-        super().__init__()
-        self.logs: Dict[int, DeliveryLog] = {i: DeliveryLog() for i in honest}
-        self.replicas: Dict[int, ReliableBroadcast] = {}
-        for i in honest:
-            rb = ReliableBroadcast(n, t, i, deliver=self.logs[i], mode=mode)
-            # Corpus fixtures swap in a (deliberately broken) RbcInstance
-            # subclass; production runs keep the real one.
-            if rbc_cls is not RbcInstance:
-                rb._instance = _InstanceFactory(rb, rbc_cls)  # type: ignore[method-assign]
-            self.replicas[i] = rb
-
-
-class _InstanceFactory:
-    """Replaces ``ReliableBroadcast._instance`` to construct a fixture's
-    RbcInstance subclass; a callable object so snapshots deep-copy it."""
-
-    def __init__(self, rb: ReliableBroadcast, rbc_cls: type) -> None:
-        self.rb = rb
-        self.rbc_cls = rbc_cls
-
-    def __call__(self, sid: str) -> RbcInstance:
-        if sid not in self.rb._instances:
-            self.rb._instances[sid] = self.rbc_cls(
-                self.rb.n, self.rb.t, self.rb.me, sid, self.rb.mode
-            )
-        return self.rb._instances[sid]
-
-
-class RbcModel(BaseMessageModel):
-    """One reliable-broadcast instance at (n, t) with one corrupt replica.
-
-    * Corrupt **sender** (``sender == byz``): agreement is checked after
-      every step and totality at every drained leaf.  Validity is
-      vacuous (a corrupt sender has no "right" payload).
-    * Honest sender with a corrupt **voter**: validity and agreement
-      must both hold, and totality at the leaf.
-    """
-
-    sids_isolated = True
-
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        *,
-        mode: str = "full",
-        byz: Optional[int] = None,
-        strategy: Optional[ByzStrategy] = None,
-        sender: int = 0,
-        payload: bytes = b"alpha",
-        sid: str = "s",
-        rbc_cls: type = RbcInstance,
-    ) -> None:
-        super().__init__()
-        self.n = n
-        self.t = t
-        self.mode = mode
-        self.byz = byz
-        self.strategy = strategy or ByzStrategy("silent")
-        self.sender = sender
-        self.payload = payload
-        self.sid = sid
-        self.rbc_cls = rbc_cls
-        self.honest = [i for i in range(n) if i != byz]
-        if rbc_cls is RbcInstance:
-            self._oracle = oracle_for("repro.broadcast.rbc:RbcInstance")
-        # Wrapper-level effects invisible to the RbcInstance-scoped
-        # static footprints (PayloadRecovery state, delivery hand-off).
-        self._footprint_extra = frozenset({"want_pull", "delivered", "_chains", "_served"})
-
-    @property
-    def _honest(self) -> List[int]:
-        return self.honest
-
-    def _build_state(self) -> _RbcState:
-        state = _RbcState(self.n, self.t, self.honest, self.mode, self.rbc_cls)
-        self.state = state
-        if self.sender in self.honest:
-            out = state.replicas[self.sender].broadcast(self.sid, self.payload)
-            self._route(self.sender, out, -1)
-        if self.byz is not None:
-            self._enqueue_strategy(self.strategy, self.byz)
-        return state
-
-    def _handle(self, src: int, dest: int, payload: object, index: int) -> None:
-        out = self.state.replicas[dest].on_message(src, payload)
-        self._route(dest, out, index)
-
-    def _loopback(self, me: int, msg: object) -> List[Outgoing]:
-        return self.state.replicas[me].on_message(me, msg)
-
-    def _vote_token(self, payload: object) -> Optional[object]:
-        # SEND/ECHO handlers key all state on the payload (or its
-        # digest), never on the transport-layer sender; READY votes are
-        # per-sender set-inserts counted per digest.  Equal votes from
-        # different replicas therefore commute.  Pull traffic
-        # (PayloadPull/PayloadReply/RbcVal/RbcFrag) stays order-sensitive:
-        # responses depend on who asked and what arrived first.
-        if self.rbc_cls is not RbcInstance:
-            return None  # corpus fixtures may break the commutation proof
-        if isinstance(payload, RbcSend):
-            return ("send", payload.sid, payload.payload)
-        if isinstance(payload, RbcEcho):
-            return ("echo", payload.sid, payload.payload)
-        if isinstance(payload, RbcEchoDigest):
-            return ("echod", payload.sid, payload.digest)
-        if isinstance(payload, RbcReady):
-            return ("ready", payload.sid, payload.digest)
-        return None
-
-    def _delivered(self) -> Dict[int, Optional[bytes]]:
-        state: _RbcState = self.state  # type: ignore[assignment]
-        return {i: state.logs[i].get(self.sid) for i in self.honest}
-
-    def check_now(self) -> List[str]:
-        state: _RbcState = self.state  # type: ignore[assignment]
-        delivered = self._delivered()
-        problems = check_broadcast_agreement(delivered)
-        if self.sender in self.honest:
-            problems += check_broadcast_validity(delivered, self.payload)
-        for i in self.honest:
-            if state.logs[i].duplicates:
-                problems.append(f"replica {i} delivered {self.sid!r} twice")
-        return problems
-
-    def check_leaf(self) -> List[str]:
-        if self.bound_hit:
-            return []
-        problems = list(self.check_now())
-        delivered = self._delivered()
-        if self.sender in self.honest:
-            # Honest sender + drained network: everyone must deliver.
-            missing = sorted(i for i, v in delivered.items() if v is None)
-            if missing:
-                problems.append(
-                    f"broadcast termination violated: replicas {missing}"
-                    " never delivered an honest sender's payload"
-                )
-        else:
-            problems += check_broadcast_totality(delivered)
-        return problems
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for i, value in sorted(self._delivered().items()):
-            h.update(f"{i}:".encode())
-            h.update(b"-" if value is None else _sha(value))
-        return h.hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------

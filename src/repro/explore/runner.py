@@ -1,8 +1,8 @@
 """Protocol exploration driver: strategy enumeration, reports, replay.
 
 ``explore_protocol`` is the one entry point behind ``repro explore``: it
-builds the explorer model(s) for a protocol — reliable broadcast, binary
-agreement, atomic broadcast, or the full end-to-end name service — runs
+builds the explorer model(s) for a protocol — binary agreement, atomic
+broadcast, or the full end-to-end name service — runs
 one :class:`~repro.explore.dpor.DporEngine` per Byzantine strategy, and
 folds the results into an :class:`ExploreReport` that knows how to
 render itself as text, JSON findings (rule ``X701``), or SARIF via the
@@ -41,12 +41,8 @@ from repro.explore.frontier import ChannelFrontier
 from repro.explore.models import (
     AbaModel,
     AbcModel,
-    ByzStrategy,
-    RbcModel,
     aba_strategies,
     abc_strategies,
-    rbc_strategies,
-    rbc_voter_strategies,
 )
 from repro.explore.schedule import (
     ScheduleFile,
@@ -56,11 +52,10 @@ from repro.explore.schedule import (
 )
 from repro.lint.framework import Finding
 
-PROTOCOLS = ("rbc", "aba", "abc", "e2e")
+PROTOCOLS = ("aba", "abc", "e2e")
 
 #: Where a protocol-level violation anchors in the source tree.
 _PROTOCOL_SOURCE = {
-    "rbc": "src/repro/broadcast/rbc.py",
     "aba": "src/repro/broadcast/aba.py",
     "abc": "src/repro/broadcast/abc.py",
     "e2e": "src/repro/core/service.py",
@@ -344,41 +339,6 @@ class StrategySpec:
     factory: Callable[[], Any]
 
 
-def _rbc_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
-    sid = "s"
-    payload = b"alpha"
-    specs = [
-        StrategySpec(
-            "honest",
-            lambda: RbcModel(n, t, mode=mode, byz=None, sender=0, sid=sid),
-        )
-    ]
-    byz_sender = 0
-    honest = [i for i in range(n) if i != byz_sender]
-    for strat in rbc_strategies(n, t, sid, mode, byz_sender, honest):
-        specs.append(
-            StrategySpec(
-                f"sender-{strat.name}",
-                lambda s=strat: RbcModel(
-                    n, t, mode=mode, byz=byz_sender, strategy=s, sender=byz_sender, sid=sid
-                ),
-            )
-        )
-    byz_voter = n - 1
-    voters = [i for i in range(n) if i != byz_voter]
-    for strat in rbc_voter_strategies(n, t, sid, mode, byz_voter, voters, payload):
-        specs.append(
-            StrategySpec(
-                f"voter-{strat.name}",
-                lambda s=strat: RbcModel(
-                    n, t, mode=mode, byz=byz_voter, strategy=s, sender=0,
-                    payload=payload, sid=sid,
-                ),
-            )
-        )
-    return specs
-
-
 def _aba_specs(n: int, t: int) -> List[StrategySpec]:
     sid = "s"
     byz = 0
@@ -455,8 +415,6 @@ def strategy_specs(
     protocol: str, mode: str, n: int, t: int
 ) -> List[StrategySpec]:
     """All Byzantine/fault strategies explored for ``protocol`` at (n, t)."""
-    if protocol == "rbc":
-        return _rbc_specs(n, t, mode or "full")
     if protocol == "aba":
         return _aba_specs(n, t)
     if protocol == "abc":

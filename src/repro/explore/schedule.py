@@ -44,8 +44,8 @@ def _decode_choice(raw: List[Any]) -> Choice:
 class ScheduleFile:
     """One replayable counterexample (or witness) schedule."""
 
-    protocol: str  # rbc | aba | abc | e2e | task
-    mode: str  # rbc/abc dissemination mode, "" where not applicable
+    protocol: str  # aba | abc | e2e | task
+    mode: str  # abc/e2e dissemination mode, "" where not applicable
     cluster: Tuple[int, int]  # (n, t)
     strategy: str  # Byzantine strategy name ("" = no corruption)
     schedule: List[Choice]

@@ -140,21 +140,8 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     # any n-2t verified fragments reconstruct the request payload.
     ("repro.broadcast.abc", "_on_frag", "n", "identity-bound"),
     ("repro.broadcast.abc", "_on_frag", "n-2t", "reconstruct"),
-    # Pull serving (RBC and ABC): requester identity bounds the serve budget.
+    # Pull serving: requester identity bounds the serve budget.
     ("repro.broadcast.recovery", "on_pull", "n", "identity-bound"),
-    # -- repro.broadcast.rbc: Bracha reliable broadcast -------------------
-    ("repro.broadcast.rbc", "__init__", "3t", "config"),
-    # Echo votes (payload-carrying or digest-only) funnel into one
-    # counter; the quorum must pairwise-intersect in an honest replica.
-    ("repro.broadcast.rbc", "_count_echo", "n-t", "intersect"),
-    ("repro.broadcast.rbc", "_on_ready", "t+1", "amplify"),
-    ("repro.broadcast.rbc", "_ready_quorum", "2t+1", "honest-majority"),
-    # Erasure mode: fragment indices are replica identities; t+1 echoes
-    # prove an honest echoer vouches for the root; n-2t fragments decode.
-    ("repro.broadcast.rbc", "_on_val", "n", "identity-bound"),
-    ("repro.broadcast.rbc", "_on_frag", "n", "identity-bound"),
-    ("repro.broadcast.rbc", "_on_frag", "t+1", "amplify"),
-    ("repro.broadcast.rbc", "_reconstruct", "n-2t", "reconstruct"),
     # -- repro.broadcast.aba: binary agreement -----------------------------
     ("repro.broadcast.aba", "__init__", "3t", "config"),
     ("repro.broadcast.aba", "_on_est", "t+1", "amplify"),

@@ -1,27 +1,25 @@
-"""The big-n broadcast plane: digest votes, pulls, and erasure dispersal.
+"""The atomic broadcast's dissemination lanes: digest ORDERs, pulls, and
+erasure dispersal.
 
-RBC-level attacks run at the (10, 3) target cluster — duplicate and
-equivocating echo votes, a Byzantine sender that withholds the payload
-after the digest quorum formed (the pull fallback must deliver), and
-inconsistently erasure-coded batches (no honest replica may deliver).
-ABC-level tests drive the same machinery end to end through the atomic
-broadcast: digest ORDERs resolved by pull, the empty-payload edge, and
-erasure dispersal with reconstruction.
+Digest mode: ORDERs carry the payload-derived request id instead of the
+payload, a replica the gateway starved pulls it, the serve budget is per
+(requester, key), and the empty payload travels full.  Erasure mode: the
+gateway disperses Merkle-proven fragments that reconstruct in total
+order, forged fragments die at proof verification, and an inconsistent
+encoding — fragments of two payloads under one request id — delivers
+nowhere, because request ids are payload digests.
 """
 
 import pytest
 
 from repro.broadcast.abc import AtomicBroadcast
+from repro.broadcast.abc import derive_request_id
 from repro.broadcast.messages import (
+    AbcFrag,
     AbcInitiate,
     PayloadPull,
     PayloadReply,
-    RbcEchoDigest,
-    RbcFrag,
-    RbcSend,
-    RbcVal,
 )
-from repro.broadcast.rbc import RbcInstance, ReliableBroadcast
 from repro.broadcast.recovery import MAX_PULL_SERVES
 from repro.crypto.merkle import merkle_proof, merkle_root
 from repro.errors import ConfigError
@@ -29,167 +27,8 @@ from repro.util.erasure import rs_encode
 
 from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
 
-N, T = 10, 3
+N, T = 4, 1
 K = N - 2 * T
-
-
-def build_rbc(n, t, net, mode):
-    """RBC multiplexers with the pull-retry timer plumbing wired in."""
-    delivered = {i: {} for i in range(n)}
-    rbcs = []
-    for i in range(n):
-        node = net.node(i)
-
-        def emit(outs, i=i):
-            for dest, msg in outs:
-                if dest == -1:
-                    for peer in range(n):
-                        if peer != i:
-                            net.node(i).send(peer, msg)
-                elif dest != i:
-                    net.node(i).send(dest, msg)
-
-        rbc = ReliableBroadcast(
-            n, t, i,
-            deliver=lambda sid, p, i=i: delivered[i].__setitem__(sid, p),
-            mode=mode,
-            schedule=node.schedule_timer,
-            emit=emit,
-        )
-        rbcs.append(rbc)
-        node.set_handler(
-            lambda s, m, rbc=rbc, emit=emit: emit(rbc.on_message(s, m))
-        )
-
-    def send_all(sender, outs):
-        for dest, msg in outs:
-            if dest == -1:
-                for peer in range(n):
-                    if peer != sender:
-                        net.node(sender).send(peer, msg)
-            elif dest != sender:
-                net.node(sender).send(dest, msg)
-
-    return rbcs, delivered, send_all
-
-
-class TestRbcDigestMode:
-    def test_delivers_without_payload_echoes(self):
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "digest")
-        payload = b"\xab" * 4096
-        send_all(0, rbcs[0].broadcast("s", payload))
-        net.run()
-        assert all(delivered[i].get("s") == payload for i in range(N))
-        # The whole point: no full-payload echo ever hits the wire.
-        assert "RbcEcho" not in net.bytes_by_type
-        assert net.bytes_by_type["RbcEchoDigest"] > 0
-
-    def test_duplicate_echo_votes_counted_once(self):
-        inst = RbcInstance(N, T, me=0, sid="s", mode="digest")
-        digest = b"\x42" * 32
-        for _ in range(5):
-            inst.on_message(4, RbcEchoDigest("s", digest))
-        assert len(inst._echoes[digest]) == 1
-        assert not inst._sent_ready  # one voter is far below n - t
-
-    def test_equivocating_echo_votes_dropped(self):
-        inst = RbcInstance(N, T, me=0, sid="s", mode="digest")
-        first, second = b"\x01" * 32, b"\x02" * 32
-        inst.on_message(4, RbcEchoDigest("s", first))
-        inst.on_message(4, RbcEchoDigest("s", second))
-        assert len(inst._echoes[first]) == 1
-        assert second not in inst._echoes  # equivocation: vote ignored
-
-    def test_equivocating_echoes_cannot_split_cluster(self):
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "digest")
-        payload = b"good payload" * 100
-        # Replica 5 seeds half the cluster with a forged digest before the
-        # honest broadcast; its genuine echo then conflicts and is dropped
-        # at those receivers, but 9 other honest voters still clear n - t.
-        for peer in (1, 2, 3, 4):
-            net.node(5).send(peer, RbcEchoDigest("s", b"\x11" * 32))
-        send_all(0, rbcs[0].broadcast("s", payload))
-        net.run()
-        values = {delivered[i].get("s") for i in range(N)}
-        assert values == {payload}
-
-    def test_withholding_sender_pull_delivers(self):
-        """Byzantine sender SENDs to exactly n - t replicas: the digest
-        quorum forms everywhere, and the starved replicas must obtain the
-        payload through the pull fallback."""
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "digest")
-        payload = b"withheld from 8 and 9" * 50
-        for dest in range(1, 1 + (N - T)):  # replicas 1..7 only
-            net.node(0).send(dest, RbcSend("s", payload))
-        net.run(until=60)
-        for i in range(1, N):
-            assert delivered[i].get("s") == payload, f"replica {i}"
-        assert net.bytes_by_type.get("PayloadPull", 0) > 0
-        assert net.bytes_by_type.get("PayloadReply", 0) > 0
-
-    def test_pull_serve_budget_per_requester(self):
-        rbc = ReliableBroadcast(N, T, 0, deliver=lambda sid, p: None)
-        payload = b"served"
-        rbc.on_message(0, RbcSend("s", payload))
-        digest = next(iter(rbc._instances["s"]._payload_by_digest))
-        responses = [
-            rbc.on_message(4, PayloadPull("s", digest))
-            for _ in range(MAX_PULL_SERVES + 3)
-        ]
-        assert sum(1 for r in responses if r) == MAX_PULL_SERVES
-        assert rbc.stats["pulls_refused"] == 3
-
-
-class TestRbcErasureMode:
-    def test_delivers_without_send(self):
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "erasure")
-        payload = b"\xcd" * 4096
-        send_all(0, rbcs[0].broadcast("s", payload))
-        net.run()
-        assert all(delivered[i].get("s") == payload for i in range(N))
-        assert "RbcSend" not in net.bytes_by_type
-        assert net.bytes_by_type["RbcVal"] > 0
-        assert net.bytes_by_type["RbcFrag"] > 0
-
-    def test_tampered_fragment_rejected(self):
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "erasure")
-        payload = b"\x5a" * 1024
-        frags = rs_encode(payload, K, N)
-        root = merkle_root(frags)
-        # Replica 5 floods proof-less garbage for the genuine root; every
-        # receiver drops it at Merkle verification and delivery proceeds.
-        for peer in range(N):
-            if peer != 5:
-                net.node(5).send(
-                    peer,
-                    RbcFrag("s", root, 3, b"\x00" * len(frags[3]),
-                            merkle_proof(frags, 3)),
-                )
-        send_all(0, rbcs[0].broadcast("s", payload))
-        net.run()
-        assert all(delivered[i].get("s") == payload for i in range(N))
-
-    def test_inconsistent_encoding_delivers_nowhere(self):
-        """AVID-M consistency: a sender that Merkle-commits to fragments
-        of two different payloads is rejected identically everywhere —
-        every reconstruction fails the re-encode check."""
-        net = make_lan(N)
-        rbcs, delivered, send_all = build_rbc(N, T, net, "erasure")
-        frags_a = rs_encode(b"A" * 640, K, N)
-        frags_b = rs_encode(b"B" * 640, K, N)
-        mixed = frags_a[:5] + frags_b[5:]
-        root = merkle_root(mixed)
-        for i in range(1, N):
-            net.node(0).send(
-                i, RbcVal("s", root, i, mixed[i], merkle_proof(mixed, i))
-            )
-        net.run(until=60)
-        assert all(delivered[i] == {} for i in range(N))
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +76,20 @@ def inject(net, abcs, replica, payloads, spacing=0.001):
 
 
 class TestAbcDigestMode:
+    def test_orders_travel_without_payload(self, keys_4_1):
+        payload = b"\xab" * 4096
+        order_bytes = {}
+        for mode in ("full", "digest"):
+            net = make_lan(N)
+            abcs, delivered = build_abc(N, T, net, keys_4_1, mode)
+            inject(net, abcs, 2, [payload])
+            net.run()
+            assert all(delivered[i] == [payload] for i in range(N))
+            order_bytes[mode] = net.bytes_by_type["AbcOrder"]
+        # Leader 0 sends one ORDER to each of the other three replicas.
+        assert order_bytes["full"] > 3 * len(payload)
+        assert order_bytes["digest"] < 3 * 256
+
     def test_starved_replica_pulls_and_stays_ordered(self, keys_4_1):
         net = make_lan(4)
         abcs, delivered = build_abc(
@@ -276,6 +129,13 @@ class TestAbcDigestMode:
         assert sent == []
         assert abc.stats["pulls_refused"] == 1
         assert abc.stats["pulls_served"] == 70 + MAX_PULL_SERVES - 1
+        # Another requester has a budget of its own; a stranger and the
+        # holder itself have none, and are not counted as refused.
+        for requester in (1, 99, 2):
+            abc.on_message(requester, PayloadPull(rids[0], b""))
+        assert [dest for dest, _m in sent] == [1]
+        assert abc.stats["pulls_served"] == 70 + MAX_PULL_SERVES
+        assert abc.stats["pulls_refused"] == 1
 
     def test_empty_payload_travels_full(self, keys_4_1):
         # b"" hashes to the sentinel rid, so its ORDER must not be
@@ -305,6 +165,8 @@ class TestAbcErasureMode:
         assert set(delivered[0]) == set(payloads)
         assert sum(abc.stats["erasure_disperses"] for abc in abcs) >= 4
         assert sum(abc.stats["erasure_reconstructions"] for abc in abcs) > 0
+        # No link carries a whole request payload on the way in.
+        assert "AbcInitiate" not in net.bytes_by_type
 
     def test_small_payloads_skip_dispersal(self, keys_4_1):
         net = make_lan(4)
@@ -315,3 +177,43 @@ class TestAbcErasureMode:
         net.run()
         assert all(delivered[i] == [b"tiny"] for i in range(4))
         assert all(abc.stats["erasure_disperses"] == 0 for abc in abcs)
+
+    def test_tampered_fragment_rejected(self, keys_4_1):
+        net = make_lan(N)
+        abcs, delivered = build_abc(N, T, net, keys_4_1, "erasure")
+        payload = b"\x5a" * 1024
+        rid = derive_request_id(payload)
+        frags = rs_encode(payload, K, N)
+        root = merkle_root(frags)
+        # Replica 3 floods garbage under the genuine root and proof; every
+        # receiver drops it at Merkle verification and delivery proceeds.
+        for peer in range(3):
+            net.node(3).send(
+                peer,
+                AbcFrag(rid, root, 1, b"\x00" * len(frags[1]), merkle_proof(frags, 1)),
+            )
+        inject(net, abcs, 2, [payload])
+        net.run(until=60)
+        assert all(delivered[i] == [payload] for i in range(N))
+
+    def test_inconsistent_encoding_delivers_nowhere(self, keys_4_1):
+        """A gateway that Merkle-commits to fragments of two different
+        payloads under one request id is rejected identically everywhere:
+        whatever decodes does not hash to the id."""
+        net = make_lan(N)
+        abcs, delivered = build_abc(N, T, net, keys_4_1, "erasure")
+        payload_a = b"A" * 640
+        frags_a = rs_encode(payload_a, K, N)
+        frags_b = rs_encode(b"B" * 640, K, N)
+        mixed = frags_a[:1] + frags_b[1:]
+        root = merkle_root(mixed)
+        rid = derive_request_id(payload_a)
+        for i in range(N):
+            if i != 1:
+                net.node(1).send(
+                    i, AbcFrag(rid, root, i, mixed[i], merkle_proof(mixed, i))
+                )
+        net.run(until=60)
+        assert all(delivered[i] == [] for i in range(N))
+        assert all(abc.stats["erasure_reconstructions"] == 0 for abc in abcs)
+        assert all(not abc.pending for abc in abcs)

@@ -2,8 +2,8 @@
 
 These regressions cover the true positives the interprocedural taint run
 surfaced: digest stuffing in the ABC prepare/commit pools, far-future
-epoch spam in complaints and epoch finals, and digest spam in the RBC
-echo/ready pools.  Admission is bounded *per sender* — a global
+epoch spam in complaints and epoch finals, and ORDER/PREPARE floods
+against one slot.  Admission is bounded *per sender* — a global
 first-come cap would itself be an attack surface: one Byzantine replica
 could fill a slot with invented digests before the honest leader's
 prepare arrives and censor the slot forever.
@@ -11,13 +11,11 @@ prepare arrives and censor the slot forever.
 
 import pytest
 
-from repro.broadcast import rbc as rbc_mod
-from repro.broadcast.abc import MAX_EPOCH_AHEAD
-from repro.broadcast.messages import AbcCommit, AbcComplain
-from repro.broadcast.rbc import RbcEcho, RbcInstance, RbcReady, RbcSend
+from repro.broadcast.abc import MAX_EPOCH_AHEAD, derive_request_id, request_digest
+from repro.broadcast.messages import AbcCommit, AbcComplain, AbcOrder, AbcPrepare
 
 from tests.broadcast.harness import auth_keys, coin_keys, make_lan
-from tests.broadcast.test_abc import build
+from tests.broadcast.test_abc import build, build_solo, inject, signed_prepare
 
 
 @pytest.fixture(scope="module")
@@ -123,64 +121,58 @@ class TestEpochWindows:
         assert calls == []
 
 
-class TestRbcDigestSpam:
-    def _instance(self):
-        return RbcInstance(4, 1, 0, "sid")
+class TestAbcOrderPrepareFlood:
+    """Replica 1 of (4, 1) under ORDER and PREPARE floods for slot (0, 0).
 
-    def test_echo_equivocation_ignored(self):
-        inst = self._instance()
-        for i in range(12):
-            inst.on_message(1, RbcEcho("sid", b"payload-%d" % i))
-        # only sender 1's first digest is tracked; the rest is equivocation
-        assert len(inst._echoes) == 1
-        assert len(inst._payload_by_digest) == 1
+    The vote-amplification attack on the fast path: a Byzantine leader
+    re-ORDERs the slot with ever new payloads, and a Byzantine signer
+    PREPAREs and COMMITs ever new digests with valid signatures.  The
+    state stays bounded by n per slot and the honest request delivers.
+    """
 
-    def test_ready_equivocation_ignored(self):
-        inst = self._instance()
-        for i in range(12):
-            inst.on_message(1, RbcReady("sid", bytes([i]) * 32))
-        assert len(inst._readies) == 1
-
-    def test_tracked_state_bounded_by_n(self):
-        inst = self._instance()
-        for sender in range(4):
-            for i in range(6):
-                inst.on_message(sender, RbcEcho("sid", b"p-%d-%d" % (sender, i)))
-                inst.on_message(sender, RbcReady("sid", bytes([10 * sender + i]) * 32))
-        assert len(inst._echoes) <= inst.n
-        assert len(inst._readies) <= inst.n
-        assert len(inst._payload_by_digest) <= inst.n + 1
-
-    def test_repeat_votes_on_same_digest_accumulate(self):
-        inst = self._instance()
-        inst.on_message(1, RbcEcho("sid", b"a"))
-        inst.on_message(2, RbcEcho("sid", b"a"))
-        digest_a = rbc_mod._digest(b"a")
-        assert inst._echoes[digest_a] == {1, 2}
-
-    def test_delivery_survives_byzantine_digest_flood(self):
-        """The REVIEW scenario: a flooder spams distinct digests *before*
-        any honest vote arrives; the real payload must still deliver."""
-        inst = self._instance()
+    def test_order_equivocation_ignored(self, keys_4_1):
+        abc, sent, _delivered = build_solo(keys_4_1)
         for i in range(50):
-            inst.on_message(1, RbcEcho("sid", b"fake-%d" % i))
-            inst.on_message(1, RbcReady("sid", bytes([i]) * 32))
-        payload = b"the real payload"
-        digest = rbc_mod._digest(payload)
-        inst.on_message(2, RbcSend("sid", payload))  # we echo the real payload
-        inst.on_message(2, RbcEcho("sid", payload))
-        inst.on_message(3, RbcEcho("sid", payload))  # 2t+1 echoes -> ready
-        inst.on_message(2, RbcReady("sid", digest))
-        inst.on_message(3, RbcReady("sid", digest))
-        assert inst.delivered == payload
+            payload = b"payload-%d" % i
+            abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        assert len(abc._ordered) == 1
+        assert abc._prepared_digest[(0, 0)] == request_digest(0, 0, b"payload-0")
+        # One PREPARE, sent to each of the three peers.
+        assert sum(isinstance(m, AbcPrepare) for m in sent) == 3
 
-    def test_delivery_still_works(self):
-        inst = self._instance()
-        payload = b"the real payload"
-        digest = rbc_mod._digest(payload)
-        inst.on_message(1, RbcEcho("sid", payload))
-        inst.on_message(2, RbcEcho("sid", payload))
-        inst.on_message(3, RbcEcho("sid", payload))  # 2t+1 echoes -> ready
-        inst.on_message(1, RbcReady("sid", digest))
-        inst.on_message(2, RbcReady("sid", digest))
-        assert inst.delivered == payload
+    def test_prepare_equivocation_ignored(self, keys_4_1):
+        abc, _sent, _delivered = build_solo(keys_4_1)
+        for i in range(50):
+            abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([i]) * 32))
+        abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([0]) * 32))  # a repeat
+        assert abc._slot_digests[(0, 0)] == {bytes([0]) * 32}
+        assert [key for key in abc._prepares if key[:2] == (0, 0)] == [(0, 0, bytes([0]) * 32)]
+        assert list(abc._prepares[(0, 0, bytes([0]) * 32)]) == [2]
+
+    def test_tracked_state_bounded_by_n(self, keys_4_1):
+        abc, _sent, _delivered = build_solo(keys_4_1)
+        for sender in (0, 2, 3):
+            for i in range(3):
+                digest = bytes([10 * sender + i]) * 32
+                abc.on_message(sender, signed_prepare(keys_4_1, sender, 0, 0, digest))
+                abc.on_message(sender, AbcCommit(0, 0, digest, sender, b""))
+        assert len(abc._slot_digests[(0, 0)]) <= abc.n
+        assert len([k for k in abc._prepares if k[:2] == (0, 0)]) <= abc.n
+        assert len([k for k in abc._commits if k[:2] == (0, 0)]) <= abc.n
+        assert (0, 0) not in abc._prepared_digest  # no ORDER, no own vote
+
+    def test_delivery_survives_byzantine_digest_flood(self, keys_4_1):
+        net = make_lan(4)
+        abcs, delivered = build(4, 1, net, keys_4_1)
+        # Replica 3 fills slot (0, 0) with invented digests first.
+        for i in range(20):
+            digest = bytes([i]) * 32
+            for peer in range(3):
+                net.node(3).send(peer, signed_prepare(keys_4_1, 3, 0, 0, digest))
+                net.node(3).send(peer, AbcCommit(0, 0, digest, 3, b""))
+        net.run()
+        assert all(abcs[i]._slot_digests[(0, 0)] == {bytes([0]) * 32} for i in range(3))
+        payload = b"real request"
+        inject(net, abcs, 1, [payload])
+        net.run()
+        assert all(delivered[i] == [payload] for i in range(4))

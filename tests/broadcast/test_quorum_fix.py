@@ -1,23 +1,23 @@
 """Regression tests for the general-n quorum fixes (Q501/Q502).
 
 Found by the first whole-repo ``repro lint --quorum`` run: the prepare
-certificate chain in ``broadcast.abc`` and the echo quorum in
-``broadcast.rbc`` used ``2t+1``, which only guarantees pairwise quorum
-intersection when ``n == 3t+1`` exactly.  At (n=5, t=1) two 3-member
-quorums can share a single — possibly Byzantine — replica, so an
-equivocating signer could complete *two* conflicting prepare
-certificates (or two conflicting READY amplifications) for the same
-slot.  The safe general-n quorum is ``n - t``.
+certificate chain in ``broadcast.abc`` used ``2t+1``, which only
+guarantees pairwise quorum intersection when ``n == 3t+1`` exactly.  At
+(n=5, t=1) two 3-member quorums can share a single — possibly Byzantine
+— replica, so an equivocating signer could complete *two* conflicting
+prepare certificates for the same slot.  The safe general-n quorum is
+``n - t``.  (The explorer corpus plants the old threshold back as
+``vuln_abc_weak_prepare_quorum`` and witnesses the split delivery.)
 """
 
 from repro.broadcast.abc import (
     AtomicBroadcast,
     AuthPlane,
     _prepare_signing_input,
+    derive_request_id,
     request_digest,
 )
-from repro.broadcast.messages import PrepareCertificate, RbcEcho
-from repro.broadcast.rbc import RbcInstance
+from repro.broadcast.messages import AbcPrepare, PrepareCertificate
 
 from tests.broadcast.harness import auth_keys, coin_keys, make_lan
 
@@ -89,31 +89,35 @@ class TestCertificateQuorumAtN5T1:
         assert abc._validate_certificate(cert)
 
 
-class TestEchoQuorumAtN5T1:
-    def test_three_echoes_do_not_amplify(self):
-        rbc = RbcInstance(5, 1, me=0, sid="s")
-        echo = RbcEcho("s", b"payload")
-        out = []
-        for sender in (1, 2, 3):
-            out.extend(rbc._on_echo(sender, echo))
-        assert out == []
-        assert not rbc._sent_ready
+def prepare_votes(abc, pairs, pubs, payload, signers):
+    """Replica ``abc`` (replica 0, the leader) orders ``payload`` into
+    slot (0, 0), then receives signed PREPAREs from ``signers``."""
+    digest = request_digest(0, 0, payload)
+    abc._order_one(derive_request_id(payload), payload)
+    data = _prepare_signing_input(0, 0, digest)
+    for signer in signers:
+        signature = AuthPlane(pairs[signer].private, pubs).sign(data)
+        abc.on_message(signer, AbcPrepare(0, 0, digest, signer, signature))
+    return (0, 0) in abc._commit_sent
 
-    def test_n_minus_t_echoes_amplify(self):
-        rbc = RbcInstance(5, 1, me=0, sid="s")
-        echo = RbcEcho("s", b"payload")
-        out = []
-        for sender in (1, 2, 3, 4):
-            out.extend(rbc._on_echo(sender, echo))
-        assert rbc._sent_ready
-        assert out, "n-t echoes must trigger the READY amplification"
+
+class TestPrepareQuorumAtN5T1:
+    """The live prepare quorum, not just certificate validation: the
+    leader's own PREPARE plus the listed signers' must reach n - t."""
+
+    def test_three_prepares_do_not_certify(self):
+        abc, pairs, pubs = build_one(5, 1)
+        assert not prepare_votes(abc, pairs, pubs, b"payload", (1, 2))
+        assert 0 not in abc._certificates
+
+    def test_n_minus_t_prepares_certify(self):
+        abc, pairs, pubs = build_one(5, 1)
+        assert prepare_votes(abc, pairs, pubs, b"payload", (1, 2, 3))
+        assert len(abc._certificates[0].signatures) == 4
 
     def test_quorum_unchanged_at_minimal_cluster(self):
         # At n == 3t+1 the fix is behavior-preserving: n-t == 2t+1.
-        rbc = RbcInstance(4, 1, me=0, sid="s")
-        echo = RbcEcho("s", b"payload")
-        for sender in (1, 2):
-            rbc._on_echo(sender, echo)
-        assert not rbc._sent_ready
-        rbc._on_echo(3, echo)
-        assert rbc._sent_ready
+        abc, pairs, pubs = build_one(4, 1)
+        assert not prepare_votes(abc, pairs, pubs, b"payload", (1,))
+        abc2, pairs, pubs = build_one(4, 1)
+        assert prepare_votes(abc2, pairs, pubs, b"payload", (1, 2))

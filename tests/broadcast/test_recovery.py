@@ -1,18 +1,19 @@
-"""One contract for payload recovery, held by every digest fast path.
+"""One contract for payload recovery, held by both ABC pull lanes.
 
-``broadcast/recovery.py`` is the only pull mechanism: Bracha RBC (digest
-and erasure modes, at the (10, 3) target cluster) and the atomic
-broadcast (digest mode at (4, 1)) each hold one ``PayloadRecovery``.
-The same four cases run against all three:
+``broadcast/recovery.py`` is the atomic broadcast's one pull mechanism:
+a replica holding a digest ORDER without the payload pulls it.  Two
+dissemination lanes reach it — ``digest`` (the gateway's INITIATE went
+missing, at (4, 1)) and ``erasure`` (too few fragments to reconstruct,
+at the (10, 3) target cluster).  The same four cases run on both:
 
 * a withheld payload is delivered by a pull;
 * a forged reply is rejected and the chain goes on to an honest holder;
 * no pull is sent after delivery;
 * the happy path sends zero pulls.
 
-The caps test drives each bound of the component — serve budget,
-reply verification, chain length — through both protocols and checks
-the counter that shows it.
+The caps tests drive each bound of the component — reply verification,
+chain length, the serve budget's key — through both lanes and check the
+counter that shows it.
 """
 
 import pytest
@@ -20,112 +21,97 @@ import pytest
 from repro.broadcast import abc as abc_mod
 from repro.broadcast.abc import AtomicBroadcast, derive_request_id
 from repro.broadcast.messages import (
+    AbcFrag,
     AbcInitiate,
     AbcOrder,
     AbcPrepare,
     PayloadPull,
     PayloadReply,
-    RbcEchoDigest,
-    RbcFrag,
-    RbcReady,
-    RbcSend,
-    RbcVal,
 )
-from repro.broadcast.rbc import ReliableBroadcast
 from repro.broadcast.recovery import MAX_PULL_ROUNDS, MAX_PULL_SERVES
 
 from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
 
-CONFIGS = ["rbc-digest", "rbc-erasure", "abc-digest"]
+CONFIGS = ["abc-digest", "abc-erasure"]
+#: The caps cases build one replica at (4, 1); "abc" is the default lane.
+LANES = {"abc": "digest", "abc-erasure": "erasure"}
 PAYLOAD = b"\xab" * 2048
+
+
+def _keys(n, t):
+    pairs, pubs = auth_keys(n)
+    return pairs, pubs, coin_keys(n, t)
 
 
 @pytest.fixture(scope="module")
 def keys_4_1():
-    pairs, pubs = auth_keys(4)
-    return pairs, pubs, coin_keys(4, 1)
+    return _keys(4, 1)
+
+
+@pytest.fixture(scope="module")
+def keys_10_3():
+    return _keys(10, 3)
+
+
+@pytest.fixture
+def cluster_keys(config, keys_4_1, keys_10_3):
+    return keys_10_3 if config == "abc-erasure" else keys_4_1
 
 
 class Cluster:
     """A LAN cluster for one config that logs every send.
 
-    ``starve`` makes the last replica miss the payload: it drops the RBC
-    SEND (digest), the VAL and all but three senders' fragments (erasure:
-    fewer than ``k`` remain), or the ABC INITIATE.  Replica 0 — the first
-    pull candidate in all three — answers pulls with a forged payload
-    when ``forge`` is set.
+    ``starve`` makes the last replica miss the payload: it drops the
+    INITIATE (digest) or every fragment (erasure), so only the leader's
+    digest ORDER reaches it.  Replica 0 — the leader, and so the first
+    pull candidate — answers pulls with a forged payload when ``forge``
+    is set.  Replica 2 is the gateway.
     """
 
     def __init__(self, config, keys, starve=False, forge=False):
-        protocol, mode = config.split("-")
-        self.n, t = (10, 3) if protocol == "rbc" else (4, 1)
+        mode = config.split("-")[1]
+        self.n, t = (10, 3) if mode == "erasure" else (4, 1)
         self.net = make_lan(self.n)
         self.starved = self.n - 1
         self.sends = []  # (time, src, dest, msg)
         self.delivered = {}  # replica -> (time, payload)
         self.starve = starve
         self.forge = forge
-        self.replicas = [self._build(protocol, mode, t, i, keys) for i in range(self.n)]
-        if protocol == "rbc":
-            self._send_all(0, self.replicas[0].broadcast("s", PAYLOAD))
-        else:
-            self.net.node(2).run_local(0.0, lambda: self.replicas[2].a_broadcast(PAYLOAD))
+        self.replicas = [self._build(mode, t, i, keys) for i in range(self.n)]
+        self.net.node(2).run_local(0.0, lambda: self.replicas[2].a_broadcast(PAYLOAD))
         self.net.run(until=60)
 
     def _send(self, src, dest, msg):
         self.sends.append((self.net.node(src).now, src, dest, msg))
         self.net.node(src).send(dest, msg)
 
-    def _send_all(self, src, outs):
-        for dest, msg in outs:
-            for peer in range(self.n) if dest == -1 else [dest]:
-                if peer != src:
-                    self._send(src, peer, msg)
-
     def _deliver(self, i, payload):
         self.delivered.setdefault(i, (self.net.node(i).now, payload))
 
-    def _build(self, protocol, mode, t, i, keys):
-        node = self.net.node(i)
-        if protocol == "rbc":
-            replica = ReliableBroadcast(
-                self.n, t, i,
-                deliver=lambda sid, p: self._deliver(i, p),
-                mode=mode,
-                schedule=node.schedule_timer,
-                emit=lambda outs: self._send_all(i, outs),
-            )
-            process = lambda s, m: self._send_all(i, replica.on_message(s, m))
-        else:
-            pairs, pubs, coins = keys
-            replica = AtomicBroadcast(
-                self.n, t, i,
-                auth_key=pairs[i].private,
-                auth_public=pubs,
-                coin_key=coins[i],
-                deliver=lambda rid, p: self._deliver(i, p),
-                send=lambda dest, msg: self._send(i, dest, msg),
-                schedule=node.schedule_timer,
-                timeout=1.0,
-                dissemination=mode,
-            )
-            process = replica.on_message
+    def _build(self, mode, t, i, keys):
+        pairs, pubs, coins = keys
+        replica = AtomicBroadcast(
+            self.n, t, i,
+            auth_key=pairs[i].private,
+            auth_public=pubs,
+            coin_key=coins[i],
+            deliver=lambda rid, p: self._deliver(i, p),
+            send=lambda dest, msg: self._send(i, dest, msg),
+            schedule=self.net.node(i).schedule_timer,
+            timeout=1.0,
+            dissemination=mode,
+        )
 
         def handler(sender, msg):
-            if i == self.starved and self.starve and self._withheld(sender, msg):
+            if i == self.starved and self.starve and isinstance(msg, (AbcInitiate, AbcFrag)):
                 return
             if i == 0 and self.forge and isinstance(msg, PayloadPull):
                 self._send(0, sender, PayloadReply(msg.sid, msg.digest, b"forged"))
                 return
-            process(sender, msg)
+            replica.on_message(sender, msg)
 
-        node.set_handler(handler)
+        self.net.node(i).set_handler(handler)
         return replica
-
-    def _withheld(self, sender, msg):
-        if isinstance(msg, (RbcSend, RbcVal, AbcInitiate)):
-            return True
-        return isinstance(msg, RbcFrag) and sender not in (0, 1, 2)
 
     def pulls(self, src=None, after=-1.0):
         return [
@@ -139,8 +125,8 @@ class Cluster:
 
 @pytest.mark.parametrize("config", CONFIGS)
 class TestRecoveryContract:
-    def test_withheld_payload_delivered_by_pull(self, config, keys_4_1):
-        cluster = Cluster(config, keys_4_1, starve=True)
+    def test_withheld_payload_delivered_by_pull(self, config, cluster_keys):
+        cluster = Cluster(config, cluster_keys, starve=True)
         assert all(
             cluster.delivered.get(i, (0, None))[1] == PAYLOAD
             for i in range(cluster.n)
@@ -149,8 +135,8 @@ class TestRecoveryContract:
         assert sum(cluster.stats(i)["pulls_served"] for i in range(cluster.n)) > 0
         assert cluster.stats(cluster.starved)["pull_replies_rejected"] == 0
 
-    def test_forged_reply_rejected_chain_moves_on(self, config, keys_4_1):
-        cluster = Cluster(config, keys_4_1, starve=True, forge=True)
+    def test_forged_reply_rejected_chain_moves_on(self, config, cluster_keys):
+        cluster = Cluster(config, cluster_keys, starve=True, forge=True)
         starved = cluster.stats(cluster.starved)
         assert cluster.delivered[cluster.starved][1] == PAYLOAD
         assert starved["pull_replies_rejected"] >= 1
@@ -159,15 +145,15 @@ class TestRecoveryContract:
                    if s == cluster.starved and isinstance(m, PayloadPull)]
         assert targets[0] == 0 and any(dest != 0 for dest in targets)
 
-    def test_no_pull_after_delivery(self, config, keys_4_1):
-        cluster = Cluster(config, keys_4_1, starve=True)
+    def test_no_pull_after_delivery(self, config, cluster_keys):
+        cluster = Cluster(config, cluster_keys, starve=True)
         assert cluster.pulls(src=cluster.starved)
         for i in range(cluster.n):
             when, _payload = cluster.delivered[i]
             assert cluster.pulls(src=i, after=when) == [], f"replica {i}"
 
-    def test_happy_path_sends_no_pulls(self, config, keys_4_1):
-        cluster = Cluster(config, keys_4_1)
+    def test_happy_path_sends_no_pulls(self, config, cluster_keys):
+        cluster = Cluster(config, cluster_keys)
         assert len(cluster.delivered) == cluster.n
         assert cluster.pulls() == []
         assert all(cluster.stats(i)["pulls_sent"] == 0 for i in range(cluster.n))
@@ -176,21 +162,7 @@ class TestRecoveryContract:
 # -- caps and counters --------------------------------------------------------
 
 
-def _rbc_awaiting(timers, sent):
-    """Replica 9 of (10, 3) with a ready quorum on a digest it never got
-    the payload for; echo voters 0..6 are its pull candidates."""
-    rbc = ReliableBroadcast(
-        10, 3, 9, deliver=lambda sid, p: None,
-        schedule=timers, emit=sent.extend,
-    )
-    digest = b"\x42" * 32
-    for voter in range(7):
-        rbc.on_message(voter, RbcEchoDigest("s", digest))
-        rbc.on_message(voter, RbcReady("s", digest))
-    return rbc, ("s", digest), 7
-
-
-def _abc_awaiting(timers, sent, keys):
+def _abc_awaiting(timers, sent, keys, dissemination="digest"):
     """Replica 3 of (4, 1) holding a digest ORDER from leader 0 for a
     request it never saw; replicas 0..2 are its pull candidates."""
     pairs, pubs, coins = keys
@@ -200,35 +172,31 @@ def _abc_awaiting(timers, sent, keys):
         deliver=lambda rid, p: None,
         send=lambda dest, msg: sent.append((dest, msg)),
         schedule=timers,
+        dissemination=dissemination,
     )
     rid = derive_request_id(PAYLOAD)
     abc.on_message(0, AbcOrder(0, 0, rid, b""))
     return abc, (rid, b""), 3
 
 
-def _holder(protocol, keys):
-    """A replica holding PAYLOAD, and the key a pull for it names."""
-    if protocol == "rbc":
-        rbc = ReliableBroadcast(10, 3, 0, deliver=lambda sid, p: None)
-        rbc.on_message(1, RbcSend("s", PAYLOAD))
-        return rbc, ("s", next(iter(rbc._instances["s"]._payload_by_digest)))
+def _holder(keys, dissemination):
+    """Gateway replica 0 holding PAYLOAD, and the key a pull for it names."""
     pairs, pubs, coins = keys
     abc = AtomicBroadcast(
         4, 1, 0,
         auth_key=pairs[0].private, auth_public=pubs, coin_key=coins[0],
         deliver=lambda rid, p: None, send=lambda dest, msg: None,
-        schedule=ManualTimers(),
+        schedule=ManualTimers(), dissemination=dissemination,
     )
     return abc, (abc.a_broadcast(PAYLOAD), b"")
 
 
-@pytest.mark.parametrize("protocol", ["rbc", "abc"])
+@pytest.mark.parametrize("lane", sorted(LANES))
 class TestRecoveryCaps:
-    def test_serve_budget_counts_refusals(self, protocol, keys_4_1):
-        holder, key = _holder(protocol, keys_4_1)
-        replies = [holder.on_message(2, PayloadPull(*key)) for _ in range(MAX_PULL_SERVES + 1)]
-        if protocol == "rbc":
-            assert [bool(r) for r in replies] == [True] * MAX_PULL_SERVES + [False]
+    def test_serve_budget_counts_refusals(self, lane, keys_4_1):
+        holder, key = _holder(keys_4_1, LANES[lane])
+        for _ in range(MAX_PULL_SERVES + 1):
+            holder.on_message(2, PayloadPull(*key))
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES
         assert holder.stats["pulls_refused"] == 1
         # Another requester has a budget of its own; a stranger has none.
@@ -237,10 +205,10 @@ class TestRecoveryCaps:
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES + 1
         assert holder.stats["pulls_refused"] == 1
 
-    def test_fresh_keys_buy_no_budget(self, protocol, keys_4_1):
+    def test_fresh_keys_buy_no_budget(self, lane, keys_4_1):
         """A pull naming a key the holder does not hold (a fresh digest
         each time) is served nothing and takes no budget entry."""
-        holder, key = _holder(protocol, keys_4_1)
+        holder, key = _holder(keys_4_1, LANES[lane])
         for k in range(MAX_PULL_SERVES + 5):
             holder.on_message(2, PayloadPull(key[0], bytes([k]) * 32))
         assert holder.stats["pulls_served"] == 0
@@ -249,22 +217,16 @@ class TestRecoveryCaps:
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES
         assert len(holder._recovery._served) == 1
 
-    def test_unsolicited_and_forged_replies_counted(self, protocol, keys_4_1):
+    def test_unsolicited_and_forged_replies_counted(self, lane, keys_4_1):
         timers, sent = ManualTimers(), []
-        if protocol == "rbc":
-            replica, key, _ = _rbc_awaiting(timers, sent)
-        else:
-            replica, key, _ = _abc_awaiting(timers, sent, keys_4_1)
+        replica, key, _ = _abc_awaiting(timers, sent, keys_4_1, LANES[lane])
         replica.on_message(1, PayloadReply(key[0], key[1], b"forged"))
         replica.on_message(1, PayloadReply("elsewhere", key[1], PAYLOAD))
         assert replica.stats["pull_replies_rejected"] == 2
 
-    def test_chain_ends_in_one_burst(self, protocol, keys_4_1):
+    def test_chain_ends_in_one_burst(self, lane, keys_4_1):
         timers, sent = ManualTimers(), []
-        if protocol == "rbc":
-            replica, key, candidates = _rbc_awaiting(timers, sent)
-        else:
-            replica, key, candidates = _abc_awaiting(timers, sent, keys_4_1)
+        replica, key, candidates = _abc_awaiting(timers, sent, keys_4_1, LANES[lane])
         assert sent == [] and len(timers.armed) == 1  # first pull waits
         timers.fire_all()
         pulls = [dest for dest, msg in sent if isinstance(msg, PayloadPull)]

@@ -5,19 +5,24 @@ concurrency bug — four protocol-level defects found by exploring the
 real broadcast stack under a Byzantine palette, and four task-level
 Y601-Y604 yield-point races confirmed through their published
 ``EXPLORE_HARNESSES``.  The explorer must witness each one, and must
-stay silent on the two ``clean_*`` controls (a correct-threshold RBC
+stay silent on the two ``clean_*`` controls (a correct-threshold ABC
 subclass and correctly-guarded task code).  The per-bug pins are exact:
 a regression in any single detection path fails loudly, and the whole
 corpus must finish well inside the issue's 60 s budget.
 """
 
-import hashlib
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.broadcast.abc import (
+    _prepare_signing_input,
+    derive_request_id,
+    request_digest,
+)
+from repro.broadcast.messages import AbcCommit, AbcPrepare, PayloadReply
 from repro.explore import confirm_races
 from repro.explore.confirm import _explore_harness, _load_harnesses
 from repro.explore.dpor import DporEngine
@@ -25,8 +30,8 @@ from repro.explore.models import (
     AbaModel,
     AbcModel,
     ByzStrategy,
-    RbcModel,
-    rbc_strategies,
+    StubKey,
+    abc_strategies,
 )
 from repro.lint.framework import Program
 
@@ -36,8 +41,8 @@ CORPUS = Path(__file__).parent / "corpus"
 PROTOCOL_VULNS = [
     "vuln_aba_coin_reentry.py",
     "vuln_abc_future_epoch_drop.py",
-    "vuln_rbc_weak_echo_quorum.py",
-    "vuln_rbc_unverified_pull.py",
+    "vuln_abc_weak_prepare_quorum.py",
+    "vuln_abc_unverified_pull.py",
 ]
 
 #: Task vulns: file -> the Y rule that must be dynamically confirmed.
@@ -48,7 +53,20 @@ TASK_VULNS = {
     "vuln_task_fire_forget.py": "Y604",
 }
 
-CLEAN = ["clean_rbc.py", "clean_task.py"]
+CLEAN = ["clean_abc.py", "clean_task.py"]
+
+#: The exact invariant messages of the re-planted ABC bugs' witnesses.
+WITNESS_MESSAGES = {
+    "vuln_abc_weak_prepare_quorum.py": [
+        f"total order violated: replica {a} log [(0, {derive_request_id(b'req-a')!r})]..."
+        f" diverges from replica {b} log [(0, {derive_request_id(b'req-b')!r})]..."
+        for a, b in ((1, 4), (2, 4))
+    ],
+    "vuln_abc_unverified_pull.py": [
+        "replica 3 adopted a forged payload for request "
+        + derive_request_id(b"req-withheld")
+    ],
+}
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -60,27 +78,40 @@ def _corpus_on_path():
         sys.path.remove(str(CORPUS))
 
 
-def _forged_pull_strategy():
-    from repro.broadcast.messages import PayloadReply
-
-    base = next(
+def _leader_strategy(n, name):
+    honest = list(range(1, n))
+    return next(
         s
-        for s in rbc_strategies(4, 1, "s", "digest", 0, [1, 2, 3])
-        if s.name == "withhold-partial"
+        for s in abc_strategies(n, 1, 0, honest, [b"req-a", b"req-b"])
+        if s.name == name
     )
-    # The forged reply names the key the starved replica pulls for: the
-    # withheld payload_a's digest.
-    forged = PayloadReply("s", hashlib.sha256(b"alpha").digest(), b"forged")
+
+
+def _forged_pull_strategy():
+    """The payload-withholding leader, plus a forged reply to the pull of
+    replica 3.  It shares replica 3's channel with the digest ORDER, so it
+    lands while the pull chain that ORDER opened is waiting."""
+    base = _leader_strategy(4, "withhold-payload")
+    forged = PayloadReply(derive_request_id(b"req-withheld"), b"", b"forged")
     return ByzStrategy(
         "withhold-forge-pull", tuple(base.messages) + ((3, forged),)
     )
 
 
 def _equivocate_at_5_1():
-    return next(
-        s
-        for s in rbc_strategies(5, 1, "s", "full", 0, [1, 2, 3, 4])
-        if s.name == "equivocate-split"
+    """The sequence-equivocating leader at (5, 1), which also PREPAREs and
+    COMMITs each camp's digest: its own vote lifts each camp's two
+    PREPAREs to 2t+1, never to n-t."""
+    base = _leader_strategy(5, "equivocate-seq")
+    key = StubKey(0)
+    votes = []
+    for dest, order in base.messages:
+        digest = request_digest(0, 0, order.payload)
+        signature = key.sign(_prepare_signing_input(0, 0, digest))
+        votes.append((dest, AbcPrepare(0, 0, digest, 0, signature)))
+        votes.append((dest, AbcCommit(0, 0, digest, 0, b"")))
+    return ByzStrategy(
+        "equivocate-seq-voting", tuple(base.messages) + tuple(votes)
     )
 
 
@@ -97,6 +128,23 @@ class _FutureDropModel(AbcModel):
                 problems.append(
                     f"replica {i} dropped {dropped} future-epoch message(s)"
                 )
+        return problems
+
+
+class _ForgedPullModel(AbcModel):
+    """AbcModel whose invariant also pins *adoption* of a forged pull
+    reply.  The ORDER replay re-derives the request id, so the forged
+    payload is never prepared; what the missing check breaks is the
+    replica's own copy of the request (and the pull chain it closed)."""
+
+    def check_now(self):
+        problems = super().check_now()
+        for i, abc in self.state.replicas.items():
+            for rid, payload in abc.pending.items():
+                if derive_request_id(payload) != rid:
+                    problems.append(
+                        f"replica {i} adopted a forged payload for request {rid}"
+                    )
         return problems
 
 
@@ -135,34 +183,36 @@ def _protocol_model(filename):
             ),
             40_000,
         )
-    if filename == "vuln_rbc_weak_echo_quorum.py":
-        from vuln_rbc_weak_echo_quorum import VulnRbcWeakEchoQuorum
+    if filename == "vuln_abc_weak_prepare_quorum.py":
+        from vuln_abc_weak_prepare_quorum import VulnAbcWeakPrepareQuorum
 
         # 2t+1 == n-t at (4,1); the weakening is only exploitable at (5,1).
         return (
-            RbcModel(
+            AbcModel(
                 5,
                 1,
-                mode="full",
+                dissemination="digest",
                 byz=0,
                 strategy=_equivocate_at_5_1(),
-                rbc_cls=VulnRbcWeakEchoQuorum,
+                payloads=(b"req-a",),
+                abc_cls=VulnAbcWeakPrepareQuorum,
             ),
             50_000,
         )
-    if filename == "vuln_rbc_unverified_pull.py":
-        from vuln_rbc_unverified_pull import VulnRbcUnverifiedPull
+    if filename == "vuln_abc_unverified_pull.py":
+        from vuln_abc_unverified_pull import VulnAbcUnverifiedPull
 
-        # Withhold SEND from one camp, then race a forged pull response
-        # into the starved replica's pull window.
+        # Withhold the payload from two replicas, then answer replica 3's
+        # pull with a forged payload.
         return (
-            RbcModel(
+            _ForgedPullModel(
                 4,
                 1,
-                mode="digest",
+                dissemination="digest",
                 byz=0,
                 strategy=_forged_pull_strategy(),
-                rbc_cls=VulnRbcUnverifiedPull,
+                payloads=(b"req-a",),
+                abc_cls=VulnAbcUnverifiedPull,
             ),
             50_000,
         )
@@ -191,6 +241,9 @@ def test_protocol_bug_witnessed(filename):
     assert result.violations, f"{filename}: no violating schedule found"
     violation = result.violations[0]
     assert violation.schedule, f"{filename}: empty witness schedule"
+    expected = WITNESS_MESSAGES.get(filename)
+    if expected is not None:
+        assert violation.messages == expected, violation.messages
 
 
 @pytest.mark.parametrize(
@@ -230,21 +283,34 @@ def test_task_corpus_exact_rules():
     )
 
 
-def test_clean_rbc_control_stays_silent():
-    from clean_rbc import CleanRbcEchoQuorum
+def test_clean_abc_control_stays_silent():
+    from clean_abc import CleanAbcPrepareQuorum
 
-    model = RbcModel(
+    model = AbcModel(
         5,
         1,
-        mode="full",
+        dissemination="digest",
         byz=0,
         strategy=_equivocate_at_5_1(),
-        rbc_cls=CleanRbcEchoQuorum,
+        payloads=(b"req-a",),
+        abc_cls=CleanAbcPrepareQuorum,
     )
     # Budget-capped: the point is that the *bug* is what the explorer
     # flags (found at well under this budget), not the subclassing.
-    result = DporEngine(model, max_schedules=1_500).run()
+    result = DporEngine(model, max_schedules=1_000).run()
     assert not result.violations
+    assert result.schedules == 1_000, "budget should bind, not the space"
+
+
+def test_production_pull_rejects_the_forged_reply():
+    # The same adversary against the real request-id check.
+    model = _ForgedPullModel(
+        4, 1, dissemination="digest", byz=0,
+        strategy=_forged_pull_strategy(), payloads=(b"req-a",),
+    )
+    result = DporEngine(model, max_schedules=1_000).run()
+    assert not result.violations
+    assert result.schedules == 1_000, "budget should bind, not the space"
 
 
 def test_clean_task_control_stays_silent():

@@ -8,15 +8,11 @@ determinism, and small end-to-end explorations of the real protocol
 models.
 """
 
-import hashlib
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.broadcast.messages import PayloadReply
-from repro.broadcast.rbc import RbcInstance
 from repro.explore.dpor import (
     DporEngine,
     StepMeta,
@@ -24,7 +20,7 @@ from repro.explore.dpor import (
     replay_schedule,
 )
 from repro.explore.frontier import ChannelFrontier
-from repro.explore.models import ByzStrategy, RbcModel, rbc_strategies
+from repro.explore.models import AbcModel
 from repro.explore.runner import (
     build_model,
     explore_protocol,
@@ -75,13 +71,13 @@ def test_frontier_records_fifo_predecessor_edges():
 
 def test_schedule_file_round_trip(tmp_path):
     sf = ScheduleFile(
-        protocol="rbc",
-        mode="full",
+        protocol="abc",
+        mode="digest",
         cluster=(4, 1),
-        strategy="sender-equivocate-split",
+        strategy="leader-equivocate-seq",
         schedule=[(0, 1), (2, 3), "timer"],
         kind="invariant",
-        messages=["broadcast agreement violated"],
+        messages=["total order violated"],
         fingerprint="abc123",
         transcript_hash="def456",
     )
@@ -94,7 +90,7 @@ def test_schedule_file_round_trip(tmp_path):
 
 def test_schedule_file_rejects_unknown_version(tmp_path):
     sf = ScheduleFile(
-        protocol="rbc", mode="full", cluster=(4, 1), strategy="", schedule=[]
+        protocol="abc", mode="digest", cluster=(4, 1), strategy="", schedule=[]
     )
     path = tmp_path / "bad.schedule.json"
     save_schedule(sf, path)
@@ -235,83 +231,27 @@ def test_naive_count_matches_dependence_classes():
     assert res.naive_lower_bound == 24
 
 
-# -- sleep-set seeding regression ------------------------------------------
-
-
-def _forge_pull_model(rbc_cls):
-    base = next(
-        s
-        for s in rbc_strategies(4, 1, "s", "digest", 0, [1, 2, 3])
-        if s.name == "withhold-partial"
-    )
-    # The forged reply names the key the starved replica pulls for: the
-    # withheld payload_a's digest.
-    forged = PayloadReply("s", hashlib.sha256(b"alpha").digest(), b"forged")
-    strategy = ByzStrategy(
-        "withhold-forge-pull", tuple(base.messages) + ((3, forged),)
-    )
-    return RbcModel(
-        4, 1, mode="digest", byz=0, strategy=strategy, rbc_cls=rbc_cls
-    )
-
-
-def test_sleep_set_seeding_regression():
-    """The engine once seeded each frame's backtrack with ``enabled[0]``
-    even when that choice was in the inherited sleep set, abandoning the
-    node unexecuted and silently pruning reachable orders.  This
-    scenario — a forged pull response that must land inside the starved
-    replica's pull window, *after* every vote — only violates in orders
-    the unsound prune lost: the buggy engine reported 96 schedules,
-    "complete", zero violations."""
-    sys.path.insert(0, str(CORPUS))
-    try:
-        from vuln_rbc_unverified_pull import VulnRbcUnverifiedPull
-    finally:
-        sys.path.remove(str(CORPUS))
-    result = DporEngine(
-        _forge_pull_model(VulnRbcUnverifiedPull),
-        stop_on_first=True,
-        max_schedules=50_000,
-    ).run()
-    assert result.violations, "sleep-set pruning lost the violating order"
-    assert any("forged" in m for v in result.violations for m in v.messages)
-
-
-def test_sleep_fix_keeps_production_pull_exhaustive_and_clean():
-    # Same adversary against the real digest check: the forged payload
-    # is dropped in every one of the (completely explored) orders.
-    result = DporEngine(
-        _forge_pull_model(RbcInstance), max_schedules=200_000
-    ).run()
-    assert result.complete
-    assert not result.violations
-    # The cross-dest reduction must still be pulling its weight.
-    assert result.naive_lower_bound >= 10 * result.schedules
-
-
 # -- minimization and replay determinism ------------------------------------
 
 
 def _weak_quorum_violation():
+    from test_corpus import _equivocate_at_5_1  # a sibling module
+
     sys.path.insert(0, str(CORPUS))
     try:
-        from vuln_rbc_weak_echo_quorum import VulnRbcWeakEchoQuorum
+        from vuln_abc_weak_prepare_quorum import VulnAbcWeakPrepareQuorum
     finally:
         sys.path.remove(str(CORPUS))
-    strategy = next(
-        s
-        for s in rbc_strategies(5, 1, "s", "full", 0, [1, 2, 3, 4])
-        if s.name == "equivocate-split"
-    )
+    strategy = _equivocate_at_5_1()
 
     def make():
-        return RbcModel(
+        return AbcModel(
             5,
             1,
-            mode="full",
             byz=0,
             strategy=strategy,
-            rbc_cls=VulnRbcWeakEchoQuorum,
+            payloads=(b"req-a",),
+            abc_cls=VulnAbcWeakPrepareQuorum,
         )
 
     result = DporEngine(
@@ -348,8 +288,8 @@ def test_replay_file_round_trip_detects_clean_witness(tmp_path):
     # schedule of a production configuration; reproduced means "still
     # clean", and the transcript hash pins the whole step sequence.
     sf = ScheduleFile(
-        protocol="rbc",
-        mode="full",
+        protocol="abc",
+        mode="digest",
         cluster=(4, 1),
         strategy="honest",
         schedule=[],
@@ -365,21 +305,6 @@ def test_replay_file_round_trip_detects_clean_witness(tmp_path):
 
 
 # -- real-model explorations ------------------------------------------------
-
-
-def test_rbc_withhold_partial_exhaustive_and_clean():
-    # One full Byzantine-sender palette entry, exhaustively: Bracha's
-    # quorums hold over every schedule (G2 agreement + totality).
-    report = explore_protocol(
-        "rbc", mode="full", n=4, t=1, strategies=["sender-withhold-partial"]
-    )
-    assert report.complete
-    assert not report.violations
-    assert report.ok
-    run = report.runs[0]
-    assert run.result.naive_lower_bound >= 10 * run.result.schedules, (
-        "DPOR reduction fell below the 10x acceptance floor"
-    )
 
 
 def test_aba_split_est_budget_bounded_and_clean():
@@ -408,27 +333,28 @@ def test_e2e_requires_a_bound():
 
 
 def test_strategy_specs_cover_documented_palettes():
-    rbc = [s.name for s in strategy_specs("rbc", "full", 4, 1)]
-    assert "honest" in rbc
-    assert "sender-equivocate-split" in rbc
-    assert any(name.startswith("voter-") for name in rbc)
     aba = [s.name for s in strategy_specs("aba", "", 4, 1)]
     assert "honest-mixed" in aba
     abc = [s.name for s in strategy_specs("abc", "digest", 4, 1)]
-    assert "leader-withhold-payload" in abc
+    assert abc == [
+        "honest",
+        "honest-backlog",
+        "leader-silent",
+        "leader-equivocate-seq",
+        "leader-withhold-payload",
+    ]
     e2e = [s.name for s in strategy_specs("e2e", "digest", 4, 1)]
     assert e2e == ["honest", "crash-follower"]
 
 
 def test_build_model_rejects_unknown_strategy():
     with pytest.raises(ValueError):
-        build_model("rbc", "full", 4, 1, "no-such-strategy")
+        build_model("abc", "digest", 4, 1, "no-such-strategy")
 
 
 @pytest.mark.parametrize(
     "protocol,mode,strategy",
     [
-        ("rbc", "digest", "sender-withhold-partial"),
         ("abc", "digest", "leader-withhold-payload"),
     ],
 )
@@ -442,6 +368,4 @@ def test_footprint_extras_name_live_state(protocol, mode, strategy):
     names = set()
     for replica in model.state.replicas.values():
         names |= set(vars(replica)) | set(vars(replica._recovery))
-        if protocol == "rbc":
-            names |= set(vars(replica._instance(model.sid)))
     assert model._footprint_extra <= names, model._footprint_extra - names

@@ -36,9 +36,11 @@ _HEALTHY = {
     "BENCH_writes__json": {"write_speedup": 16.0},
     "BENCH_resolver__json": {"offload_ratio": 0.98},
     "BENCH_broadcast__json": {
-        "digest_echo_reduction": 95.0,
-        "erasure_echo_reduction": 3.4,
-        "erasure_flatness_headroom": 1.7,
+        "sequential": {
+            "digest_order_reduction": 94.0,
+            "erasure_max_link_reduction": 2.9,
+        },
+        "burst": {"digest_order_reduction": 1.3},
     },
 }
 
