@@ -1,4 +1,4 @@
-"""Broadcast-plane bandwidth benchmark: ABC's three dissemination lanes.
+"""Broadcast-plane bandwidth benchmark: ABC's two dissemination lanes.
 
 Drives the atomic broadcast the replicas run (DESIGN.md §5i) over the
 deterministic simulator at the big-n target cluster (n=10, t=3) with
@@ -9,11 +9,9 @@ transmit:
 
 * **full** — the gateway's INITIATE and the leader's ORDER both carry
   the whole payload to every replica.
-* **digest** — the ORDER carries the payload-derived request id instead;
-  a replica that missed the INITIATE pulls the payload.
-* **erasure** — the gateway disperses ``n`` Reed-Solomon fragments (any
-  ``n - 2t`` reconstruct) with Merkle proofs, each replica forwards its
-  own, and the ORDER travels as a digest.
+* **digest** — what every replica runs: the ORDER carries the
+  payload-derived request id instead; a replica that missed the
+  INITIATE pulls the payload.
 
 The gateway is replica 1, not the epoch-0 leader, so INITIATE and ORDER
 both reach the wire.  Two shapes: **sequential** submits the next
@@ -25,14 +23,11 @@ out as one leader batch frame, and batch frames never entered
 
 Headline metrics (gated by ``check_regression.py``):
 
-* ``sequential.digest_order_reduction`` / ``burst.digest_order_reduction``
-  — ORDER-lane bytes of full mode over digest mode, per shape;
-* ``sequential.erasure_max_link_reduction`` — the busiest link's bytes in
-  digest mode over erasure mode, one request in flight.
+``sequential.digest_order_reduction`` and ``burst.digest_order_reduction``,
+the ORDER-lane bytes of full mode over digest mode, per shape.
 
-The 4 -> 7 -> 10 sweep (sequential shape) is reported, not gated: ABC's
-erasure lane grows faster than full mode's per replica (DESIGN.md §5i).
-Bytes are ``wire_size()`` estimates of the in-process messages, so every
+The 4 -> 7 -> 10 sweep (sequential shape) is reported, not gated
+(DESIGN.md §5i).  Bytes are ``wire_size()`` estimates of the in-process messages, so every
 figure here is modelled, not measured on a socket.  Results are written
 to ``BENCH_broadcast.json`` at the repo root.
 
@@ -66,13 +61,12 @@ SHAPES = ("sequential", "burst")
 AUTH_BITS = 512
 
 #: Pytest bars, set below the values measured when the lanes were
-#: re-based on ABC (94.1x, 1.33x and 2.95x; BENCH_broadcast.json).
+#: re-based on ABC (94.1x and 1.33x; BENCH_broadcast.json).
 SEQUENTIAL_ORDER_BAR = 50.0
 BURST_ORDER_BAR = 1.2
-ERASURE_LINK_BAR = 2.0
 
 #: Message types that carry request payload data into the cluster.
-DISSEMINATION_TYPES = ("AbcInitiate", "AbcOrder", "AbcFrag", "PayloadPull", "PayloadReply")
+DISSEMINATION_TYPES = ("AbcInitiate", "AbcOrder", "PayloadPull", "PayloadReply")
 
 _results: dict = {}
 _keys: Dict[Tuple[int, int], tuple] = {}
@@ -137,8 +131,8 @@ def _ratio(runs: Dict[str, Dict[str, Any]], metric: str, over: str, under: str) 
 
 
 def test_lanes_at_target_cluster():
-    """ORDER and busiest-link reductions of the digest and erasure lanes
-    at (10,3), 4 x 4 KiB, in both submission shapes."""
+    """ORDER-lane reduction of digest over full at (10,3), 4 x 4 KiB, in
+    both submission shapes."""
     n, t = TARGET_CLUSTER
     shapes = {
         shape: {mode: _run(n, t, mode, shape) for mode in DISSEMINATION_MODES}
@@ -155,27 +149,21 @@ def test_lanes_at_target_cluster():
     seq, burst = shapes["sequential"], shapes["burst"]
     _results["sequential"] = {
         "digest_order_reduction": _ratio(seq, "order_bytes", "full", "digest"),
-        "erasure_max_link_reduction": _ratio(seq, "max_link_bytes", "digest", "erasure"),
-        "erasure_total_bytes_over_digest": _ratio(seq, "total_bytes", "erasure", "digest"),
     }
     _results["burst"] = {
         "digest_order_reduction": _ratio(burst, "order_bytes", "full", "digest"),
-        "erasure_max_link_reduction": _ratio(burst, "max_link_bytes", "digest", "erasure"),
-        "erasure_total_bytes_over_digest": _ratio(burst, "total_bytes", "erasure", "digest"),
     }
     # One request per slot: every ORDER is a digest frame.
     assert _results["sequential"]["digest_order_reduction"] >= SEQUENTIAL_ORDER_BAR
     # The burst's leader batch frame travels full in every lane.
     assert burst["full"]["leader_batches"] >= 1
     assert _results["burst"]["digest_order_reduction"] >= BURST_ORDER_BAR
-    # Erasure keeps every whole payload off the gateway's links.
-    assert _results["sequential"]["erasure_max_link_reduction"] >= ERASURE_LINK_BAR
     # Nothing here withholds a payload: no lane needs a pull.
     assert all(lane["pulls_sent"] == 0 for s in shapes.values() for lane in s.values())
 
 
 def test_per_replica_bytes_sweep():
-    """Per-replica bytes of every lane as the cluster grows 4 -> 7 -> 10
+    """Per-replica bytes of both lanes as the cluster grows 4 -> 7 -> 10
     (sequential shape); reported, not gated."""
     sweep: Dict[str, float] = {}
     growth: Dict[str, float] = {}

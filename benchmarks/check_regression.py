@@ -58,18 +58,9 @@ def _resolver_metrics(data: dict) -> Dict[str, float]:
 
 
 def _broadcast_metrics(data: dict) -> Dict[str, float]:
-    # The erasure lane's busiest-link win only exists with one request in
-    # flight; in the burst the leader's full batch frame erases it.
     return {
-        "sequential.digest_order_reduction": float(
-            data["sequential"]["digest_order_reduction"]
-        ),
-        "burst.digest_order_reduction": float(
-            data["burst"]["digest_order_reduction"]
-        ),
-        "sequential.erasure_max_link_reduction": float(
-            data["sequential"]["erasure_max_link_reduction"]
-        ),
+        f"{shape}.digest_order_reduction": float(data[shape]["digest_order_reduction"])
+        for shape in ("sequential", "burst")
     }
 
 

@@ -29,15 +29,16 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.coin import CommonCoin
-from repro.broadcast.messages import AbaAux, AbaDecided, AbaEst
+from repro.broadcast.messages import AbaAux, AbaDecided, AbaEst, CoinShare
 from repro.errors import ConfigError
 
 Outgoing = Tuple[int, object]
 BROADCAST = -1
 
-#: EST/AUX messages for rounds this far beyond the local round are ignored:
-#: honest replicas stay within one round of each other, so per-round state
-#: keyed by an attacker-chosen round number must not grow unboundedly.
+#: EST/AUX messages and coin shares for rounds this far beyond the local
+#: round are ignored: honest replicas stay within one round of each
+#: other, so per-round state keyed by an attacker-chosen round number
+#: must not grow unboundedly.
 MAX_ROUND_AHEAD = 64
 
 
@@ -244,6 +245,7 @@ class BinaryAgreement:
         self.coin = CommonCoin(coin_key, me, self._coin_ready)
         self._instances: Dict[str, AbaInstance] = {}
         self._decided: Dict[str, int] = {}
+        self.stats: Dict[str, int] = {"coin_out_of_window": 0}
 
     def _instance(self, sid: str) -> AbaInstance:
         if sid not in self._instances:
@@ -261,12 +263,18 @@ class BinaryAgreement:
         if sid is None:
             return []
         out: List[Outgoing] = []
-        if msg.__class__.__name__ == "CoinShare":
+        if isinstance(msg, CoinShare):
+            # Each (sid, round) opens a coin share pool.  An instance not
+            # created yet is at round 0, so early honest shares are kept.
+            instance = self._instances.get(sid)
+            current = instance.round if instance is not None else 0
+            if msg.round > current + MAX_ROUND_AHEAD:
+                self.stats["coin_out_of_window"] += 1
+                return []
             out.extend(self.coin.on_message(sender, msg))
             out.extend(self._pending_coin_out)
             self._pending_coin_out = []
             # The coin callback may have unblocked the instance.
-            instance = self._instances.get(sid)
             if instance is not None:
                 out.extend(self._collect(sid, instance))
             return out

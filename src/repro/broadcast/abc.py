@@ -49,7 +49,6 @@ from repro.broadcast.messages import (
     AbcCommit,
     AbcComplain,
     AbcEpochFinal,
-    AbcFrag,
     AbcInitiate,
     AbcNewEpoch,
     AbcOrder,
@@ -62,14 +61,11 @@ from repro.broadcast.messages import (
     encode_batch,
     is_batch_payload,
 )
-from repro.broadcast.recovery import PayloadRecovery, PullKey
-from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES, FragmentStore
+from repro.broadcast.recovery import PAYLOAD_STORE_ENTRIES, PayloadRecovery, PullKey
 from repro.crypto.executor import CryptoExecutor
-from repro.crypto.merkle import merkle_proof, merkle_root, merkle_verify
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.shoup import ThresholdKeyShare
 from repro.errors import ConfigError
-from repro.util.erasure import ErasureError, rs_decode, rs_encode
 from repro.util.lru import BoundedLRU
 
 DeliverFn = Callable[[str, bytes], None]
@@ -90,26 +86,33 @@ MAX_PENDING_REQUESTS = 65536
 #: so the bound affects adversarial traffic only.
 MAX_SEQ_AHEAD = 4096
 
-#: Complaints and epoch-final messages for epochs this far beyond our own
-#: are ignored.  Epoch numbers only advance through a 2t+1 quorum, so an
-#: honest replica can lag at most a handful of epochs; without the bound a
-#: single Byzantine replica could key unbounded ``_complaints``/``_finals``
-#: state by inventing far-future epoch numbers.
+#: Complaints, epoch-final messages, buffered fast-path traffic and the
+#: epoch-switch agreement's ABA/coin traffic for epochs this far beyond
+#: our own are ignored.  Epoch numbers only advance through a 2t+1
+#: quorum, so an honest replica can lag at most a handful of epochs;
+#: without the bound a single Byzantine replica could key unbounded
+#: ``_complaints``/``_finals``/ABA state by inventing far-future epochs.
 MAX_EPOCH_AHEAD = 64
+
+#: Cap on fast-path messages held for an epoch we have not entered yet,
+#: shared out as a quota of ``MAX_FUTURE_BUFFER // n`` per sender: a
+#: flooder fills only its own share and cannot crowd out honest
+#: next-epoch traffic.
+MAX_FUTURE_BUFFER = 4096
 
 MODE_FAST = "fast"
 MODE_RECOVERY = "recovery"
 
 #: Request-introduction modes for the fast path (DESIGN.md §5i).
-#: ``full`` ships the whole payload in both INITIATE and ORDER; ``digest``
-#: keeps the INITIATE fan-out but strips ORDER frames down to the
-#: payload-derived request id (with a pull fallback for withheld
-#: payloads); ``erasure`` additionally replaces the INITIATE fan-out with
-#: per-replica Reed-Solomon fragments so no link carries the whole batch.
-#: The recovery path (EPOCH_FINAL / NEW_EPOCH) always travels
-#: full-payload — recovery is rare and must be self-contained — and so
-#: does a leader batch frame: followers never saw it under its own id.
-DISSEMINATION_MODES = ("full", "digest", "erasure")
+#: ``digest`` (what every replica runs) keeps the INITIATE fan-out but
+#: strips ORDER frames down to the payload-derived request id, with a
+#: pull fallback for withheld payloads; ``full`` ships the whole payload
+#: in both INITIATE and ORDER, kept as the baseline the broadcast bench
+#: and the explorer measure digest against.  The recovery path
+#: (EPOCH_FINAL / NEW_EPOCH) always travels full-payload — recovery is
+#: rare and must be self-contained — and so does a leader batch frame:
+#: followers never saw it under its own id.
+DISSEMINATION_MODES = ("full", "digest")
 
 #: Leader-side batching: the requests that queued up behind the leader's
 #: slot in flight — or, at a new leader, during the epoch switch — share
@@ -117,11 +120,6 @@ DISSEMINATION_MODES = ("full", "digest", "erasure")
 #: (``AtomicBroadcast(rebatch_max=1)`` keeps the paper's one request per
 #: slot.)
 LEADER_BATCH_MAX = 32
-
-#: Payloads below this size are cheaper to fan out whole than to frame as
-#: ``n`` Merkle-proven fragments; erasure mode sends them as plain
-#: INITIATEs.
-ERASURE_MIN_BYTES = 256
 
 
 def derive_request_id(payload: bytes) -> str:
@@ -133,6 +131,18 @@ def derive_request_id(payload: bytes) -> str:
 #: carries ``payload=b""``; a genuine empty request is the one payload
 #: that collides with that framing, so empty requests always travel full.
 _EMPTY_RID = derive_request_id(b"")
+
+
+def _switch_epoch(sid: object) -> Optional[int]:
+    """The epoch of an epoch-switch agreement id ``switch/<epoch>``, in
+    its canonical spelling; None for any other sid."""
+    if not isinstance(sid, str):
+        return None
+    prefix, _, digits = sid.partition("/")
+    if prefix != "switch" or not digits.isdecimal() or len(digits) > 18:
+        return None
+    epoch = int(digits)
+    return epoch if sid == f"switch/{epoch}" else None
 
 
 def request_digest(epoch: int, seq: int, payload: bytes) -> bytes:
@@ -291,7 +301,6 @@ class AtomicBroadcast:
         crypto: Optional[AuthPlane] = None,
         rebatch_max: int = LEADER_BATCH_MAX,
         dissemination: str = "digest",
-        erasure_min_bytes: int = ERASURE_MIN_BYTES,
     ) -> None:
         if n <= 3 * t:
             raise ConfigError("atomic broadcast requires n > 3t")
@@ -313,7 +322,6 @@ class AtomicBroadcast:
         # Payloads per leader batch frame (LEADER_BATCH_MAX, _order_pending).
         self.rebatch_max = rebatch_max
         self.dissemination = dissemination
-        self.erasure_min_bytes = erasure_min_bytes
         self._deliver = deliver
         self._send = send
         self._schedule = schedule
@@ -367,6 +375,7 @@ class AtomicBroadcast:
         # that switches epochs late must not lose the ORDER / PREPARE /
         # COMMIT messages the others sent while it lagged.
         self._future_buffer: List[Tuple[int, object]] = []
+        self._future_held = [0] * n  # buffered messages per sender
         self._complaints: Dict[int, Set[int]] = {}
         self._complained: Set[int] = set()
         # epoch -> sender -> the signed (final, signature) tuple, kept
@@ -377,25 +386,25 @@ class AtomicBroadcast:
         self._timer: Optional[Any] = None
         self._recovery_timer: Optional[Any] = None
 
-        # Digest/erasure dissemination state (DESIGN.md §5i).  Buffered
-        # digest ORDERs whose payload has not arrived yet, keyed by
-        # request id; resolved by INITIATE, fragment reconstruction, or
-        # the pull fallback.  The payload archive keeps recently delivered
-        # payloads around so this replica can serve late peers' pulls.
+        # Digest dissemination state (DESIGN.md §5i).  Buffered digest
+        # ORDERs whose payload has not arrived yet, keyed by request id;
+        # resolved by INITIATE or the pull fallback.  The payload archive
+        # keeps recently delivered payloads around so this replica can
+        # serve late peers' pulls.
         self._awaiting_order: Dict[str, Tuple[int, AbcOrder]] = {}
         self._payload_archive: BoundedLRU[str, bytes] = BoundedLRU(
             PAYLOAD_STORE_ENTRIES
         )
-        self._frag_store = FragmentStore()
-        self._frag_forwarded: Dict[str, bytes] = {}
 
         self.aba = BinaryAgreement(
             n, t, me, coin_key, on_decide=self._on_switch_decided
         )
         self._switch_decided: Set[int] = set()
 
-        # Statistics for benchmarks/ablations.
-        self.stats: Dict[str, int] = {
+        # Statistics for benchmarks/ablations; the dict is ABA's, so its
+        # coin-round drops count here too.
+        self.stats: Dict[str, int] = self.aba.stats
+        self.stats.update({
             "fast_deliveries": 0,
             "recovery_deliveries": 0,
             "epoch_changes": 0,
@@ -406,9 +415,12 @@ class AtomicBroadcast:
             "surplus_prepares": 0,
             "rebatches": 0,
             "rebatched_requests": 0,
-            "erasure_disperses": 0,
-            "erasure_reconstructions": 0,
-        }
+            # Dropped at a cap: ABA/coin traffic for a sid outside the
+            # switch window, future-epoch traffic, buffered digest ORDERs.
+            "aba_out_of_window": 0,
+            "future_dropped": 0,
+            "await_dropped": 0,
+        })
         self._recovery = PayloadRecovery(
             n, me, self.stats, self._serve_pull, schedule,
             lambda outgoing: [self._send(dest, m) for dest, m in outgoing],
@@ -442,9 +454,6 @@ class AtomicBroadcast:
         do), which lets epoch recovery recompute ids deterministically.
         """
         rid = derive_request_id(payload)
-        if self.dissemination == "erasure" and len(payload) >= self.erasure_min_bytes:
-            self._disperse(rid, payload)
-            return rid
         msg = AbcInitiate(rid, payload)
         self._broadcast(msg)
         self.on_message(self.me, msg)
@@ -472,11 +481,16 @@ class AtomicBroadcast:
         elif isinstance(msg, PayloadReply):
             if self._recovery.on_reply(sender, msg):
                 self._on_pulled(msg.sid, msg.payload)
-        elif isinstance(msg, AbcFrag):
-            self._on_frag(sender, msg)
         elif isinstance(msg, tuple) and len(msg) == 2 and isinstance(msg[0], AbcEpochFinal):
             self._on_epoch_final(sender, msg)
         elif isinstance(msg, (AbaEst, AbaAux, AbaDecided, CoinShare)):
+            epoch = _switch_epoch(msg.sid)
+            if epoch is None or epoch > self.epoch + MAX_EPOCH_AHEAD:
+                # Each sid opens an ABA instance and coin pools: only
+                # epoch-switch agreements in the window get one.  Past
+                # epochs pass so lagging peers can finish theirs.
+                self.stats["aba_out_of_window"] += 1
+                return
             for dest, out in self.aba.on_message(sender, msg):
                 self._route(dest, out)
 
@@ -543,9 +557,9 @@ class AtomicBroadcast:
         order = AbcOrder(self.epoch, seq, rid, payload)
         if self.dissemination != "full" and payload and rid in self.pending:
             # Digest ORDER: followers hold (or will hold) the payload via
-            # INITIATE / fragment reconstruction, so the wire frame needs
-            # only the payload-derived request id.  The leader's batch
-            # frames never entered pending and always travel full.
+            # INITIATE, so the wire frame needs only the payload-derived
+            # request id.  The leader's batch frames never entered
+            # pending and always travel full.
             self._broadcast(AbcOrder(self.epoch, seq, rid, b""))
         else:
             self._broadcast(order)
@@ -603,15 +617,27 @@ class AtomicBroadcast:
             self._retired_below += 1
 
     def _buffer_future(self, sender: int, msg: object, epoch: int) -> bool:
-        """Hold fast-path messages we cannot process *yet* (not stale ones)."""
+        """Hold fast-path messages we cannot process *yet* (not stale ones).
+
+        Epochs past the window, non-replica senders and replicas over
+        their quota are dropped and counted.
+        """
         if epoch > self.epoch or (epoch == self.epoch and self.mode != MODE_FAST):
-            if len(self._future_buffer) < 4096:
-                self._future_buffer.append((sender, msg))
+            if (
+                not 0 <= sender < self.n
+                or epoch > self.epoch + MAX_EPOCH_AHEAD
+                or self._future_held[sender] >= MAX_FUTURE_BUFFER // self.n
+            ):
+                self.stats["future_dropped"] += 1
+                return True
+            self._future_held[sender] += 1
+            self._future_buffer.append((sender, msg))
             return True
         return False
 
     def _replay_buffered(self) -> None:
         buffered, self._future_buffer = self._future_buffer, []
+        self._future_held = [0] * self.n
         for sender, msg in buffered:
             self.on_message(sender, msg)
 
@@ -629,9 +655,9 @@ class AtomicBroadcast:
             return  # first ORDER for a slot wins; equivocation is ignored
         payload = msg.payload
         if payload == b"" and msg.request_id != _EMPTY_RID:
-            # Digest-mode ORDER: the payload travels separately (INITIATE
-            # or erasure fragments).  Unknown ids are buffered; the pull
-            # fallback fires only if the payload never shows up.
+            # Digest-mode ORDER: the payload travels separately in the
+            # INITIATE.  Unknown ids are buffered; the pull fallback
+            # fires only if the payload never shows up.
             resolved = self._resolve_payload(msg.request_id)
             if resolved is None:
                 self._await_order(sender, msg)
@@ -660,7 +686,7 @@ class AtomicBroadcast:
         self._advance_delivery(fast=True)
 
     # ------------------------------------------------------------------
-    # digest/erasure dissemination (DESIGN.md §5i)
+    # digest dissemination (DESIGN.md §5i)
     # ------------------------------------------------------------------
 
     def _resolve_payload(self, rid: str) -> Optional[bytes]:
@@ -680,15 +706,17 @@ class AtomicBroadcast:
     def _await_order(self, sender: int, msg: AbcOrder) -> None:
         """Buffer a digest ORDER whose payload has not arrived yet.
 
-        The happy path resolves itself: the INITIATE (or the reconstructed
-        erasure payload) is already in flight and replays the order on
-        arrival.  The pull chain only ends up sending traffic against a
-        gateway or leader that withheld the payload.
+        The happy path resolves itself: the INITIATE is already in flight
+        and replays the order on arrival.  The pull chain only ends up
+        sending traffic against a gateway or leader that withheld the
+        payload.
         """
         if msg.request_id in self._awaiting_order:
             return  # one buffered order and one pull chain per request
         if len(self._awaiting_order) >= MAX_SEQ_AHEAD:
-            return  # window-bounded; the slot stalls and complaints fire
+            # Window-bounded; the slot stalls and complaints fire.
+            self.stats["await_dropped"] += 1
+            return
         self._awaiting_order[msg.request_id] = (sender, msg)
         self._recovery.want(
             (msg.request_id, b""),
@@ -727,83 +755,6 @@ class AtomicBroadcast:
         # fresh serve budget.
         payload = self._resolve_payload(key[0]) if key[1] == b"" else None
         return [] if payload is None else [PayloadReply(key[0], b"", payload)]
-
-    def _disperse(self, rid: str, payload: bytes) -> None:
-        """Erasure-mode request introduction (AVID-M style).
-
-        Frame the payload as ``n`` Reed-Solomon fragments (any ``n - 2t``
-        reconstruct), Merkle-prove each against the fragment-tree root,
-        and ship replica ``i`` only fragment ``i`` — no link out of the
-        gateway carries the whole payload.  Each replica forwards its own
-        fragment once, so every honest replica eventually holds at least
-        ``n - t`` verified fragments.
-        """
-        fragments = rs_encode(payload, self.n - 2 * self.t, self.n)
-        root = merkle_root(fragments)
-        self.stats["erasure_disperses"] += 1
-        own: Optional[AbcFrag] = None
-        for index in range(self.n):
-            frag = AbcFrag(
-                rid, root, index, fragments[index], merkle_proof(fragments, index)
-            )
-            if index == self.me:
-                own = frag
-            else:
-                self._send(index, frag)
-        # The gateway holds the full payload, so it introduces the request
-        # to itself directly; fragments were queued first so any ORDER a
-        # leader-gateway emits departs each link after that replica's
-        # direct fragment.
-        self._on_initiate(self.me, AbcInitiate(rid, payload))
-        if own is not None:
-            self._on_frag(self.me, own)
-
-    def _on_frag(self, sender: int, msg: AbcFrag) -> None:
-        if msg.request_id in self.delivered_ids or msg.request_id in self.pending:
-            return  # payload already known; fragments are redundant
-        if not 0 <= msg.index < self.n:  # repro-quorum: identity-bound
-            return
-        if not merkle_verify(msg.root, msg.fragment, msg.proof):
-            return
-        if not self._frag_store.put(
-            msg.request_id, msg.root, msg.index, msg.fragment, msg.proof
-        ):
-            return  # duplicate slot, or the group is at its cap
-        if msg.index == self.me:
-            self._forward_own_fragment(msg)
-        group = self._frag_store.group(msg.request_id, msg.root)
-        if len(group) >= self.n - 2 * self.t:  # repro-quorum: reconstruct
-            self._reconstruct_request(msg.request_id, msg.root)
-
-    def _forward_own_fragment(self, msg: AbcFrag) -> None:
-        """Forward the fragment addressed to this replica, exactly once.
-
-        One forward per request id keeps erasure traffic at one fragment
-        in plus ``n - 1`` fragments out per request — duplicate or
-        multi-root floods cannot amplify it.
-        """
-        if msg.request_id in self._frag_forwarded:
-            return
-        if len(self._frag_forwarded) >= MAX_PENDING_REQUESTS:
-            return
-        self._frag_forwarded[msg.request_id] = msg.root
-        self._broadcast(msg)
-
-    def _reconstruct_request(self, rid: str, root: bytes) -> None:
-        group = self._frag_store.group(rid, root)
-        fragments = {index: frag for index, (frag, _proof) in group.items()}
-        try:
-            payload = rs_decode(fragments, self.n - 2 * self.t, self.n)
-        except ErasureError:
-            return
-        if derive_request_id(payload) != rid:
-            # Inconsistent encoding, or a root that does not belong to
-            # this request id.  Ids are payload-derived, so the binding is
-            # self-certifying and every honest replica rejects identically.
-            return
-        self.stats["erasure_reconstructions"] += 1
-        self._frag_store.discard(rid)
-        self._on_initiate(self.me, AbcInitiate(rid, payload))
 
     def _on_prepare(self, sender: int, msg: AbcPrepare) -> None:
         if self._buffer_future(sender, msg, msg.epoch):
@@ -953,8 +904,6 @@ class AtomicBroadcast:
         self.pending.pop(rid, None)
         self._awaiting_order.pop(rid, None)
         self._recovery.cancel((rid, b""))
-        self._frag_forwarded.pop(rid, None)
-        self._frag_store.discard(rid)
         # Keep the payload pullable for peers whose digest ORDER outlived
         # their copy (pending is popped on delivery).
         self._payload_archive.put(rid, payload)

@@ -234,28 +234,6 @@ class AbcNewEpoch:
     start_seq: int
 
 
-#: One Merkle proof step per tree level: (sibling digest, sibling_is_right).
-MerkleProof = Tuple[Tuple[bytes, bool], ...]
-
-
-@dataclass(frozen=True)
-class AbcFrag:
-    """Erasure-mode request introduction: one Reed-Solomon fragment of the
-    payload behind ``request_id``, Merkle-proven against ``root``.
-
-    Replaces the full-payload :class:`AbcInitiate` fan-out: the gateway
-    ships fragment ``i`` to replica ``i`` (|m|/k per link), each replica
-    forwards its own fragment once, and any ``n - 2t`` fragments
-    reconstruct the payload.
-    """
-
-    request_id: str
-    root: bytes
-    index: int
-    fragment: bytes
-    proof: MerkleProof
-
-
 @dataclass(frozen=True)
 class WrapperSigning:
     """Envelope for threshold-signing traffic between Wrapper modules.

@@ -1,9 +1,9 @@
 """Payload recovery: the pull behind ABC's digest ORDERs (DESIGN.md §5i).
 
-A replica holding a digest ORDER but no INITIATE (and no erasure
-reconstruction) opens one retry chain per wanted key; the same
-:class:`PayloadRecovery` keeps the serve budget for its peers' pulls and
-the counters :data:`PULL_COUNTERS` in the host's stats.
+A replica holding a digest ORDER but no INITIATE opens one retry chain
+per wanted key; the same :class:`PayloadRecovery` keeps the serve budget
+for its peers' pulls and the counters :data:`PULL_COUNTERS` in the
+host's stats.
 """
 
 from __future__ import annotations
@@ -12,13 +12,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.broadcast.messages import PayloadPull, PayloadReply
-from repro.broadcast.stores import PAYLOAD_STORE_ENTRIES
 from repro.util.lru import BoundedLRU
 
 Outgoing = Tuple[int, object]
 PullKey = Tuple[str, bytes]  # (sid, digest), as both messages carry it
 Candidates = Callable[[], List[int]]
 Accept = Callable[[PullKey, bytes], bool]
+
+#: Delivered payloads a replica keeps pullable
+#: (``AtomicBroadcast._payload_archive``); the serve budget below keeps
+#: ``n`` times as many (requester, key) entries.
+PAYLOAD_STORE_ENTRIES = 4096
 
 #: Seconds before the first pull (the payload is usually in flight) and
 #: between the single pulls that follow.

@@ -194,16 +194,6 @@ def check_expectations(
                 report.expectations.append(
                     "expect: the poisoning replica replayed no stale answer"
                 )
-        elif expectation == "erasure":
-            reconstructions = sum(
-                r.abc.stats["erasure_reconstructions"]
-                for r in honest
-                if r.abc is not None
-            )
-            if reconstructions == 0:
-                report.expectations.append(
-                    "expect: no replica reconstructed a payload from fragments"
-                )
         elif expectation == "batched":
             batches = sum(r.stats["batches_delivered"] for r in honest)
             if batches == 0:

@@ -56,11 +56,6 @@ class Scenario:
     sign_every_response: bool = False
     abc_timeout: float = 3.0
     client_timeout: float = 6.0
-    # Broadcast-plane dissemination (DESIGN.md §5i): "full", "digest",
-    # or "erasure"; erasure_min_bytes lowers the fragmentation floor so
-    # small chaos payloads still exercise the fragment path.
-    broadcast_mode: str = "digest"
-    erasure_min_bytes: int = 256
     # Corruption placement: ``corruptions[i]`` is applied to replica
     # ``placement[i]``; only the first ``t`` pairs are used, so the same
     # scenario scales from (4,1) to (7,2).
@@ -169,27 +164,6 @@ SCENARIOS: Dict[str, Scenario] = {
             gap=(0.002, 0.02),
             read_weight=0.85,
             expects=("malformed_batch", "batched"),
-        ),
-        Scenario(
-            name="erasure",
-            description=(
-                "erasure-coded dissemination under drops, duplicates and "
-                "delays: every request travels as Reed-Solomon fragments "
-                "(no link carries a whole payload) and a corrupted replica "
-                "withholds its signature shares on top"
-            ),
-            broadcast_mode="erasure",
-            erasure_min_bytes=1,
-            corruptions=(
-                CorruptionMode.WITHHOLD_SHARES,
-                CorruptionMode.BAD_SHARES,
-            ),
-            placement=(1, 4),
-            dup_rate=0.1,
-            delay_rate=0.25,
-            max_delay=0.2,
-            ops=12,
-            expects=("erasure",),
         ),
         Scenario(
             name="poison",
@@ -424,8 +398,6 @@ def run_scenario(
         sign_every_response=scenario.sign_every_response,
         abc_timeout=scenario.abc_timeout,
         client_timeout=scenario.client_timeout,
-        broadcast_mode=scenario.broadcast_mode,
-        erasure_min_bytes=scenario.erasure_min_bytes,
     )
     service = ReplicatedNameService(
         config,
@@ -528,10 +500,9 @@ def run_scenario(
             sum(r.stats["batches_delivered"] for r in honest),
         )
     )
-    bcast_keys = PULL_COUNTERS + ("erasure_disperses", "erasure_reconstructions")
     lines.append(
-        f"bcast stats mode={scenario.broadcast_mode} "
-        + " ".join(f"{k}={sum(s[k] for s in abc_stats)}" for k in bcast_keys)
+        "bcast stats "
+        + " ".join(f"{k}={sum(s[k] for s in abc_stats)}" for k in PULL_COUNTERS)
     )
     # Per-replica bandwidth ledger (replica node ids are 0..n-1; higher
     # ids are client endpoints).  Deterministic: byte counters are part

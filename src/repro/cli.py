@@ -740,9 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--mode",
-        choices=["full", "digest", "erasure"],
+        choices=["full", "digest"],
         default=None,
-        help="dissemination mode (abc/e2e; default: digest)",
+        help="ABC model's dissemination mode (abc only; default: digest)",
     )
     p.add_argument(
         "--cluster",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.broadcast.abc import DISSEMINATION_MODES
 from repro.crypto.executor import ALL_EXECUTORS, EXECUTOR_SERIAL
 from repro.crypto.protocols import ALL_PROTOCOLS, PROTOCOL_OPTTE
 from repro.errors import ConfigError
@@ -17,7 +16,11 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Configuration shared by every replica of one replicated zone."""
+    """Configuration shared by every replica of one replicated zone.
+
+    The broadcast plane has no knob here: every replica orders requests
+    with digest ORDERs behind full-payload INITIATEs (DESIGN.md §5i).
+    """
 
     n: int
     t: int
@@ -64,16 +67,6 @@ class ServiceConfig:
     # re-sign work from the whole zone (every RRset) instead of the
     # incremental touched-set.  Measures what incremental re-signing buys.
     resign_whole_zone: bool = False
-    # Broadcast-plane dissemination mode (DESIGN.md §5i): "full" ships
-    # whole payloads in INITIATE and ORDER frames; "digest" strips ORDER
-    # frames down to the payload-derived request id (with a pull fallback
-    # for withheld payloads); "erasure" additionally replaces the INITIATE
-    # fan-out with per-replica Reed-Solomon fragments so no link out of
-    # the gateway carries the whole batch.
-    broadcast_mode: str = "digest"
-    # Payloads below this many bytes skip erasure framing (fragment +
-    # Merkle-proof overhead exceeds the payload) and travel full.
-    erasure_min_bytes: int = 256
     # Validating resolver tier (DESIGN.md §5g): bounds on the positive
     # (qname, qtype, serial) answer cache and the NXT denial-proof cache
     # fronting the replicated service.
@@ -111,13 +104,6 @@ class ServiceConfig:
             )
         if self.crypto_workers < 1:
             raise ConfigError("crypto_workers must be at least 1")
-        if self.broadcast_mode not in DISSEMINATION_MODES:
-            raise ConfigError(
-                f"unknown broadcast_mode {self.broadcast_mode!r}; "
-                f"choose from {DISSEMINATION_MODES}"
-            )
-        if self.erasure_min_bytes < 0:
-            raise ConfigError("erasure_min_bytes cannot be negative")
         if self.resolver_positive_cache < 1:
             raise ConfigError("resolver_positive_cache must be at least 1")
         if self.resolver_negative_cache < 1:

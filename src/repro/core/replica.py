@@ -223,8 +223,6 @@ class ReplicaServer:
                     list(deployment.auth_public),
                     executor=executor,
                 ),
-                dissemination=self.config.broadcast_mode,
-                erasure_min_bytes=self.config.erasure_min_bytes,
             )
         else:
             self.abc = None

@@ -322,8 +322,8 @@ class NameService(Generic[R]):
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-cache stats of every cache a replica owns, summed over the
-        honest replicas: ``render``, ``response``, ``answer``,
-        ``payloads`` and ``fragments``."""
+        honest replicas: ``render``, ``response``, ``answer`` and
+        ``payloads``."""
         totals: Dict[str, Dict[str, int]] = {}
         for replica in self.honest_replicas():
             caches = {
@@ -333,7 +333,6 @@ class NameService(Generic[R]):
             }
             if replica.abc is not None:
                 caches["payloads"] = replica.abc._payload_archive.stats
-                caches["fragments"] = replica.abc._frag_store.stats
             for cache, stats in caches.items():
                 summed = totals.setdefault(cache, {})
                 for key, value in stats.items():

@@ -731,7 +731,6 @@ class AbcModel(BaseMessageModel):
                 timeout=self.timeout,
                 crypto=StubAuthPlane(i, publics),
                 dissemination=self.dissemination,
-                erasure_min_bytes=1,
             )
             install_stub_coin(abc.aba, self.t, i)
             state.replicas[i] = abc

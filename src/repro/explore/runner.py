@@ -116,7 +116,6 @@ class E2eModel:
         n: int,
         t: int,
         *,
-        mode: str = "digest",
         strategy: str = "honest",
         ops: Sequence[Tuple[str, str]] = (("read", "www"),),
         timer_cap: Optional[int] = None,
@@ -124,7 +123,6 @@ class E2eModel:
     ) -> None:
         self.n = n
         self.t = t
-        self.mode = mode
         self.strategy = strategy
         self.ops = list(ops)
         self.timer_cap = timer_cap if timer_cap is not None else 8 * n
@@ -148,7 +146,6 @@ class E2eModel:
         config = ServiceConfig(
             n=self.n,
             t=self.t,
-            broadcast_mode=self.mode,
             # Short protocol timers: the explorer fires them symbolically
             # (ordering matters, absolute durations do not).
             abc_timeout=1.0,
@@ -399,14 +396,11 @@ def _abc_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
     return specs
 
 
-def _e2e_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
+def _e2e_specs(n: int, t: int) -> List[StrategySpec]:
     return [
+        StrategySpec("honest", lambda: E2eModel(n, t, strategy="honest")),
         StrategySpec(
-            "honest", lambda: E2eModel(n, t, mode=mode, strategy="honest")
-        ),
-        StrategySpec(
-            "crash-follower",
-            lambda: E2eModel(n, t, mode=mode, strategy="crash-follower"),
+            "crash-follower", lambda: E2eModel(n, t, strategy="crash-follower")
         ),
     ]
 
@@ -414,13 +408,19 @@ def _e2e_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
 def strategy_specs(
     protocol: str, mode: str, n: int, t: int
 ) -> List[StrategySpec]:
-    """All Byzantine/fault strategies explored for ``protocol`` at (n, t)."""
+    """All Byzantine/fault strategies explored for ``protocol`` at (n, t).
+
+    ``mode`` (``full`` or ``digest``) picks the ABC model's dissemination;
+    the deployment always runs digest, so no other protocol takes one.
+    """
+    if mode and protocol != "abc":
+        raise ValueError(f"a dissemination mode applies to abc only, not {protocol}")
     if protocol == "aba":
         return _aba_specs(n, t)
     if protocol == "abc":
         return _abc_specs(n, t, mode or "digest")
     if protocol == "e2e":
-        return _e2e_specs(n, t, mode or "digest")
+        return _e2e_specs(n, t)
     raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
 
 

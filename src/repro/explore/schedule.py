@@ -45,7 +45,7 @@ class ScheduleFile:
     """One replayable counterexample (or witness) schedule."""
 
     protocol: str  # aba | abc | e2e | task
-    mode: str  # abc/e2e dissemination mode, "" where not applicable
+    mode: str  # abc dissemination mode, "" where not applicable
     cluster: Tuple[int, int]  # (n, t)
     strategy: str  # Byzantine strategy name ("" = no corruption)
     schedule: List[Choice]

@@ -49,9 +49,6 @@ _QUORUM_KINDS: Dict[str, Tuple[LinExpr, str]] = {
     "honest-majority": (T.scale(2) + ONE, "Q503"),
     "amplify": (T + ONE, "Q503"),
     "threshold-sig": (T + ONE, "Q503"),
-    # Erasure reconstruction needs n-2t fragments; n-2t >= t+1 for every
-    # admissible n >= 3t+1, and n-2t <= n-t keeps it honest-reachable.
-    "reconstruct": (T + ONE, "Q503"),
 }
 
 _NO_CHECK_KINDS = ("config", "window", "declared")

@@ -28,10 +28,6 @@ Obligation kinds
 ``threshold-sig``
     Q shares suffice to assemble the threshold signature: ``Q >= t+1``
     (the dealer uses degree-``t`` polynomials).
-``reconstruct``
-    Erasure-coded reconstruction threshold (DESIGN.md §5i): decoding
-    needs ``n-2t`` fragments, which is ``>= t+1`` for every admissible
-    ``n >= 3t+1`` and ``<= n-t`` so honest fragments alone suffice.
 ``truncate:<expr>``
     A slice bound must keep at least ``<expr>`` elements — never
     truncate a certificate below the quorum it certifies.
@@ -135,11 +131,11 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     ("repro.broadcast.abc", "_on_epoch_final", "next_epoch % self.n", "declared"),
     ("repro.broadcast.abc", "_on_new_epoch", "msg.epoch % self.n", "declared"),
     ("repro.broadcast.abc", "_validate_new_epoch", "n", "identity-bound"),
+    # Future-epoch buffer: replica senders only, each with an equal quota
+    # (a window cap; integer division is outside the linear model).
+    ("repro.broadcast.abc", "_buffer_future", "n", "identity-bound"),
+    ("repro.broadcast.abc", "_buffer_future", "MAX_FUTURE_BUFFER // self.n", "declared"),
     ("repro.broadcast.abc", "_validate_new_epoch", "n-t", "intersect"),
-    # Erasure dissemination: fragment indices are replica identities, and
-    # any n-2t verified fragments reconstruct the request payload.
-    ("repro.broadcast.abc", "_on_frag", "n", "identity-bound"),
-    ("repro.broadcast.abc", "_on_frag", "n-2t", "reconstruct"),
     # Pull serving: requester identity bounds the serve budget.
     ("repro.broadcast.recovery", "on_pull", "n", "identity-bound"),
     # -- repro.broadcast.aba: binary agreement -----------------------------

@@ -1,7 +1,7 @@
 """The one bounded LRU map every cache in the repo is built on.
 
 Each cache here is keyed by attacker-influenced input (request hashes,
-query bytes, owner names, Merkle roots), so KeyTrap-class flooding must
+query bytes, owner names, request ids), so KeyTrap-class flooding must
 cost a bounded amount of memory and show up in a counter.  The bound,
 the eviction order and the ``stats`` counters therefore live in this one
 class instead of in every cache:

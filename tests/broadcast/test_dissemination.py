@@ -1,34 +1,22 @@
-"""The atomic broadcast's dissemination lanes: digest ORDERs, pulls, and
-erasure dispersal.
+"""The atomic broadcast's dissemination lanes: digest ORDERs and pulls.
 
 Digest mode: ORDERs carry the payload-derived request id instead of the
 payload, a replica the gateway starved pulls it, the serve budget is per
-(requester, key), and the empty payload travels full.  Erasure mode: the
-gateway disperses Merkle-proven fragments that reconstruct in total
-order, forged fragments die at proof verification, and an inconsistent
-encoding — fragments of two payloads under one request id — delivers
-nowhere, because request ids are payload digests.
+(requester, key), and the empty payload travels full.  ``full`` is the
+baseline digest is measured against; nothing else is accepted.
 """
 
 import pytest
 
 from repro.broadcast.abc import AtomicBroadcast
 from repro.broadcast.abc import derive_request_id
-from repro.broadcast.messages import (
-    AbcFrag,
-    AbcInitiate,
-    PayloadPull,
-    PayloadReply,
-)
+from repro.broadcast.messages import AbcInitiate, PayloadPull, PayloadReply
 from repro.broadcast.recovery import MAX_PULL_SERVES
-from repro.crypto.merkle import merkle_proof, merkle_root
 from repro.errors import ConfigError
-from repro.util.erasure import rs_encode
 
 from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
 
 N, T = 4, 1
-K = N - 2 * T
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +26,7 @@ def keys_4_1():
     return pairs, pubs, coins
 
 
-def build_abc(n, t, net, keys, dissemination, erasure_min_bytes=1,
-              drop_initiate_at=()):
+def build_abc(n, t, net, keys, dissemination, drop_initiate_at=()):
     pairs, pubs, coins = keys
     delivered = {i: [] for i in range(n)}
     abcs = []
@@ -55,7 +42,6 @@ def build_abc(n, t, net, keys, dissemination, erasure_min_bytes=1,
             schedule=node.schedule_timer,
             timeout=1.0,
             dissemination=dissemination,
-            erasure_min_bytes=erasure_min_bytes,
         )
         abcs.append(abc)
 
@@ -151,69 +137,3 @@ class TestAbcDigestMode:
         net = make_lan(4)
         with pytest.raises(ConfigError):
             build_abc(4, 1, net, keys_4_1, "telepathy")
-
-
-class TestAbcErasureMode:
-    def test_dispersal_reconstruction_total_order(self, keys_4_1):
-        net = make_lan(4)
-        abcs, delivered = build_abc(4, 1, net, keys_4_1, "erasure")
-        payloads = [f"batch-{k}".encode() * 64 for k in range(4)]
-        inject(net, abcs, 2, payloads)
-        net.run(until=120)
-        orders = {tuple(delivered[i]) for i in range(4)}
-        assert len(orders) == 1
-        assert set(delivered[0]) == set(payloads)
-        assert sum(abc.stats["erasure_disperses"] for abc in abcs) >= 4
-        assert sum(abc.stats["erasure_reconstructions"] for abc in abcs) > 0
-        # No link carries a whole request payload on the way in.
-        assert "AbcInitiate" not in net.bytes_by_type
-
-    def test_small_payloads_skip_dispersal(self, keys_4_1):
-        net = make_lan(4)
-        abcs, delivered = build_abc(
-            4, 1, net, keys_4_1, "erasure", erasure_min_bytes=10_000
-        )
-        inject(net, abcs, 1, [b"tiny"])
-        net.run()
-        assert all(delivered[i] == [b"tiny"] for i in range(4))
-        assert all(abc.stats["erasure_disperses"] == 0 for abc in abcs)
-
-    def test_tampered_fragment_rejected(self, keys_4_1):
-        net = make_lan(N)
-        abcs, delivered = build_abc(N, T, net, keys_4_1, "erasure")
-        payload = b"\x5a" * 1024
-        rid = derive_request_id(payload)
-        frags = rs_encode(payload, K, N)
-        root = merkle_root(frags)
-        # Replica 3 floods garbage under the genuine root and proof; every
-        # receiver drops it at Merkle verification and delivery proceeds.
-        for peer in range(3):
-            net.node(3).send(
-                peer,
-                AbcFrag(rid, root, 1, b"\x00" * len(frags[1]), merkle_proof(frags, 1)),
-            )
-        inject(net, abcs, 2, [payload])
-        net.run(until=60)
-        assert all(delivered[i] == [payload] for i in range(N))
-
-    def test_inconsistent_encoding_delivers_nowhere(self, keys_4_1):
-        """A gateway that Merkle-commits to fragments of two different
-        payloads under one request id is rejected identically everywhere:
-        whatever decodes does not hash to the id."""
-        net = make_lan(N)
-        abcs, delivered = build_abc(N, T, net, keys_4_1, "erasure")
-        payload_a = b"A" * 640
-        frags_a = rs_encode(payload_a, K, N)
-        frags_b = rs_encode(b"B" * 640, K, N)
-        mixed = frags_a[:1] + frags_b[1:]
-        root = merkle_root(mixed)
-        rid = derive_request_id(payload_a)
-        for i in range(N):
-            if i != 1:
-                net.node(1).send(
-                    i, AbcFrag(rid, root, i, mixed[i], merkle_proof(mixed, i))
-                )
-        net.run(until=60)
-        assert all(delivered[i] == [] for i in range(N))
-        assert all(abc.stats["erasure_reconstructions"] == 0 for abc in abcs)
-        assert all(not abc.pending for abc in abcs)

@@ -1,10 +1,9 @@
-"""One contract for payload recovery, held by both ABC pull lanes.
+"""One contract for payload recovery, held at two cluster sizes.
 
 ``broadcast/recovery.py`` is the atomic broadcast's one pull mechanism:
-a replica holding a digest ORDER without the payload pulls it.  Two
-dissemination lanes reach it — ``digest`` (the gateway's INITIATE went
-missing, at (4, 1)) and ``erasure`` (too few fragments to reconstruct,
-at the (10, 3) target cluster).  The same four cases run on both:
+a replica holding a digest ORDER without the payload pulls it, because
+the gateway's INITIATE went missing.  The same four cases run at (4, 1)
+and at the (10, 3) target cluster:
 
 * a withheld payload is delivered by a pull;
 * a forged reply is rejected and the chain goes on to an honest holder;
@@ -12,7 +11,7 @@ at the (10, 3) target cluster).  The same four cases run on both:
 * the happy path sends zero pulls.
 
 The caps tests drive each bound of the component — reply verification,
-chain length, the serve budget's key — through both lanes and check the
+chain length, the serve budget's key — at both sizes and check the
 counter that shows it.
 """
 
@@ -21,7 +20,6 @@ import pytest
 from repro.broadcast import abc as abc_mod
 from repro.broadcast.abc import AtomicBroadcast, derive_request_id
 from repro.broadcast.messages import (
-    AbcFrag,
     AbcInitiate,
     AbcOrder,
     AbcPrepare,
@@ -32,9 +30,9 @@ from repro.broadcast.recovery import MAX_PULL_ROUNDS, MAX_PULL_SERVES
 
 from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
 
-CONFIGS = ["abc-digest", "abc-erasure"]
-#: The caps cases build one replica at (4, 1); "abc" is the default lane.
-LANES = {"abc": "digest", "abc-erasure": "erasure"}
+#: Cluster size per test id, for the contract and for the caps cases.
+CONFIGS = {"abc-digest": (4, 1), "10-3": (10, 3)}
+LANES = {"abc": (4, 1), "10-3": (10, 3)}
 PAYLOAD = b"\xab" * 2048
 
 
@@ -55,29 +53,32 @@ def keys_10_3():
 
 @pytest.fixture
 def cluster_keys(config, keys_4_1, keys_10_3):
-    return keys_10_3 if config == "abc-erasure" else keys_4_1
+    return keys_10_3 if CONFIGS[config] == (10, 3) else keys_4_1
+
+
+@pytest.fixture
+def lane_keys(lane, keys_4_1, keys_10_3):
+    return keys_10_3 if LANES[lane] == (10, 3) else keys_4_1
 
 
 class Cluster:
     """A LAN cluster for one config that logs every send.
 
     ``starve`` makes the last replica miss the payload: it drops the
-    INITIATE (digest) or every fragment (erasure), so only the leader's
-    digest ORDER reaches it.  Replica 0 — the leader, and so the first
+    INITIATE, so only the leader's digest ORDER reaches it.  Replica 0 — the leader, and so the first
     pull candidate — answers pulls with a forged payload when ``forge``
     is set.  Replica 2 is the gateway.
     """
 
     def __init__(self, config, keys, starve=False, forge=False):
-        mode = config.split("-")[1]
-        self.n, t = (10, 3) if mode == "erasure" else (4, 1)
+        self.n, t = CONFIGS[config]
         self.net = make_lan(self.n)
         self.starved = self.n - 1
         self.sends = []  # (time, src, dest, msg)
         self.delivered = {}  # replica -> (time, payload)
         self.starve = starve
         self.forge = forge
-        self.replicas = [self._build(mode, t, i, keys) for i in range(self.n)]
+        self.replicas = [self._build(t, i, keys) for i in range(self.n)]
         self.net.node(2).run_local(0.0, lambda: self.replicas[2].a_broadcast(PAYLOAD))
         self.net.run(until=60)
 
@@ -88,7 +89,7 @@ class Cluster:
     def _deliver(self, i, payload):
         self.delivered.setdefault(i, (self.net.node(i).now, payload))
 
-    def _build(self, mode, t, i, keys):
+    def _build(self, t, i, keys):
         pairs, pubs, coins = keys
         replica = AtomicBroadcast(
             self.n, t, i,
@@ -99,11 +100,10 @@ class Cluster:
             send=lambda dest, msg: self._send(i, dest, msg),
             schedule=self.net.node(i).schedule_timer,
             timeout=1.0,
-            dissemination=mode,
         )
 
         def handler(sender, msg):
-            if i == self.starved and self.starve and isinstance(msg, (AbcInitiate, AbcFrag)):
+            if i == self.starved and self.starve and isinstance(msg, AbcInitiate):
                 return
             if i == 0 and self.forge and isinstance(msg, PayloadPull):
                 self._send(0, sender, PayloadReply(msg.sid, msg.digest, b"forged"))
@@ -162,39 +162,40 @@ class TestRecoveryContract:
 # -- caps and counters --------------------------------------------------------
 
 
-def _abc_awaiting(timers, sent, keys, dissemination="digest"):
-    """Replica 3 of (4, 1) holding a digest ORDER from leader 0 for a
-    request it never saw; replicas 0..2 are its pull candidates."""
+def _abc_awaiting(timers, sent, keys, size=(4, 1)):
+    """The last replica of ``size`` holding a digest ORDER from leader 0
+    for a request it never saw; every other replica is a pull candidate."""
+    n, t = size
     pairs, pubs, coins = keys
     abc = AtomicBroadcast(
-        4, 1, 3,
-        auth_key=pairs[3].private, auth_public=pubs, coin_key=coins[3],
+        n, t, n - 1,
+        auth_key=pairs[n - 1].private, auth_public=pubs, coin_key=coins[n - 1],
         deliver=lambda rid, p: None,
         send=lambda dest, msg: sent.append((dest, msg)),
         schedule=timers,
-        dissemination=dissemination,
     )
     rid = derive_request_id(PAYLOAD)
     abc.on_message(0, AbcOrder(0, 0, rid, b""))
-    return abc, (rid, b""), 3
+    return abc, (rid, b""), n - 1
 
 
-def _holder(keys, dissemination):
+def _holder(keys, size):
     """Gateway replica 0 holding PAYLOAD, and the key a pull for it names."""
+    n, t = size
     pairs, pubs, coins = keys
     abc = AtomicBroadcast(
-        4, 1, 0,
+        n, t, 0,
         auth_key=pairs[0].private, auth_public=pubs, coin_key=coins[0],
         deliver=lambda rid, p: None, send=lambda dest, msg: None,
-        schedule=ManualTimers(), dissemination=dissemination,
+        schedule=ManualTimers(),
     )
     return abc, (abc.a_broadcast(PAYLOAD), b"")
 
 
 @pytest.mark.parametrize("lane", sorted(LANES))
 class TestRecoveryCaps:
-    def test_serve_budget_counts_refusals(self, lane, keys_4_1):
-        holder, key = _holder(keys_4_1, LANES[lane])
+    def test_serve_budget_counts_refusals(self, lane, lane_keys):
+        holder, key = _holder(lane_keys, LANES[lane])
         for _ in range(MAX_PULL_SERVES + 1):
             holder.on_message(2, PayloadPull(*key))
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES
@@ -205,10 +206,10 @@ class TestRecoveryCaps:
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES + 1
         assert holder.stats["pulls_refused"] == 1
 
-    def test_fresh_keys_buy_no_budget(self, lane, keys_4_1):
+    def test_fresh_keys_buy_no_budget(self, lane, lane_keys):
         """A pull naming a key the holder does not hold (a fresh digest
         each time) is served nothing and takes no budget entry."""
-        holder, key = _holder(keys_4_1, LANES[lane])
+        holder, key = _holder(lane_keys, LANES[lane])
         for k in range(MAX_PULL_SERVES + 5):
             holder.on_message(2, PayloadPull(key[0], bytes([k]) * 32))
         assert holder.stats["pulls_served"] == 0
@@ -217,16 +218,16 @@ class TestRecoveryCaps:
         assert holder.stats["pulls_served"] == MAX_PULL_SERVES
         assert len(holder._recovery._served) == 1
 
-    def test_unsolicited_and_forged_replies_counted(self, lane, keys_4_1):
+    def test_unsolicited_and_forged_replies_counted(self, lane, lane_keys):
         timers, sent = ManualTimers(), []
-        replica, key, _ = _abc_awaiting(timers, sent, keys_4_1, LANES[lane])
+        replica, key, _ = _abc_awaiting(timers, sent, lane_keys, LANES[lane])
         replica.on_message(1, PayloadReply(key[0], key[1], b"forged"))
         replica.on_message(1, PayloadReply("elsewhere", key[1], PAYLOAD))
         assert replica.stats["pull_replies_rejected"] == 2
 
-    def test_chain_ends_in_one_burst(self, lane, keys_4_1):
+    def test_chain_ends_in_one_burst(self, lane, lane_keys):
         timers, sent = ManualTimers(), []
-        replica, key, candidates = _abc_awaiting(timers, sent, keys_4_1, LANES[lane])
+        replica, key, candidates = _abc_awaiting(timers, sent, lane_keys, LANES[lane])
         assert sent == [] and len(timers.armed) == 1  # first pull waits
         timers.fire_all()
         pulls = [dest for dest, msg in sent if isinstance(msg, PayloadPull)]

@@ -47,21 +47,21 @@ class TestInvariantsHold:
         result = run_scenario(name, cluster=(7, 2), seed=3)
         assert result.ok, result.transcript
 
-    @pytest.mark.parametrize("name", ["mixed", "erasure"])
+    @pytest.mark.parametrize("name", ["mixed"])
     def test_big_cluster(self, name):
-        """(10, 3): the digest/erasure broadcast plane's target scale."""
+        """(10, 3): the broadcast plane's target scale."""
         result = run_scenario(name, cluster=(10, 3), seed=3)
         assert result.ok, result.transcript
 
     def test_xl_cluster(self):
-        """(16, 5): one erasure run at the sweep's new ceiling.
+        """(16, 5): one run at the sweep's new ceiling.
 
         The full scenario set at this size belongs to the nightly
         matrix; tier-1 pins the cheapest representative so a scaling
-        regression (quorum arithmetic, fragment fan-out, key material)
-        fails fast without doubling suite time.
+        regression (quorum arithmetic, fan-out, key material) fails fast
+        without doubling suite time.
         """
-        result = run_scenario("erasure", cluster=(16, 5), seed=3)
+        result = run_scenario("poison", cluster=(16, 5), seed=3)
         assert result.ok, result.transcript
 
 

@@ -97,7 +97,7 @@ class TestAnswerCache:
 def test_cache_stats_sums_every_replica_cache(svc):
     _flood(svc, 2 * CAP + 1)
     stats = svc.cache_stats()
-    assert set(stats) == {"render", "response", "answer", "payloads", "fragments"}
+    assert set(stats) == {"render", "response", "answer", "payloads"}
     honest = len(svc.honest_replicas())
     assert stats["response"]["evictions"] == honest * (CAP + 1)
     assert stats["answer"]["evictions"] == honest * (CAP + 1)

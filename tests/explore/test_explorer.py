@@ -319,9 +319,7 @@ def test_aba_split_est_budget_bounded_and_clean():
 
 
 def test_e2e_delay_bounded_smoke():
-    report = explore_protocol(
-        "e2e", mode="digest", n=4, t=1, strategies=["honest"], bound=1
-    )
+    report = explore_protocol("e2e", n=4, t=1, strategies=["honest"], bound=1)
     assert report.complete
     assert not report.violations
     assert report.schedules >= 1
@@ -329,7 +327,10 @@ def test_e2e_delay_bounded_smoke():
 
 def test_e2e_requires_a_bound():
     with pytest.raises(ValueError, match="bound"):
-        explore_protocol("e2e", mode="digest", n=4, t=1)
+        explore_protocol("e2e", n=4, t=1)
+    # The deployment always runs digest: only the ABC model takes a mode.
+    with pytest.raises(ValueError, match="abc only"):
+        explore_protocol("e2e", mode="digest", n=4, t=1, bound=1)
 
 
 def test_strategy_specs_cover_documented_palettes():
@@ -343,7 +344,7 @@ def test_strategy_specs_cover_documented_palettes():
         "leader-equivocate-seq",
         "leader-withhold-payload",
     ]
-    e2e = [s.name for s in strategy_specs("e2e", "digest", 4, 1)]
+    e2e = [s.name for s in strategy_specs("e2e", "", 4, 1)]
     assert e2e == ["honest", "crash-follower"]
 
 

@@ -77,9 +77,7 @@ class TestProductionProtocolsClean:
         assert any(abc.stats["pulls_sent"] > 0 for abc in replicas)
 
     def test_e2e_delay_bounded_clean(self):
-        report = explore_protocol(
-            "e2e", mode="digest", n=4, t=1, strategies=["honest"], bound=1
-        )
+        report = explore_protocol("e2e", n=4, t=1, strategies=["honest"], bound=1)
         assert report.ok, [v.kind for v in report.violations]
 
 

@@ -36,10 +36,7 @@ _HEALTHY = {
     "BENCH_writes__json": {"write_speedup": 16.0},
     "BENCH_resolver__json": {"offload_ratio": 0.98},
     "BENCH_broadcast__json": {
-        "sequential": {
-            "digest_order_reduction": 94.0,
-            "erasure_max_link_reduction": 2.9,
-        },
+        "sequential": {"digest_order_reduction": 94.0},
         "burst": {"digest_order_reduction": 1.3},
     },
 }

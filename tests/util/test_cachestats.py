@@ -67,7 +67,6 @@ def test_shoup_verification_base_stats_exposed():
 
 #: The bounded instance caches whose constructor takes the bound.
 BOUNDED_CACHE_CLASSES = [
-    "repro.broadcast.stores.FragmentStore",
     "repro.dns.negcache.NxtProofCache",
     "repro.dns.negcache.PositiveAnswerCache",
     "repro.dns.rendercache.CanonicalRenderCache",
@@ -76,7 +75,6 @@ BOUNDED_CACHE_CLASSES = [
 
 def _flood_instance(cache, count: int) -> None:
     """Insert ``count`` distinct entries via the class's own API."""
-    from repro.broadcast.stores import FragmentStore
     from repro.dns import constants as c
     from repro.dns.name import Name
     from repro.dns.negcache import (
@@ -91,9 +89,7 @@ def _flood_instance(cache, count: int) -> None:
     origin = Name.from_text("audit.example.")
     for i in range(count):
         name = Name((f"n{i:05d}".encode(),) + origin.labels)
-        if isinstance(cache, FragmentStore):
-            cache.put(f"rid-{i:05d}", b"root", 0, b"frag", None)
-        elif isinstance(cache, CanonicalRenderCache):
+        if isinstance(cache, CanonicalRenderCache):
             cache.store(name, c.TYPE_A, 1, b"wire")
         elif isinstance(cache, PositiveAnswerCache):
             cache.store(
@@ -130,7 +126,6 @@ def instance_caches():
         "response": (replica._response_cache, replica._response_cache),
         "answer": (replica._answer_cache, replica._answer_cache),
         "payloads": (replica.abc._payload_archive, replica.abc._payload_archive),
-        "fragments": (replica.abc._frag_store, replica.abc._frag_store._groups),
         "positive": (resolver.positive_cache, resolver.positive_cache._entries),
         "negative": (resolver.negative_cache, resolver.negative_cache._entries),
     }
@@ -143,7 +138,7 @@ class TestInstanceCacheAudit:
 
     @pytest.mark.parametrize(
         "name",
-        ["render", "response", "answer", "payloads", "fragments", "positive", "negative"],
+        ["render", "response", "answer", "payloads", "positive", "negative"],
     )
     def test_stores_entries_in_bounded_lru(self, instance_caches, name):
         cache, lru = instance_caches[name]
