@@ -4,7 +4,9 @@ Drives one replica's :class:`SigningCoordinator` through a pipelined
 stream of signing sessions — peer shares arrive ahead of each session,
 exactly as they do on a gateway replica under load — and compares the
 :class:`SerialExecutor` against a :class:`PoolExecutor` backed by a real
-4-worker process pool.
+4-worker process pool.  The replica signs every session (``signers=n``,
+the paper's rule): the bench measures what the plane does to one
+signer's critical path, so every session has a share to generate.
 
 The headline metric is the **modelled makespan** from the executor's
 :class:`WorkerClock`: every job is costed in Table 3 reference-machine
@@ -98,7 +100,11 @@ def run_signing_plane(executor, shares, protocol_name, t,
     replica's signing dispatcher creates for multi-SIG updates.
     """
     coordinator = SigningCoordinator(
-        protocol_name, shares[0], executor=executor, lookahead=lookahead
+        protocol_name,
+        shares[0],
+        executor=executor,
+        lookahead=lookahead,
+        signers=shares[0].public.n,
     )
     messages = [f"bench-{protocol_name}-{k}".encode() for k in range(sessions)]
     sids = [f"s{k}" for k in range(sessions)]

@@ -3,7 +3,10 @@
 Each cell runs the *entire system* — client, atomic broadcast, replicated
 update execution, threshold signing — on the simulated Figure 1 topology
 with Table 1 machine speeds, averaged over several seeded repetitions
-(the paper averaged 20 wall-clock runs).
+(the paper averaged 20 wall-clock runs).  Every cell runs the paper's
+signing rule, all ``n`` replicas signing every session (``signers=n`` in
+:func:`benchmarks.conftest.measure_cell`), not the service default of
+``t+1`` designated signers.
 
 The numbers to compare are **simulated seconds** (printed, and attached
 as ``extra_info``); pytest-benchmark's own timing measures how fast this

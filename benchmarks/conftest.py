@@ -64,7 +64,7 @@ REPETITIONS = 3  # paper used 20; simulated runs are deterministic per seed
 
 
 def build_service(
-    label: str, protocol: str, seed: int = 0, **config_extra
+    label: str, protocol: str, seed: int = 0, signers=None, **config_extra
 ) -> ReplicatedNameService:
     n, t, k, lan = TABLE2_SETUPS[label]
     topology = lan_setup(n) if lan else paper_setup(n)
@@ -72,6 +72,7 @@ def build_service(
         ServiceConfig(n=n, t=t, signing_protocol=protocol, **config_extra),
         topology=topology,
         seed=seed,
+        signers=signers,
     )
     if k:
         service.corrupt_paper_style(k)
@@ -79,10 +80,15 @@ def build_service(
 
 
 def measure_cell(label: str, protocol: str, reps: int = REPETITIONS):
-    """One Table 2 cell: mean read/add/delete simulated latency."""
+    """One Table 2 cell: mean read/add/delete simulated latency.
+
+    Runs the paper's signing rule — every replica signs every session
+    (``signers=n``) — so the modelled table reproduces the paper's setup.
+    """
+    n = TABLE2_SETUPS[label][0]
     reads, adds, deletes = [], [], []
     for seed in range(reps):
-        service = build_service(label, protocol, seed=seed)
+        service = build_service(label, protocol, seed=seed, signers=n)
         reads.append(service.query("www.example.com.", c.TYPE_A).latency)
         _, _, add_total = service.nsupdate_add(
             "bench.example.com.", c.TYPE_A, 3600, "192.0.2.99"

@@ -165,6 +165,14 @@ def check_expectations(
                 report.expectations.append(
                     "expect: no honest replica entered the OptProof slow path"
                 )
+        elif expectation == "share_timeout":
+            timeouts = sum(
+                r.coordinator.stats["share_timeouts"] for r in honest
+            )
+            if timeouts == 0:
+                report.expectations.append(
+                    "expect: no signing session waited for its timer"
+                )
         elif expectation == "epoch_change":
             changes = sum(
                 r.abc.stats["epoch_changes"] for r in honest if r.abc is not None

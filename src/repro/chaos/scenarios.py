@@ -127,6 +127,24 @@ SCENARIOS: Dict[str, Scenario] = {
             expects=("optproof_fallback",),
         ),
         Scenario(
+            name="signer-silent",
+            description=(
+                "replicas keep ordering but never send signing shares; a "
+                "session that designates one of them as a first signer "
+                "completes only after its timer makes every replica sign, "
+                "and later sessions start with everyone signing"
+            ),
+            corruptions=(
+                CorruptionMode.WITHHOLD_SHARES,
+                CorruptionMode.WITHHOLD_SHARES,
+            ),
+            placement=(1, 4),
+            abc_timeout=1.5,
+            read_weight=0.3,
+            ops=10,
+            expects=("share_timeout",),
+        ),
+        Scenario(
             name="equivocate",
             description=(
                 "the epoch leader equivocates its ORDER messages (different "
@@ -491,12 +509,13 @@ def run_scenario(
     abc_stats = [r.abc.stats for r in honest if r.abc is not None]
     lines.append(
         "stats fast={} recovery={} epochs={} signing_rounds={} "
-        "fallbacks={} batches={}".format(
+        "fallbacks={} share_timeouts={} batches={}".format(
             sum(s["fast_deliveries"] for s in abc_stats),
             sum(s["recovery_deliveries"] for s in abc_stats),
             sum(s["epoch_changes"] for s in abc_stats),
             sum(r.signing_rounds for r in honest),
             sum(r.coordinator.fallback_rounds() for r in honest),
+            sum(r.coordinator.stats["share_timeouts"] for r in honest),
             sum(r.stats["batches_delivered"] for r in honest),
         )
     )

@@ -19,6 +19,7 @@ execution queue — this preserves the deterministic order across replicas.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from collections import deque
@@ -177,6 +178,7 @@ class ReplicaServer:
         signing_policy: Optional[SigningPolicy] = None,
         seed: int = 0,
         executor: Optional[CryptoExecutor] = None,
+        signers: Optional[int] = None,
     ) -> None:
         self.index = index
         self.deployment = deployment
@@ -200,11 +202,18 @@ class ReplicaServer:
 
         keys = deployment.replicas[index]
         self.executor = executor
+        # Threshold signing: ``signers`` replicas (default t+1) sign each
+        # session at start; a session still unsigned after abc_timeout
+        # makes everyone sign (SigningCoordinator.on_timeout).
+        self._signers = signers
+        self._sign_timers: Dict[str, object] = {}
         self.coordinator = SigningCoordinator(
             self.config.signing_protocol,
             keys.zone_share,
             executor=executor,
             lookahead=SIGNING_LOOKAHEAD,
+            signers=signers,
+            timeout=self.config.abc_timeout,
         )
         if self.config.replicated:
             self.abc: Optional[AtomicBroadcast] = AtomicBroadcast(
@@ -309,7 +318,10 @@ class ReplicaServer:
                 self.deployment.replicas[self.index].zone_share
             )
             self.coordinator = SigningCoordinator(
-                self.config.signing_protocol, bad
+                self.config.signing_protocol,
+                bad,
+                signers=self._signers,
+                timeout=self.config.abc_timeout,
             )
 
     # ------------------------------------------------------------------
@@ -667,6 +679,7 @@ class ReplicaServer:
         pending = self._pending_update
         task = pending.current
         outs = self.coordinator.sign(task.sign_id, task.data)
+        self._arm_sign_timer(task.sign_id)
         # Session pipelining: while this session verifies and assembles,
         # speculatively generate our shares for the next few SIG tasks of
         # the same update (bounded in-flight; refusals just fall back to
@@ -694,6 +707,7 @@ class ReplicaServer:
         assert pending is not None
         for task in pending.tasks:
             outs = self.coordinator.sign(task.sign_id, task.data)
+            self._arm_sign_timer(task.sign_id)
             self.node.charge_ops(self.coordinator.drain_ops(), self.costs)
             self._send_signing(outs)
         self._check_signing_progress()
@@ -734,6 +748,33 @@ class ReplicaServer:
             volatile=volatile,
         )
         outs = self.coordinator.sign(sign_id, canonical)
+        self._arm_sign_timer(sign_id)
+        self.node.charge_ops(self.coordinator.drain_ops(), self.costs)
+        self._send_signing(outs)
+        self._check_signing_progress()
+
+    def _arm_sign_timer(self, sign_id: str) -> None:
+        """Arm the session timer of a session that is still unsigned.
+
+        With ``signers == n`` everyone signs at start and no timer runs.
+        """
+        coordinator = self.coordinator
+        if coordinator.all_sign or sign_id not in coordinator.sessions:
+            return
+        if sign_id not in self._sign_timers:
+            self._sign_timers[sign_id] = self.node.schedule_timer(
+                coordinator.timeout,
+                functools.partial(self._on_sign_timeout, sign_id),
+            )
+
+    def _disarm_sign_timer(self, sign_id: str) -> None:
+        handle = self._sign_timers.pop(sign_id, None)
+        if handle is not None:
+            handle.cancel()  # type: ignore[attr-defined]
+
+    def _on_sign_timeout(self, sign_id: str) -> None:
+        self._sign_timers.pop(sign_id, None)
+        outs = self.coordinator.on_timeout(sign_id)
         self.node.charge_ops(self.coordinator.drain_ops(), self.costs)
         self._send_signing(outs)
         self._check_signing_progress()
@@ -763,6 +804,7 @@ class ReplicaServer:
                     # Verified exactly as in the sequential branch below.
                     # repro-lint: disable=T405
                     dnssec.attach_signature(self.zone, task, signature)
+                    self._disarm_sign_timer(task.sign_id)
                     self.stats["signatures_completed"] += 1
                     pending.attached.add(i)
                 if pending.finished:
@@ -777,6 +819,7 @@ class ReplicaServer:
                     # assemble-then-verify path, §3.5).
                     # repro-lint: disable=T405
                     dnssec.attach_signature(self.zone, task, signature)
+                    self._disarm_sign_timer(task.sign_id)
                     self.stats["signatures_completed"] += 1
                     self._pending_update.index += 1
                     if self._pending_update.finished:
@@ -790,6 +833,7 @@ class ReplicaServer:
                     done = self._pending_read
                     self._pending_read = None
                     self._busy = False
+                    self._disarm_sign_timer(done.task.sign_id)
                     self.stats["signatures_completed"] += 1
                     if done.cache_key is not None:
                         self._answer_cache.put(done.cache_key, _CachedAnswer(

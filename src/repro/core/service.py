@@ -140,7 +140,9 @@ class NameService(Generic[R]):
 
     ``net`` is the transport's network object, already holding one node
     per replica.  Subclasses implement :meth:`_add_client_node` and
-    :meth:`_await_op`; everything else is shared.
+    :meth:`_await_op`; everything else is shared.  ``signers`` sizes each
+    signing session's designated set (default ``t+1``; ``n`` runs the
+    paper's everyone-signs rule, as the modelled Table 2 does).
     """
 
     def __init__(
@@ -155,6 +157,7 @@ class NameService(Generic[R]):
         seed: int = 0,
         verify_signatures: bool = True,
         id_rng: Optional[random.Random] = None,
+        signers: Optional[int] = None,
     ) -> None:
         self.config = config
         self.net = net
@@ -191,6 +194,7 @@ class NameService(Generic[R]):
                 costs=self.costs,
                 seed=seed,
                 executor=replica_executors[i],
+                signers=signers,
             )
             for i in range(config.n)
         ]
@@ -362,6 +366,7 @@ class ReplicatedNameService(NameService[CompletedOp]):
         gateway: int = 0,
         verify_signatures: bool = True,
         seed: int = 0,
+        signers: Optional[int] = None,
     ) -> None:
         if topology is None:
             topology = lan_setup(config.n) if config.n <= 4 else paper_setup(config.n)
@@ -385,6 +390,7 @@ class ReplicatedNameService(NameService[CompletedOp]):
             # ids make every request wire — and everything derived from it —
             # a pure function of the seed, so chaos runs replay exactly.
             id_rng=random.Random((seed << 16) ^ 0x1D5),
+            signers=signers,
         )
 
     def _add_client_node(self, gateway: int) -> Any:

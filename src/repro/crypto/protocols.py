@@ -1,6 +1,6 @@
 """The three threshold-signing protocols of the paper (§3.3, §3.5).
 
-* **BASIC** — every server broadcasts its share *with* a correctness proof;
+* **BASIC** — shares are broadcast *with* a correctness proof;
   receivers verify each share and assemble ``t+1`` valid ones.
 * **OptProof** — shares are broadcast *without* proofs; the first ``t+1``
   are optimistically assembled and only the final signature is verified.
@@ -10,6 +10,19 @@
 * **OptTE** — shares are broadcast without proofs and assembly proceeds by
   trial and error over all ``t+1``-subsets of up to ``2t+1`` collected
   shares; since at most ``t`` shares are invalid, some subset succeeds.
+
+**Who signs.**  Assembly needs ``t+1`` shares, so by default only the
+*designated set* ``D(sign_id)`` — ``t+1`` replicas rotating with the
+session id (:func:`designated_signers`) — signs at session start, and its
+members count their own share.  Every other replica signs only on
+evidence: its own assembly failed, a peer asked for proofs, or the
+session timer (:meth:`SigningCoordinator.on_timeout`) expired.  Replicas
+caught with a bad proof or missing at a timeout become *suspects*: a
+session whose ``D`` holds one starts with every replica signing, and
+optimistic assembly tries suspects' shares last.  ``signers=n`` is the
+paper's rule: everyone signs at start and assembles from the first
+``t+1`` shares it *receives*.  Every assembled signature is verified under
+the zone key before use, whoever signed.
 
 The protocol classes are *sans-IO*: they consume ``(sender, message)``
 events and return lists of outgoing messages, so the same implementation
@@ -21,9 +34,10 @@ operation (this is how Table 2 and Table 3 shapes are reproduced).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.executor import (
     OP_ASSEMBLE,
@@ -62,8 +76,13 @@ ALL_PROTOCOLS = (PROTOCOL_BASIC, PROTOCOL_OPTPROOF, PROTOCOL_OPTTE)
 
 BROADCAST = -1  # destination meaning "all other replicas"
 
-#: Cap on buffered not-yet-started signing sessions per coordinator.
+#: Cap on buffered not-yet-started signing sessions per coordinator; one
+#: sender may open at most ``MAX_PENDING_SESSIONS // n`` of them.
 MAX_PENDING_SESSIONS = 4096
+#: Buffered messages per (not-yet-started session, sender): an honest
+#: replica sends at most a bare share, a proof-carrying share and either a
+#: proof request or a FINAL.
+MAX_BUFFERED_PER_SENDER = 3
 
 _MSG_SHARE = 1
 _MSG_PROOF_REQUEST = 2
@@ -133,10 +152,30 @@ class SigningMessage:
 Outgoing = Tuple[int, SigningMessage]  # (destination replica id or BROADCAST, msg)
 
 
+def designated_signers(sign_id: str, n: int, size: int) -> Tuple[int, ...]:
+    """``D(sign_id)``: the ``size`` replicas (0-based ids) that sign first.
+
+    The set starts at ``sha256(sign_id) mod n`` and wraps around the ring,
+    so every replica computes the same set from the session id alone and
+    successive sessions spread the signing load.
+    """
+    start = int.from_bytes(hashlib.sha256(sign_id.encode()).digest(), "big") % n
+    return tuple((start + k) % n for k in range(size))
+
+
 class SigningProtocol:
-    """Base class: one instance per replica per signing session."""
+    """Base class: one instance per replica per signing session.
+
+    The coordinator sets the designated-set policy; the defaults are the
+    paper's rule.  ``eager``: send our share at :meth:`start`, otherwise
+    only on evidence (:meth:`_release`).  ``own_counts``: our share joins
+    the assembly pool.  ``suspects``: replicas whose shares optimistic
+    assembly leaves out until the session timer has expired.
+    """
 
     name = "abstract"
+    #: Whether this protocol's own share carries a proof from the start.
+    own_proof = False
 
     def __init__(
         self,
@@ -145,6 +184,9 @@ class SigningProtocol:
         message: bytes,
         executor: Optional[CryptoExecutor] = None,
         own_share: Optional[CryptoFuture] = None,
+        eager: bool = True,
+        own_counts: bool = False,
+        suspects: AbstractSet[int] = frozenset(),
     ) -> None:
         self.key_share = key_share
         self.public: ThresholdPublicKey = key_share.public
@@ -165,6 +207,16 @@ class SigningProtocol:
         # rule plus the coordinator's pre-session buffer caps.
         self._preverified: Dict[SignatureShare, bool] = {}
         self._started = False
+        self._eager = eager
+        self._own_counts = own_counts
+        self._suspects = suspects
+        self._expired = False
+        self._own: Optional[SignatureShare] = None
+        #: Senders whose proof-carrying share failed verification; the
+        #: coordinator folds them into its suspicion set.
+        self.bad_senders: Set[int] = set()
+        #: Senders whose FINAL this session has already checked.
+        self.final_senders: Set[int] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -172,12 +224,40 @@ class SigningProtocol:
     def done(self) -> bool:
         return self.signature is not None
 
+    @property
+    def me(self) -> int:
+        """This replica's 0-based id."""
+        return self.key_share.index - 1
+
     def start(self) -> List[Outgoing]:
-        """Generate and broadcast this replica's own share."""
-        raise NotImplementedError
+        """Start the session: an eager replica sends its share now."""
+        if self._started:
+            return []
+        self._started = True
+        if not self._eager:
+            return []
+        out = self._release()
+        out.extend(self._progress())
+        return out
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
         """Feed a received protocol message; returns messages to send."""
+        raise NotImplementedError
+
+    def on_timeout(self) -> List[Outgoing]:
+        """The session timer expired unsigned: sign, and trust suspects again."""
+        if self.done:
+            return []
+        self._expired = True
+        out = self._release()
+        out.extend(self._progress())
+        return out
+
+    def has_share_from(self, replica: int) -> bool:
+        return replica + 1 in self._shares
+
+    def _progress(self) -> List[Outgoing]:
+        """Try to finish with the shares at hand."""
         raise NotImplementedError
 
     # -- op accounting --------------------------------------------------------
@@ -191,6 +271,33 @@ class SigningProtocol:
         return ops
 
     # -- shared helpers -------------------------------------------------------
+
+    def _release(self) -> List[Outgoing]:
+        """Generate and broadcast our own share, once per session."""
+        if self._own is not None:
+            return []
+        share = self._materialize_own_share(with_proof=self.own_proof)
+        self.record_op(OP_GENERATE_SHARE)
+        if self.own_proof:
+            self.record_op(OP_GENERATE_PROOF)
+        self._own = share
+        self._keep_own(share)
+        return [(BROADCAST, SigningMessage.share_message(self.sign_id, share))]
+
+    def _keep_own(self, share: SignatureShare) -> None:
+        """Pool our own share if it counts toward ``t+1``."""
+        if self._own_counts:
+            self._store_share(self.me, share)
+
+    def _trusted_first(self, indices: List[int]) -> List[int]:
+        """``indices`` without suspects' shares, or with them moved last
+        once the session timer has expired."""
+        if not self._suspects:
+            return indices
+        trusted = [i for i in indices if i - 1 not in self._suspects]
+        if self._expired:
+            trusted.extend(i for i in indices if i - 1 in self._suspects)
+        return trusted
 
     def _accept_final(self, msg: SigningMessage) -> bool:
         """Validate and adopt a final signature received from a peer."""
@@ -214,13 +321,18 @@ class SigningProtocol:
                 return share
         return self.executor.generate_share(self.message, with_proof=with_proof)
 
+    def _note_verdict(self, share: SignatureShare, ok: bool) -> None:
+        self._preverified[share] = ok
+        if not ok:
+            self.bad_senders.add(share.index - 1)
+
     def _share_valid(self, share: SignatureShare) -> bool:
         """Proof-check one share through the executor, memoizing the verdict."""
         cached = self._preverified.get(share)
         if cached is None:
             self.record_op(OP_VERIFY_SHARE)
             cached = self.executor.verify_shares(self.message, [share])[0]
-            self._preverified[share] = cached
+            self._note_verdict(share, cached)
         return cached
 
     def _prevalidate_limit(self) -> int:
@@ -249,7 +361,7 @@ class SigningProtocol:
         for share, ok in zip(
             fresh, self.executor.verify_shares(self.message, fresh), strict=True
         ):
-            self._preverified[share] = ok
+            self._note_verdict(share, ok)
 
     def preload_verdicts(
         self, shares: Sequence[SignatureShare], verdicts: Sequence[bool]
@@ -258,7 +370,7 @@ class SigningProtocol:
         for share, ok in zip(shares, verdicts, strict=True):
             if share not in self._preverified:
                 self.record_op(OP_VERIFY_SHARE)
-                self._preverified[share] = ok
+                self._note_verdict(share, ok)
 
     def _store_share(self, sender: int, share: SignatureShare) -> bool:
         """Store a share by sender index; returns False on duplicates.
@@ -287,27 +399,19 @@ class BasicSigningProtocol(SigningProtocol):
     """Unoptimized protocol: every share carries and gets a verified proof."""
 
     name = PROTOCOL_BASIC
+    own_proof = True
 
-    def __init__(self, key_share, sign_id, message, executor=None, own_share=None) -> None:
-        super().__init__(
-            key_share, sign_id, message, executor=executor, own_share=own_share
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._valid: Dict[int, SignatureShare] = {}
 
-    def start(self) -> List[Outgoing]:
-        if self._started:
-            return []
-        self._started = True
-        share = self._materialize_own_share(with_proof=True)
-        self.record_op(OP_GENERATE_SHARE)
-        self.record_op(OP_GENERATE_PROOF)
-        out: List[Outgoing] = [(BROADCAST, SigningMessage.share_message(self.sign_id, share))]
+    def _keep_own(self, share: SignatureShare) -> None:
         # Our own share is trusted without verification (we computed it);
         # _try_finish revalidates it defensively if assembly ever fails.
-        self._own_index = share.index
         self._valid[share.index] = share
-        out.extend(self._try_finish())
-        return out
+
+    def _progress(self) -> List[Outgoing]:
+        return self._try_finish()
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
         if self.done:
@@ -321,12 +425,17 @@ class BasicSigningProtocol(SigningProtocol):
             return []
         if msg.share.index in self._valid:
             return []
+        out: List[Outgoing] = []
         if self._share_valid(msg.share):
             # Bounded: _store_share pins index == sender + 1 <= n, so at
             # most one entry per replica.
             # repro-lint: disable=C304
             self._valid[msg.share.index] = msg.share
-        return self._try_finish()
+        else:
+            # Evidence that a signer is bad: sign too, if we have not yet.
+            out = self._release()
+        out.extend(self._try_finish())
+        return out
 
     def _try_finish(self) -> List[Outgoing]:
         if self.done or len(self._valid) < self.public.t + 1:
@@ -343,7 +452,7 @@ class BasicSigningProtocol(SigningProtocol):
         # Assembly from verified shares cannot fail — unless our own,
         # never-verified share is bad (we might BE the corrupted server).
         # Re-validate it; if bogus, drop it and wait for more shares.
-        own = self._valid.get(getattr(self, "_own_index", -1))
+        own = self._valid.get(self._own.index) if self._own is not None else None
         if own is not None:
             self.record_op(OP_VERIFY_SHARE)
             if not self.executor.verify_shares(self.message, [own])[0]:
@@ -356,14 +465,14 @@ class OptProofSigningProtocol(SigningProtocol):
 
     name = PROTOCOL_OPTPROOF
 
-    def __init__(self, key_share, sign_id, message, executor=None, own_share=None) -> None:
-        super().__init__(
-            key_share, sign_id, message, executor=executor, own_share=own_share
-        )
-        self._own_share: Optional[SignatureShare] = None
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._fallback = False
         self._valid: Dict[int, SignatureShare] = {}
         self._optimistic_tried = False
+        # The shares a failed optimistic assembly used, until _blame
+        # pins the failure on one of them.
+        self._failed_set: List[SignatureShare] = []
 
     @property
     def fallback_entered(self) -> bool:
@@ -374,24 +483,14 @@ class OptProofSigningProtocol(SigningProtocol):
         """
         return self._fallback
 
-    def start(self) -> List[Outgoing]:
-        if self._started:
-            return []
-        self._started = True
-        self._own_share = self._materialize_own_share(with_proof=False)
-        self.record_op(OP_GENERATE_SHARE)
-        # Per §3.5 the server assembles the first t+1 shares it *receives*;
-        # its own share is sent to the others but not put in the pool.
-        return [
-            (BROADCAST, SigningMessage.share_message(self.sign_id, self._own_share))
-        ]
+    def _progress(self) -> List[Outgoing]:
+        return [] if self._fallback else self._try_optimistic()
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
         if self.done:
             return []
         if msg.is_final:
-            if self._accept_final(msg):
-                return []
+            self._accept_final(msg)
             return []
         if msg.is_proof_request:
             return self._answer_proof_request()
@@ -407,12 +506,20 @@ class OptProofSigningProtocol(SigningProtocol):
         return out
 
     def _try_optimistic(self) -> List[Outgoing]:
-        """Assemble the first ``t+1`` bare shares and verify the result."""
+        """Assemble the first ``t+1`` bare shares and verify the result.
+
+        With the paper's rule the pool holds the shares *received* (§3.5);
+        with a designated set it also holds our own, and suspects' shares
+        wait until the session timer has expired.
+        """
         needed = self.public.t + 1
-        if self._optimistic_tried or len(self._shares) < needed:
+        if self._optimistic_tried:
+            return []
+        pool = self._trusted_first(list(self._shares))
+        if len(pool) < needed:
             return []
         self._optimistic_tried = True
-        shares = list(self._shares.values())[:needed]
+        shares = [self._shares[i] for i in pool[:needed]]
         self.record_op(OP_ASSEMBLE)
         signature = self.executor.assemble(self.message, shares)
         self.record_op(OP_VERIFY_SIGNATURE)
@@ -424,10 +531,12 @@ class OptProofSigningProtocol(SigningProtocol):
         # Some collected share was bogus: request proofs from everyone and
         # fall back to verified assembly; keep accepting a final in parallel.
         self._fallback = True
+        self._failed_set = shares
         out: List[Outgoing] = [
             (BROADCAST, SigningMessage.proof_request(self.sign_id))
         ]
         out.extend(self._answer_proof_request())
+        self._blame()
         # Re-examine shares that already carry proofs (none yet, typically);
         # amortize their proof checks into one executor batch first.
         self.prevalidate(list(self._shares.values()))
@@ -436,18 +545,39 @@ class OptProofSigningProtocol(SigningProtocol):
         return out
 
     def _answer_proof_request(self) -> List[Outgoing]:
-        """Resend our share, now with a correctness proof attached."""
-        if self._own_share is None:
-            return []
-        if self._own_share.proof is None:
-            proof = self.executor.generate_proof(self.message, self._own_share)
+        """Send our share with a correctness proof attached.
+
+        A replica that has not signed yet signs now: a proof request is
+        evidence that optimistic assembly failed somewhere.
+        """
+        if self._own is None:
+            self._own = self._materialize_own_share(with_proof=False)
+            self.record_op(OP_GENERATE_SHARE)
+        if self._own.proof is None:
+            proof = self.executor.generate_proof(self.message, self._own)
             self.record_op(OP_GENERATE_PROOF)
-            self._own_share = self._own_share.with_proof(proof)
-            self._store_share(self.key_share.index - 1, self._own_share)
-            self._valid[self._own_share.index] = self._own_share
+            self._own = self._own.with_proof(proof)
+            self._store_share(self.me, self._own)
+            self._valid[self._own.index] = self._own
         return [
-            (BROADCAST, SigningMessage.share_message(self.sign_id, self._own_share))
+            (BROADCAST, SigningMessage.share_message(self.sign_id, self._own))
         ]
+
+    def _blame(self) -> None:
+        """Pin the failed optimistic assembly on its one unproven share.
+
+        ``t+1`` valid shares always assemble the valid signature, so once
+        every other share of the failed set is known valid (our own, or
+        proof-checked with the same value) the last one must be bad.
+        """
+        unproven = [
+            s
+            for s in self._failed_set
+            if s.index not in self._valid or self._valid[s.index].value != s.value
+        ]
+        if len(unproven) == 1:
+            self.bad_senders.add(unproven[0].index - 1)
+            self._failed_set = []
 
     def _try_fallback(self, share: SignatureShare) -> List[Outgoing]:
         """BASIC-style verified processing of proof-carrying shares."""
@@ -456,6 +586,7 @@ class OptProofSigningProtocol(SigningProtocol):
         if not self._share_valid(share):
             return []
         self._valid[share.index] = share
+        self._blame()
         if len(self._valid) < self.public.t + 1:
             return []
         chosen = list(self._valid.values())[: self.public.t + 1]
@@ -467,7 +598,7 @@ class OptProofSigningProtocol(SigningProtocol):
         ):
             # Our own never-verified share may be the bad one (we might BE
             # the corrupted server); re-validate and drop it if so.
-            own = self._own_share
+            own = self._own
             if own is not None and own.index in self._valid and own.proof:
                 self.record_op(OP_VERIFY_SHARE)
                 if not self.executor.verify_shares(self.message, [own])[0]:
@@ -491,10 +622,8 @@ class OptTESigningProtocol(SigningProtocol):
 
     name = PROTOCOL_OPTTE
 
-    def __init__(self, key_share, sign_id, message, executor=None, own_share=None) -> None:
-        super().__init__(
-            key_share, sign_id, message, executor=executor, own_share=own_share
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._tried: Set[Tuple[int, ...]] = set()
         # Subset-assembly attempts actually evaluated (exposed for the A4
         # ablation bench).  A pooled trial evaluates whole candidate
@@ -502,17 +631,8 @@ class OptTESigningProtocol(SigningProtocol):
         # count; the signature found is identical either way.
         self.attempts = 0
 
-    def start(self) -> List[Outgoing]:
-        if self._started:
-            return []
-        self._started = True
-        share = self._materialize_own_share(with_proof=False)
-        self.record_op(OP_GENERATE_SHARE)
-        # As in OptProof, assembly draws on the shares *received* (§3.5);
-        # the local share is only sent to the other servers.
-        return [
-            (BROADCAST, SigningMessage.share_message(self.sign_id, share))
-        ]
+    def _progress(self) -> List[Outgoing]:
+        return self._try_subsets()
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
         if self.done:
@@ -531,7 +651,7 @@ class OptTESigningProtocol(SigningProtocol):
         # there are at most t invalid ones, so some (t+1)-subset works.
         # Shares are considered in arrival order, earliest first.
         limit = 2 * self.public.t + 1
-        indices = self._arrival_order[:limit]
+        indices = self._trusted_first(self._arrival_order)[:limit]
         size = self.public.t + 1
         if len(indices) < size:
             return iter(())
@@ -563,7 +683,12 @@ class OptTESigningProtocol(SigningProtocol):
                 (BROADCAST, SigningMessage.final(self.sign_id, result.signature))
             ]
         self._tried.update(subsets)
-        return []
+        # Every subset failed, so some share is bad: sign too, and retry
+        # with our share in the pool.
+        out = self._release()
+        if out:
+            out.extend(self._try_subsets())
+        return out
 
 
 _PROTOCOL_CLASSES = {
@@ -580,6 +705,9 @@ def make_signing_protocol(
     message: bytes,
     executor: Optional[CryptoExecutor] = None,
     own_share: Optional[CryptoFuture] = None,
+    eager: bool = True,
+    own_counts: bool = False,
+    suspects: AbstractSet[int] = frozenset(),
 ) -> SigningProtocol:
     """Instantiate a signing protocol by configuration name."""
     try:
@@ -588,7 +716,10 @@ def make_signing_protocol(
         raise ConfigError(
             f"unknown signing protocol {name!r}; choose from {ALL_PROTOCOLS}"
         ) from None
-    return cls(key_share, sign_id, message, executor=executor, own_share=own_share)
+    return cls(
+        key_share, sign_id, message, executor=executor, own_share=own_share,
+        eager=eager, own_counts=own_counts, suspects=suspects,
+    )
 
 
 @dataclass
@@ -608,6 +739,12 @@ class SigningCoordinator:
     request to the coordinator; messages for sessions that have not started
     locally yet are buffered until the local state machine reaches the same
     update and calls :meth:`sign`.
+
+    ``signers`` is the size of the designated set (default ``t+1``;
+    ``n`` is the paper's everyone-signs rule).  ``timeout`` is how long a
+    session may stay unsigned before the host calls :meth:`on_timeout`;
+    the coordinator arms nothing itself, and with ``signers == n`` no
+    timer is needed.
     """
 
     def __init__(
@@ -616,11 +753,24 @@ class SigningCoordinator:
         key_share: ThresholdKeyShare,
         executor: Optional[CryptoExecutor] = None,
         lookahead: int = 0,
+        signers: Optional[int] = None,
+        timeout: Optional[float] = None,
     ) -> None:
         if protocol_name not in _PROTOCOL_CLASSES:
             raise ConfigError(f"unknown signing protocol {protocol_name!r}")
         self.protocol_name = protocol_name
         self.key_share = key_share
+        self.n = key_share.public.n
+        self.t = key_share.public.t
+        self.me = key_share.index - 1
+        self.signers = signers if signers is not None else self.t + 1
+        if self.signers < self.t + 1 or self.signers > self.n:
+            raise ConfigError(
+                f"signers={self.signers} outside [t+1, n] = [{self.t + 1}, {self.n}]"
+            )
+        #: The paper's rule: everyone signs at start, no suspicion, no timer.
+        self.all_sign = self.signers == self.n
+        self.timeout = timeout
         self.executor: CryptoExecutor = (
             executor if executor is not None else SerialExecutor(key_share)
         )
@@ -643,23 +793,57 @@ class SigningCoordinator:
         self._finished_ops: List[Tuple[str, int]] = []
         self._finished_fallbacks = 0
         self._pending: Dict[str, List[Tuple[int, SigningMessage]]] = {}
+        # Buffered sessions each sender opened (its first message there).
+        self._opened: Dict[int, int] = {}
         self._completed: Dict[str, bytes] = {}
+        #: Sticky suspicion (DESIGN.md §5m): replicas caught with a bad
+        #: share or missing from their designated set at a timeout.
+        #: Replica ids other than ours, so fewer than n entries.
+        self.suspects: Set[int] = set()
         # KeyTrap-style bounds on the not-yet-started buffer: a Byzantine
         # peer could otherwise stuff unbounded sign_ids (or unbounded
         # messages for one sign_id) into memory before the local state
-        # machine ever starts the session.
+        # machine ever starts the session, or crowd out honest peers.
         self.max_pending_sessions = MAX_PENDING_SESSIONS
-        self.max_pending_per_session = 3 * key_share.public.n
+        self.max_pending_sessions_per_sender = MAX_PENDING_SESSIONS // self.n
         self.dropped_messages = 0
+        self.stats: Dict[str, int] = {
+            "share_timeouts": 0,     # sessions whose timer expired unsigned
+            "session_refusals": 0,   # buffered session refused: sender over quota
+            "final_refusals": 0,     # repeated FINAL from one sender, unchecked
+        }
         # Distributed signing rounds actually started (a completed or
         # already-running sign_id does not start a new round).  Benchmarks
         # use this to show the signed-answer cache eliminating rounds.
         self.rounds_started = 0
 
+    # -- the designated set ---------------------------------------------------
+
+    def designated(self, sign_id: str) -> Tuple[int, ...]:
+        return designated_signers(sign_id, self.n, self.signers)
+
+    def signs_at_start(self, sign_id: str) -> bool:
+        """Whether this replica sends its share when the session starts.
+
+        Members of ``D`` do, and so does everyone when ``D`` holds a
+        suspect.
+        """
+        if self.all_sign:
+            return True
+        members = self.designated(sign_id)
+        return self.me in members or any(m in self.suspects for m in members)
+
+    def _suspect(self, replica: int) -> None:
+        if replica != self.me and 0 <= replica < self.n:
+            self.suspects.add(replica)
+
+    # -- sessions -------------------------------------------------------------
+
     def prefetch(self, sign_id: str, message: bytes) -> bool:
         """Speculatively start share generation for an upcoming session.
 
-        Returns True if a prefetch was submitted.  The in-flight queue is
+        Returns True if a prefetch was submitted.  Only sessions this
+        replica signs at start are prefetched.  The in-flight queue is
         bounded; refusals bump the backpressure counter and the session
         simply generates its share on demand when it starts.
         """
@@ -667,6 +851,7 @@ class SigningCoordinator:
             sign_id in self._completed
             or sign_id in self.sessions
             or sign_id in self._prefetched
+            or not self.signs_at_start(sign_id)
         ):
             return False
         if len(self._prefetched) >= self.max_inflight_prefetch:
@@ -720,6 +905,9 @@ class SigningCoordinator:
             message,
             executor=self.executor,
             own_share=entry.share if entry is not None else None,
+            eager=self.signs_at_start(sign_id),
+            own_counts=not self.all_sign,
+            suspects=frozenset() if self.all_sign else frozenset(self.suspects),
         )
         self.sessions[sign_id] = protocol
         out = protocol.start()
@@ -727,43 +915,98 @@ class SigningCoordinator:
             verdicts = entry.verify.result()
             if isinstance(verdicts, list):
                 protocol.preload_verdicts(entry.verify_shares, verdicts)
+        buffered = self._pending.pop(sign_id, [])
+        if buffered:
+            # The first buffered message's sender opened the session.
+            opener = buffered[0][0]
+            self._opened[opener] -= 1
+            if not self._opened[opener]:
+                del self._opened[opener]
         if self.executor.prefers_batching:
             protocol.prevalidate(
-                [
-                    m.share
-                    for _, m in self._pending.get(sign_id, [])
-                    if m.is_share and m.share is not None
-                ]
+                [m.share for _, m in buffered if m.is_share and m.share is not None]
             )
-        for sender, msg in self._pending.pop(sign_id, []):
+        for sender, msg in buffered:
             if protocol.done:
                 break
-            out.extend(protocol.on_message(sender, msg))
-        if protocol.done:
-            self._finish(sign_id, protocol)
+            out.extend(self._deliver(protocol, sender, msg))
+        self._settle(sign_id, protocol)
         return out
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
         """Route an incoming signing message to its session."""
+        if not 0 <= sender < self.n:
+            self.dropped_messages += 1
+            return []
         if msg.sign_id in self._completed:
             return []
         protocol = self.sessions.get(msg.sign_id)
         if protocol is None:
-            pending = self._pending.get(msg.sign_id)
-            if pending is None:
-                if len(self._pending) >= self.max_pending_sessions:
-                    self.dropped_messages += 1
-                    return []
-                pending = self._pending[msg.sign_id] = []
-            if len(pending) >= self.max_pending_per_session:
-                self.dropped_messages += 1
-                return []
-            pending.append((sender, msg))
+            self._buffer(sender, msg)
             return []
-        out = protocol.on_message(sender, msg)
-        if protocol.done:
-            self._finish(msg.sign_id, protocol)
+        out = self._deliver(protocol, sender, msg)
+        self._settle(msg.sign_id, protocol)
         return out
+
+    def on_timeout(self, sign_id: str) -> List[Outgoing]:
+        """The host's session timer fired: release every replica's share.
+
+        Members of ``D`` whose share has not arrived become suspects.
+        """
+        if sign_id not in self.sessions:
+            return []
+        protocol = self.sessions[sign_id]
+        self.stats["share_timeouts"] += 1
+        if not self.all_sign:
+            for member in self.designated(sign_id):
+                if not protocol.has_share_from(member):
+                    self._suspect(member)
+        out = protocol.on_timeout()
+        self._settle(sign_id, protocol)
+        return out
+
+    def _buffer(self, sender: int, msg: SigningMessage) -> None:
+        """Hold a message for a session that has not started here yet.
+
+        Each sender gets its own quota of sessions and of messages per
+        session, so one Byzantine peer cannot crowd out honest early
+        shares (which, with ``t+1`` signers, would cost a whole timer).
+        """
+        pending = self._pending.get(msg.sign_id)
+        if pending is None:
+            if len(self._pending) >= self.max_pending_sessions:
+                self.dropped_messages += 1
+                return
+            opened = self._opened.get(sender, 0)
+            if opened >= self.max_pending_sessions_per_sender:
+                self.stats["session_refusals"] += 1
+                self.dropped_messages += 1
+                return
+            self._opened[sender] = opened + 1
+            pending = self._pending[msg.sign_id] = []
+        mine = [m for s, m in pending if s == sender]
+        if len(mine) >= MAX_BUFFERED_PER_SENDER or msg in mine:
+            self.dropped_messages += 1
+            return
+        pending.append((sender, msg))
+
+    def _deliver(
+        self, protocol: SigningProtocol, sender: int, msg: SigningMessage
+    ) -> List[Outgoing]:
+        if msg.is_final:
+            # Each FINAL costs an RSA verification: check one per sender.
+            if sender in protocol.final_senders:
+                self.stats["final_refusals"] += 1
+                return []
+            protocol.final_senders.add(sender)
+        return protocol.on_message(sender, msg)
+
+    def _settle(self, sign_id: str, protocol: SigningProtocol) -> None:
+        for replica in protocol.bad_senders:
+            self._suspect(replica)
+        protocol.bad_senders.clear()
+        if protocol.done:
+            self._finish(sign_id, protocol)
 
     def _finish(self, sign_id: str, protocol: SigningProtocol) -> None:
         assert protocol.signature is not None

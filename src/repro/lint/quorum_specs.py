@@ -156,6 +156,15 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     # the session; certifies nothing.
     ("repro.crypto.protocols", "prefetch", "t", "window"),
     ("repro.crypto.protocols", "_store_share", "n", "identity-bound"),
+    # Designated signer set: |D| >= t+1 members hold enough shares to
+    # assemble, and |D| <= n-t keeps it formable without Byzantine help.
+    ("repro.crypto.protocols", "__init__", "t+1", "threshold-sig"),
+    # |D| <= n, and |D| == n selects the paper's everyone-signs rule.
+    ("repro.crypto.protocols", "__init__", "n", "config"),
+    # Suspicion holds replica ids only, so at most n entries; the same
+    # bound admits senders to the pre-session buffer and its quotas.
+    ("repro.crypto.protocols", "_suspect", "n", "identity-bound"),
+    ("repro.crypto.protocols", "on_message", "n", "identity-bound"),
     # -- repro.crypto.shoup: threshold-RSA primitive ----------------------
     ("repro.crypto.shoup", "__post_init__", "n", "config"),
     ("repro.crypto.shoup", "__post_init__", "t", "config"),

@@ -12,9 +12,12 @@ smoke and nightly jobs sweep many seeds; here we pin the *contract*:
   what they claim to attack.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.scenarios import SCENARIOS, run_scenario
+from repro.core.faults import CorruptionMode
 from repro.errors import ConfigError
 
 
@@ -81,6 +84,11 @@ class TestScenarioExpectations:
         assert result.ok, result.transcript
         assert self._stat(result.transcript, "fallbacks") > 0
 
+    def test_silent_signer_takes_the_timer_path(self):
+        result = run_scenario("signer-silent", cluster=(4, 1), seed=0)
+        assert result.ok, result.transcript
+        assert self._stat(result.transcript, "share_timeouts") > 0
+
     def test_partition_heals_and_buffers(self):
         result = run_scenario("partition", cluster=(4, 1), seed=0)
         assert result.ok, result.transcript
@@ -96,3 +104,33 @@ class TestScenarioExpectations:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
             run_scenario("no-such-scenario", cluster=(4, 1), seed=0)
+
+
+class TestDesignatedSignerFaults:
+    """G1/G2/G3 with faulty replicas among each session's t+1 first signers.
+
+    Sessions rotate their designated set over all replicas, so the
+    corrupted replicas (1, and 4 at (7,2)) are first signers in a share
+    of every run's sessions.
+    """
+
+    @pytest.mark.parametrize(
+        "mode",
+        [CorruptionMode.WITHHOLD_SHARES, CorruptionMode.BAD_SHARES, CorruptionMode.CRASH],
+        ids=lambda mode: mode.value,
+    )
+    @pytest.mark.parametrize("protocol", ["optte", "optproof"])
+    @pytest.mark.parametrize("cluster", [(4, 1), (7, 2)], ids=["4-1", "7-2"])
+    def test_goals_hold(self, cluster, protocol, mode):
+        scenario = replace(
+            SCENARIOS["signer-silent"],
+            name=f"signer-{mode.value}",
+            protocol=protocol,
+            corruptions=(mode, mode),
+            expects=(),
+        )
+        result = run_scenario(scenario, cluster=cluster, seed=3)
+        assert result.ok, result.transcript
+        if mode is not CorruptionMode.BAD_SHARES:
+            # Silence is caught only by the session timer.
+            assert TestScenarioExpectations._stat(result.transcript, "share_timeouts") > 0

@@ -273,7 +273,9 @@ class TestPoolLifecycle:
 class TestCoordinatorPipelining:
     def test_prefetch_backpressure_and_consumption(self, threshold_4_1):
         public, shares = threshold_4_1
-        coord = SigningCoordinator(PROTOCOL_BASIC, shares[0], lookahead=2)
+        # signers=n: replica 0 signs every session at start, so every
+        # session is prefetchable.
+        coord = SigningCoordinator(PROTOCOL_BASIC, shares[0], lookahead=2, signers=4)
         assert coord.max_inflight_prefetch == 2  # serial executor: one worker
         assert coord.prefetch("s1", MESSAGE)
         assert coord.prefetch("s2", MESSAGE)
@@ -296,8 +298,8 @@ class TestCoordinatorPipelining:
 
     def test_prefetched_share_matches_on_demand(self, threshold_4_1):
         public, shares = threshold_4_1
-        plain = SigningCoordinator(PROTOCOL_BASIC, shares[0])
-        piped = SigningCoordinator(PROTOCOL_BASIC, shares[0], lookahead=2)
+        plain = SigningCoordinator(PROTOCOL_BASIC, shares[0], signers=4)
+        piped = SigningCoordinator(PROTOCOL_BASIC, shares[0], lookahead=2, signers=4)
         piped.prefetch("s", MESSAGE)
         out_plain = plain.sign("s", MESSAGE)
         out_piped = piped.sign("s", MESSAGE)

@@ -15,6 +15,7 @@ from repro.crypto.protocols import (
     OP_GENERATE_PROOF,
     OP_GENERATE_SHARE,
     OP_VERIFY_SHARE,
+    OP_VERIFY_SIGNATURE,
     PROTOCOL_BASIC,
     PROTOCOL_OPTPROOF,
     PROTOCOL_OPTTE,
@@ -360,10 +361,11 @@ class TestCoordinatorBounds:
     def test_per_session_flood_capped(self, threshold_4_1):
         public, shares = threshold_4_1
         coordinator = SigningCoordinator(PROTOCOL_BASIC, shares[0])
-        coordinator.max_pending_per_session = 3
         share = shares[1].generate_share_with_proof(MESSAGE)
-        for _ in range(7):
-            coordinator.on_message(1, SigningMessage.share_message("one-sid", share))
+        for k in range(7):
+            junk = SignatureShare(index=share.index, value=share.value + k, proof=share.proof)
+            coordinator.on_message(1, SigningMessage.share_message("one-sid", junk))
+        # One sender holds at most MAX_BUFFERED_PER_SENDER slots per session.
         assert len(coordinator._pending["one-sid"]) == 3
         assert coordinator.dropped_messages == 4
 
@@ -379,3 +381,59 @@ class TestCoordinatorBounds:
         signature = coordinator.result(SID)
         assert signature is not None
         public.verify_signature(MESSAGE, signature)
+
+    def test_one_sender_cannot_crowd_out_early_shares(self, threshold_4_1):
+        # Replica 3 floods junk shares for a session replica 0 has not
+        # started; the valid early shares of replicas 1 and 2 must still be
+        # buffered, or nothing would ever resend them.
+        public, shares = threshold_4_1
+        coordinator = SigningCoordinator(PROTOCOL_BASIC, shares[0])
+        real = shares[3].generate_share_with_proof(MESSAGE)
+        for k in range(20):
+            junk = SignatureShare(index=real.index, value=real.value + k, proof=real.proof)
+            coordinator.on_message(3, SigningMessage.share_message("real", junk))
+        for peer in (1, 2):
+            share = shares[peer].generate_share_with_proof(MESSAGE)
+            coordinator.on_message(peer, SigningMessage.share_message("real", share))
+        assert coordinator.dropped_messages == 17
+        coordinator.sign("real", MESSAGE)
+        public.verify_signature(MESSAGE, coordinator.result("real"))
+
+    def test_one_sender_cannot_fill_the_session_table(self, threshold_4_1):
+        public, shares = threshold_4_1
+        coordinator = SigningCoordinator(PROTOCOL_OPTTE, shares[0])
+        junk = shares[3].generate_share(MESSAGE)
+        for k in range(5000):
+            coordinator.on_message(3, SigningMessage.share_message(f"junk-{k}", junk))
+        early = shares[1].generate_share(MESSAGE)
+        coordinator.on_message(1, SigningMessage.share_message(SID, early))
+        assert coordinator._pending.get(SID) == [
+            (1, SigningMessage.share_message(SID, early))
+        ]
+        quota = coordinator.max_pending_sessions_per_sender
+        assert quota == 4096 // public.n
+        assert len(coordinator._pending) == quota + 1
+        assert coordinator.stats["session_refusals"] == 5000 - quota
+        # Starting the session releases replica 1's quota slot again.
+        coordinator.sign(SID, MESSAGE)
+        assert SID not in coordinator._pending and 1 not in coordinator._opened
+
+    def test_final_flood_checks_one_final_per_sender(self, threshold_4_1):
+        public, shares = threshold_4_1
+        coordinator = SigningCoordinator(PROTOCOL_OPTPROOF, shares[0])
+        coordinator.sign(SID, MESSAGE)
+        coordinator.drain_ops()
+        bogus = SigningMessage.final(SID, b"\x01" * (public.modulus.bit_length() // 8))
+        for _ in range(200):
+            coordinator.on_message(3, bogus)
+        verified = sum(c for op, c in coordinator.drain_ops() if op == OP_VERIFY_SIGNATURE)
+        assert verified == 1
+        assert coordinator.stats["final_refusals"] == 199
+        assert coordinator.result(SID) is None
+        # Another sender's valid FINAL is still checked and adopted.
+        signature = public.assemble(
+            MESSAGE, [s.generate_share(MESSAGE) for s in shares[: public.t + 1]]
+        )
+        coordinator.on_message(2, SigningMessage.final(SID, signature))
+        assert coordinator.result(SID) == signature
+

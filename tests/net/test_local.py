@@ -123,6 +123,35 @@ class TestAsyncNameService:
         assert op.response.rcode == c.RCODE_NOERROR
         assert verified > 0
 
+    def test_update_with_silent_signer_waits_for_the_session_timer(self):
+        """A withholding replica stalls the sessions that designate it
+        until their timers fire on the loop; every timer is gone after."""
+        from repro.chaos.scenarios import _deployment_for
+
+        async def scenario():
+            config = ServiceConfig(n=4, t=1, abc_timeout=0.5, client_timeout=5.0)
+            service = AsyncNameService(config, deployment=_deployment_for(config))
+            service.replicas[1].corrupt(CorruptionMode.WITHHOLD_SHARES)
+            ops = [
+                await service.add_record(f"s{k}.example.com.", c.TYPE_A, 300, "192.0.2.7")
+                for k in range(2)
+            ]
+            await service.settle()
+            return service, ops
+
+        service, ops = run(scenario())
+        assert all(op.response.rcode == c.RCODE_NOERROR for op in ops)
+        assert service.states_consistent() and service.verify_all_zones() > 0
+        honest = service.honest_replicas()
+        assert sum(r.coordinator.stats["share_timeouts"] for r in honest) > 0
+        # Suspicion is local: a replica whose session the others' released
+        # shares completed before its own timer fired suspects nobody.
+        assert {frozenset(r.coordinator.suspects) for r in honest} <= {
+            frozenset(), frozenset({1})
+        }
+        assert any(r.coordinator.suspects == {1} for r in honest)
+        assert all(not r._sign_timers for r in service.replicas)
+
     def test_full_client_model(self):
         async def scenario():
             service = AsyncNameService(
