@@ -132,7 +132,7 @@ SCENARIOS: Dict[str, Scenario] = {
                 "replicas keep ordering but never send signing shares; a "
                 "session that designates one of them as a first signer "
                 "completes only after its timer makes every replica sign, "
-                "and later sessions start with everyone signing"
+                "and for a while later sessions start with everyone signing"
             ),
             corruptions=(
                 CorruptionMode.WITHHOLD_SHARES,

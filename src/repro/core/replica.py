@@ -213,7 +213,6 @@ class ReplicaServer:
             executor=executor,
             lookahead=SIGNING_LOOKAHEAD,
             signers=signers,
-            timeout=self.config.abc_timeout,
         )
         if self.config.replicated:
             self.abc: Optional[AtomicBroadcast] = AtomicBroadcast(
@@ -321,7 +320,6 @@ class ReplicaServer:
                 self.config.signing_protocol,
                 bad,
                 signers=self._signers,
-                timeout=self.config.abc_timeout,
             )
 
     # ------------------------------------------------------------------
@@ -763,7 +761,7 @@ class ReplicaServer:
             return
         if sign_id not in self._sign_timers:
             self._sign_timers[sign_id] = self.node.schedule_timer(
-                coordinator.timeout,
+                self.config.abc_timeout,
                 functools.partial(self._on_sign_timeout, sign_id),
             )
 

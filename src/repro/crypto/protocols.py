@@ -16,13 +16,15 @@
 session id (:func:`designated_signers`) — signs at session start, and its
 members count their own share.  Every other replica signs only on
 evidence: its own assembly failed, a peer asked for proofs, or the
-session timer (:meth:`SigningCoordinator.on_timeout`) expired.  Replicas
-caught with a bad proof or missing at a timeout become *suspects*: a
-session whose ``D`` holds one starts with every replica signing, and
-optimistic assembly tries suspects' shares last.  ``signers=n`` is the
-paper's rule: everyone signs at start and assembles from the first
-``t+1`` shares it *receives*.  Every assembled signature is verified under
-the zone key before use, whoever signed.
+session timer (:meth:`SigningCoordinator.on_timeout`) expired.  A replica
+whose timer expired also asks its peers for the signature, and a peer
+that holds it answers.  Replicas caught with a bad proof or
+missing at a timeout become *suspects* for a while: a session whose ``D``
+holds one starts with every replica signing, and optimistic assembly
+tries suspects' shares last.  ``signers=n`` is the paper's rule: everyone
+signs at start and assembles from the first ``t+1`` shares it *receives*.
+Every assembled signature is verified under the zone key before use,
+whoever signed.
 
 The protocol classes are *sans-IO*: they consume ``(sender, message)``
 events and return lists of outgoing messages, so the same implementation
@@ -81,21 +83,27 @@ BROADCAST = -1  # destination meaning "all other replicas"
 MAX_PENDING_SESSIONS = 4096
 #: Buffered messages per (not-yet-started session, sender): an honest
 #: replica sends at most a bare share, a proof-carrying share and either a
-#: proof request or a FINAL.
+#: proof request or a FINAL (DESIGN.md §5m names the one exception).
 MAX_BUFFERED_PER_SENDER = 3
+#: Sessions a first suspicion lasts; each repeat offence doubles it.  A
+#: transient fault so costs a bounded number of all-sign sessions, and a
+#: replica that stays faulty is re-tested ever more rarely.
+SUSPICION_SESSIONS = 32
 
 _MSG_SHARE = 1
 _MSG_PROOF_REQUEST = 2
 _MSG_FINAL = 3
+_MSG_SIGNATURE_REQUEST = 4
 
 
 @dataclass(frozen=True)
 class SigningMessage:
     """Wire message of the signing protocols.
 
-    ``kind`` is one of share / proof-request / final; ``sign_id`` names the
-    signing session (derived from the record being signed, identical on
-    every replica).
+    ``kind`` is one of share / proof-request / final / signature-request
+    (a replica whose session timer expired asks for the FINAL);
+    ``sign_id`` names the signing session (derived from the record being
+    signed, identical on every replica).
     """
 
     kind: int
@@ -136,6 +144,10 @@ class SigningMessage:
     def final(cls, sign_id: str, signature: bytes) -> "SigningMessage":
         return cls(kind=_MSG_FINAL, sign_id=sign_id, signature=signature)
 
+    @classmethod
+    def signature_request(cls, sign_id: str) -> "SigningMessage":
+        return cls(kind=_MSG_SIGNATURE_REQUEST, sign_id=sign_id)
+
     @property
     def is_share(self) -> bool:
         return self.kind == _MSG_SHARE
@@ -147,6 +159,10 @@ class SigningMessage:
     @property
     def is_final(self) -> bool:
         return self.kind == _MSG_FINAL
+
+    @property
+    def is_signature_request(self) -> bool:
+        return self.kind == _MSG_SIGNATURE_REQUEST
 
 
 Outgoing = Tuple[int, SigningMessage]  # (destination replica id or BROADCAST, msg)
@@ -217,6 +233,9 @@ class SigningProtocol:
         self.bad_senders: Set[int] = set()
         #: Senders whose FINAL this session has already checked.
         self.final_senders: Set[int] = set()
+        #: Peers that asked for the signature before we finished; they
+        #: get our FINAL when we do.
+        self.waiting: Set[int] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -740,11 +759,10 @@ class SigningCoordinator:
     locally yet are buffered until the local state machine reaches the same
     update and calls :meth:`sign`.
 
-    ``signers`` is the size of the designated set (default ``t+1``;
-    ``n`` is the paper's everyone-signs rule).  ``timeout`` is how long a
-    session may stay unsigned before the host calls :meth:`on_timeout`;
-    the coordinator arms nothing itself, and with ``signers == n`` no
-    timer is needed.
+    ``signers`` is the size of the designated set: ``t+1`` (the default)
+    or ``n``, the paper's everyone-signs rule.  With ``t+1`` the host arms
+    a timer per live session and calls :meth:`on_timeout` when it fires;
+    with ``n`` no timer is needed.
     """
 
     def __init__(
@@ -754,7 +772,6 @@ class SigningCoordinator:
         executor: Optional[CryptoExecutor] = None,
         lookahead: int = 0,
         signers: Optional[int] = None,
-        timeout: Optional[float] = None,
     ) -> None:
         if protocol_name not in _PROTOCOL_CLASSES:
             raise ConfigError(f"unknown signing protocol {protocol_name!r}")
@@ -764,13 +781,12 @@ class SigningCoordinator:
         self.t = key_share.public.t
         self.me = key_share.index - 1
         self.signers = signers if signers is not None else self.t + 1
-        if self.signers < self.t + 1 or self.signers > self.n:
+        if self.signers != self.t + 1 and self.signers != self.n:
             raise ConfigError(
-                f"signers={self.signers} outside [t+1, n] = [{self.t + 1}, {self.n}]"
+                f"signers={self.signers}: must be t+1 = {self.t + 1} or n = {self.n}"
             )
         #: The paper's rule: everyone signs at start, no suspicion, no timer.
         self.all_sign = self.signers == self.n
-        self.timeout = timeout
         self.executor: CryptoExecutor = (
             executor if executor is not None else SerialExecutor(key_share)
         )
@@ -796,10 +812,11 @@ class SigningCoordinator:
         # Buffered sessions each sender opened (its first message there).
         self._opened: Dict[int, int] = {}
         self._completed: Dict[str, bytes] = {}
-        #: Sticky suspicion (DESIGN.md §5m): replicas caught with a bad
-        #: share or missing from their designated set at a timeout.
-        #: Replica ids other than ours, so fewer than n entries.
-        self.suspects: Set[int] = set()
+        # Suspicion (DESIGN.md §5m): replica -> (the session count at
+        # which it lapses, its current length).  Replicas caught with a
+        # bad share or missing from their designated set at a timeout;
+        # ids other than ours, so fewer than n entries.
+        self._suspicion: Dict[int, Tuple[int, int]] = {}
         # KeyTrap-style bounds on the not-yet-started buffer: a Byzantine
         # peer could otherwise stuff unbounded sign_ids (or unbounded
         # messages for one sign_id) into memory before the local state
@@ -822,6 +839,15 @@ class SigningCoordinator:
     def designated(self, sign_id: str) -> Tuple[int, ...]:
         return designated_signers(sign_id, self.n, self.signers)
 
+    @property
+    def suspects(self) -> Set[int]:
+        """Replicas suspected now: their suspicion has not lapsed yet."""
+        return {
+            replica
+            for replica, (until, _) in self._suspicion.items()
+            if until > self.rounds_started
+        }
+
     def signs_at_start(self, sign_id: str) -> bool:
         """Whether this replica sends its share when the session starts.
 
@@ -831,11 +857,19 @@ class SigningCoordinator:
         if self.all_sign:
             return True
         members = self.designated(sign_id)
-        return self.me in members or any(m in self.suspects for m in members)
+        suspects = self.suspects
+        return self.me in members or any(m in suspects for m in members)
 
     def _suspect(self, replica: int) -> None:
-        if replica != self.me and 0 <= replica < self.n:
-            self.suspects.add(replica)
+        """Suspect ``replica`` for the next sessions; a replica suspected
+        again after its suspicion lapsed is suspected twice as long."""
+        if replica == self.me or not 0 <= replica < self.n:
+            return
+        until, length = self._suspicion.get(replica, (0, 0))
+        if until > self.rounds_started:
+            return
+        length = 2 * length if length else SUSPICION_SESSIONS
+        self._suspicion[replica] = (self.rounds_started + length, length)
 
     # -- sessions -------------------------------------------------------------
 
@@ -930,7 +964,7 @@ class SigningCoordinator:
             if protocol.done:
                 break
             out.extend(self._deliver(protocol, sender, msg))
-        self._settle(sign_id, protocol)
+        self._settle(sign_id, protocol, out)
         return out
 
     def on_message(self, sender: int, msg: SigningMessage) -> List[Outgoing]:
@@ -939,19 +973,25 @@ class SigningCoordinator:
             self.dropped_messages += 1
             return []
         if msg.sign_id in self._completed:
+            if msg.is_signature_request:
+                signature = self._completed[msg.sign_id]
+                return [(sender, SigningMessage.final(msg.sign_id, signature))]
             return []
         protocol = self.sessions.get(msg.sign_id)
         if protocol is None:
             self._buffer(sender, msg)
             return []
         out = self._deliver(protocol, sender, msg)
-        self._settle(msg.sign_id, protocol)
+        self._settle(msg.sign_id, protocol, out)
         return out
 
     def on_timeout(self, sign_id: str) -> List[Outgoing]:
-        """The host's session timer fired: release every replica's share.
+        """The host's session timer fired: sign, and ask for the signature.
 
-        Members of ``D`` whose share has not arrived become suspects.
+        Members of ``D`` whose share has not arrived become suspects.  A
+        peer that finished without our share answers the signature request
+        with its FINAL, and one still signing answers when it finishes, so
+        a replica that some signers withheld from alone still finishes.
         """
         if sign_id not in self.sessions:
             return []
@@ -962,7 +1002,9 @@ class SigningCoordinator:
                 if not protocol.has_share_from(member):
                     self._suspect(member)
         out = protocol.on_timeout()
-        self._settle(sign_id, protocol)
+        if not self.all_sign and not protocol.done:
+            out.append((BROADCAST, SigningMessage.signature_request(sign_id)))
+        self._settle(sign_id, protocol, out)
         return out
 
     def _buffer(self, sender: int, msg: SigningMessage) -> None:
@@ -999,14 +1041,29 @@ class SigningCoordinator:
                 self.stats["final_refusals"] += 1
                 return []
             protocol.final_senders.add(sender)
+        elif msg.is_signature_request:
+            protocol.waiting.add(sender)
+            return []
         return protocol.on_message(sender, msg)
 
-    def _settle(self, sign_id: str, protocol: SigningProtocol) -> None:
+    def _settle(
+        self, sign_id: str, protocol: SigningProtocol, out: List[Outgoing]
+    ) -> None:
+        """Fold the session's evidence into suspicion and retire it if
+        done; peers waiting on it get the FINAL unless ``out``, the
+        session's last output, already broadcasts it."""
         for replica in protocol.bad_senders:
             self._suspect(replica)
         protocol.bad_senders.clear()
-        if protocol.done:
-            self._finish(sign_id, protocol)
+        if not protocol.done:
+            return
+        self._finish(sign_id, protocol)
+        if protocol.waiting and not any(
+            dest == BROADCAST and msg.is_final for dest, msg in out
+        ):
+            assert protocol.signature is not None
+            final = SigningMessage.final(sign_id, protocol.signature)
+            out.extend((peer, final) for peer in sorted(protocol.waiting))
 
     def _finish(self, sign_id: str, protocol: SigningProtocol) -> None:
         assert protocol.signature is not None

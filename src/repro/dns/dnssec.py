@@ -87,10 +87,11 @@ def sig_data(rrset: RRset, template: SIG, zone: Optional[Zone] = None) -> bytes:
     With ``zone`` given the RRset rendering goes through the zone's
     canonical render cache (byte-identical output, memoized per serial).
     """
-    rendered = (
-        zone.canonical_rrset_wire(rrset) if zone is not None else rrset.canonical_wire()
-    )
-    return template.header_wire(canonical=True) + rendered
+    return template.header_wire(canonical=True) + _rendered(rrset, zone)
+
+
+def _rendered(rrset: RRset, zone: Optional[Zone]) -> bytes:
+    return zone.canonical_rrset_wire(rrset) if zone is not None else rrset.canonical_wire()
 
 
 def make_signing_task(
@@ -101,14 +102,20 @@ def make_signing_task(
     serial: int,
     zone: Optional[Zone] = None,
 ) -> SigningTask:
-    """Build the signing task for one RRset."""
+    """Build the signing task for one RRset.
+
+    The ``sign_id`` names the session from the zone data alone — not the
+    SIG header, which holds the key tag — so the session's designated
+    signer set does not depend on which key a deployment was dealt.
+    """
     template = _sig_template(rrset, key, signer_name, policy, serial)
-    data = sig_data(rrset, template, zone)
+    rendered = _rendered(rrset, zone)
+    data = template.header_wire(canonical=True) + rendered
     digest = hashlib.sha256()
     digest.update(signer_name.canonical_wire())
     digest.update(struct.pack(">IH", serial, rrset.rtype))
     digest.update(rrset.name.canonical_wire())
-    digest.update(data)
+    digest.update(rendered)
     return SigningTask(
         sign_id=digest.hexdigest()[:32],
         name=rrset.name,

@@ -156,10 +156,10 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     # the session; certifies nothing.
     ("repro.crypto.protocols", "prefetch", "t", "window"),
     ("repro.crypto.protocols", "_store_share", "n", "identity-bound"),
-    # Designated signer set: |D| >= t+1 members hold enough shares to
-    # assemble, and |D| <= n-t keeps it formable without Byzantine help.
+    # Designated signer set: |D| = t+1 members hold exactly enough
+    # shares to assemble.
     ("repro.crypto.protocols", "__init__", "t+1", "threshold-sig"),
-    # |D| <= n, and |D| == n selects the paper's everyone-signs rule.
+    # The only other size, |D| = n, selects the paper's everyone-signs rule.
     ("repro.crypto.protocols", "__init__", "n", "config"),
     # Suspicion holds replica ids only, so at most n entries; the same
     # bound admits senders to the pre-session buffer and its quotas.

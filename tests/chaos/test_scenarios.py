@@ -119,7 +119,7 @@ class TestDesignatedSignerFaults:
         [CorruptionMode.WITHHOLD_SHARES, CorruptionMode.BAD_SHARES, CorruptionMode.CRASH],
         ids=lambda mode: mode.value,
     )
-    @pytest.mark.parametrize("protocol", ["optte", "optproof"])
+    @pytest.mark.parametrize("protocol", ["basic", "optte", "optproof"])
     @pytest.mark.parametrize("cluster", [(4, 1), (7, 2)], ids=["4-1", "7-2"])
     def test_goals_hold(self, cluster, protocol, mode):
         scenario = replace(

@@ -1,7 +1,6 @@
 """Replica-level unit tests (execution queue, caching, determinism)."""
 
 from repro.config import ServiceConfig
-from repro.core.keytool import generate_deployment
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
 from repro.dns.name import Name
@@ -122,14 +121,9 @@ class TestRetryAfterEviction:
 
 class TestDeterminism:
     def test_same_seed_same_latencies(self):
-        # One deployment for every run: the zone key enters each SIG's
-        # signing input, hence its session id and designated signer set.
-        config = ServiceConfig(n=4, t=1)
-        deployment = generate_deployment(config)
-
         def run(seed):
             svc = ReplicatedNameService(
-                config, topology=paper_setup(4), seed=seed, deployment=deployment
+                ServiceConfig(n=4, t=1), topology=paper_setup(4), seed=seed
             )
             read = svc.query("www.example.com.", c.TYPE_A).latency
             add = svc.add_record("d.example.com.", c.TYPE_A, 300, "192.0.2.1").latency

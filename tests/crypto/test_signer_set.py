@@ -8,7 +8,8 @@ Three groups of tests:
 * with the default ``signers = t+1`` only the designated set ``D`` signs
   at session start, and each trigger (failed assembly, proof request,
   timer) releases the other replicas;
-* suspicion is sticky, bounded by ``n`` and never affects safety.
+* suspicion lapses after a while, doubles on a repeat offence, is
+  bounded by ``n`` and never affects safety.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from typing import Dict, FrozenSet, List, Tuple
 import pytest
 
 from repro.crypto.protocols import (
+    BROADCAST,
     OP_GENERATE_SHARE,
     PROTOCOL_BASIC,
     PROTOCOL_OPTPROOF,
     PROTOCOL_OPTTE,
+    SUSPICION_SESSIONS,
     SigningCoordinator,
     SigningMessage,
     designated_signers,
@@ -43,6 +46,8 @@ def _describe(sender: int, dest: int, msg: SigningMessage, public, data: bytes) 
         return f"{head} share idx={msg.share.index} proof={msg.share.proof is not None}"
     if msg.is_final:
         return f"{head} final ok={public.signature_is_valid(data, msg.signature)}"
+    if msg.is_signature_request:
+        return f"{head} signature-request"
     return f"{head} proof-request"
 
 
@@ -158,6 +163,12 @@ def test_all_n_signers_reproduce_the_parent_transcript(threshold_4_1, protocol, 
 BAD, WITHHOLD, CRASH = "bad", "withhold", "crash"
 
 
+def withhold_from(victim: int) -> Tuple[str, int]:
+    """Fault mode: behave honestly except toward ``victim``, which gets
+    none of our shares or finals."""
+    return (WITHHOLD, victim)
+
+
 def run_sessions(
     key, protocol: str, sessions, faults=None, coordinators=None, **kwargs
 ):
@@ -167,7 +178,8 @@ def run_sessions(
     replica's session is still unsigned, its timer fires (once per session
     and replica), as the replica's ``schedule_timer`` would.  ``faults``
     maps replica ids to BAD (bit-inverted shares and finals), WITHHOLD (no
-    shares or finals) or CRASH (sends and receives nothing).  Pass the
+    shares or finals), :func:`withhold_from` (WITHHOLD toward one replica
+    only) or CRASH (sends and receives nothing).  Pass the
     returned ``coordinators`` back in to continue with their state.
     Returns the coordinators and the number of timer firings per session.
     """
@@ -183,9 +195,14 @@ def run_sessions(
 
     def push(sender: int, outs) -> None:
         mode = faults.get(sender)
+        victims = range(n)
+        if isinstance(mode, tuple):
+            mode, victim = mode
+            victims = [victim]
         for dest, msg in outs:
-            if mode == CRASH or (mode == WITHHOLD and not msg.is_proof_request):
+            if mode == CRASH:
                 continue
+            silenced = mode == WITHHOLD and (msg.is_share or msg.is_final)
             if mode == BAD and msg.is_share and msg.share is not None:
                 msg = SigningMessage.share_message(
                     msg.sign_id, _invert(msg.share, public.modulus)
@@ -195,6 +212,8 @@ def run_sessions(
                     msg.sign_id, bytes(b ^ 0xFF for b in msg.signature)
                 )
             for target in range(n) if dest == -1 else [dest]:
+                if silenced and target in victims:
+                    continue
                 if target != sender and faults.get(target) != CRASH:
                     queue.append((sender, target, msg))
 
@@ -246,8 +265,14 @@ class TestDesignatedSet:
             assert members[1] == (members[0] + 1) % 7
 
     @pytest.mark.parametrize("signers", [1, 5])
-    def test_size_must_lie_between_t_plus_1_and_n(self, threshold_4_1, signers):
+    def test_size_must_be_t_plus_1_or_n(self, threshold_4_1, signers):
         _, shares = threshold_4_1
+        with pytest.raises(ConfigError):
+            SigningCoordinator(PROTOCOL_OPTTE, shares[0], signers=signers)
+
+    @pytest.mark.parametrize("signers", [4, 5, 6])
+    def test_no_size_between_t_plus_1_and_n(self, threshold_7_2, signers):
+        _, shares = threshold_7_2
         with pytest.raises(ConfigError):
             SigningCoordinator(PROTOCOL_OPTTE, shares[0], signers=signers)
 
@@ -319,6 +344,91 @@ def test_suspected_bad_signer_stops_optproof_fallbacks(threshold_4_1):
     )
     assert timeouts == [0] * len(more)
     assert [c.fallback_rounds() for c in honest] == first
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("key_fixture", ["threshold_4_1", "threshold_7_2"])
+def test_member_withholding_from_one_replica_cannot_stall_it(
+    protocol, key_fixture, request
+):
+    """``t`` members of ``D`` send their shares to everyone but the last
+    member, so the non-members finish without ever signing.  OptProof and
+    OptTE broadcast the FINAL when optimistic assembly succeeds; under
+    BASIC the starved member's timer asks for help, and the finished
+    replicas answer with the signature."""
+    key = request.getfixturevalue(key_fixture)
+    public, _ = key
+    sid = MANY[0][0]
+    members = designated_signers(sid, public.n, public.t + 1)
+    starved = members[-1]
+    faults = {i: withhold_from(starved) for i in members[:-1]}
+    coordinators, timeouts = run_sessions(key, protocol, MANY[:1], faults=faults)
+    expected = 1 if protocol == PROTOCOL_BASIC else 0
+    assert timeouts == [expected]
+    assert coordinators[starved].stats["share_timeouts"] == expected
+
+
+def test_signature_request_is_answered_now_or_on_completion(threshold_4_1):
+    _, shares = threshold_4_1
+    sid, data = MANY[0]
+    request = SigningMessage.signature_request(sid)
+    assert SigningMessage.from_bytes(request.to_bytes()) == request
+    coordinators, _ = run_sessions(threshold_4_1, PROTOCOL_BASIC, [(sid, data)])
+    final = SigningMessage.final(sid, coordinators[0].result(sid))
+    assert coordinators[0].on_message(1, request) == [(1, final)]
+    # A session still running remembers the requester, once.
+    coordinator = SigningCoordinator(PROTOCOL_BASIC, shares[0], signers=4)
+    out = coordinator.sign(sid, data)
+    assert coordinator.on_message(2, request) == []
+    assert coordinator.on_message(2, request) == []
+    [(_, share)] = SigningCoordinator(PROTOCOL_BASIC, shares[1], signers=4).sign(sid, data)
+    assert coordinator.on_message(1, share) == [(2, final)]
+
+
+def test_timeout_broadcasts_one_signature_request(threshold_4_1):
+    _, shares = threshold_4_1
+    sid, data = MANY[0]
+    coordinator = SigningCoordinator(PROTOCOL_OPTTE, shares[0])
+    coordinator.sign(sid, data)
+    out = coordinator.on_timeout(sid)
+    assert [(dest, m) for dest, m in out if not m.is_share] == [
+        (BROADCAST, SigningMessage.signature_request(sid))
+    ]
+
+
+def test_suspicion_lapses_and_doubles_on_a_repeat_offence(threshold_4_1):
+    _, shares = threshold_4_1
+    coordinator = SigningCoordinator(PROTOCOL_OPTPROOF, shares[0])
+    coordinator._suspect(1)
+    coordinator.rounds_started += SUSPICION_SESSIONS - 1
+    coordinator._suspect(1)  # already suspected: no extension
+    assert coordinator.suspects == {1}
+    coordinator.rounds_started += 1
+    assert coordinator.suspects == set()
+    coordinator._suspect(1)
+    coordinator.rounds_started += 2 * SUSPICION_SESSIONS - 1
+    assert coordinator.suspects == {1}
+    coordinator.rounds_started += 1
+    assert coordinator.suspects == set()
+
+
+def test_lapsed_suspicion_of_a_bad_signer_is_renewed(threshold_4_1):
+    """After the suspicion lapses, the bad signer is tried again, fails
+    again and is suspected for twice as long."""
+    sessions = [(f"lapse-{k}", f"data {k}".encode()) for k in range(SUSPICION_SESSIONS + 12)]
+    coordinators, timeouts = run_sessions(
+        threshold_4_1, PROTOCOL_OPTPROOF, sessions, faults={3: BAD}
+    )
+    assert timeouts == [0] * len(sessions)
+    # Only a replica that proof-checked the other share of the failed
+    # set can pin the failure on 3; here replica 2, a member of D.
+    suspecting = [c for c in coordinators[:3] if 3 in c._suspicion]
+    assert [c.me for c in suspecting] == [2]
+    for coordinator in suspecting:
+        _, length = coordinator._suspicion[3]
+        assert length == 2 * SUSPICION_SESSIONS
+        assert coordinator.suspects == {3}
+        assert coordinator.fallback_rounds() == 2
 
 
 def test_suspicion_is_bounded_by_n(threshold_4_1):
