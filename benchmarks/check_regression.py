@@ -41,14 +41,6 @@ def _batching_metrics(data: dict) -> Dict[str, float]:
     }
 
 
-def _parallel_metrics(data: dict) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for group in data["groups"]:
-        key = f"{group['protocol']}(n={group['n']},t={group['t']}).model_speedup"
-        out[key] = float(group["model_speedup"])
-    return out
-
-
 def _writes_metrics(data: dict) -> Dict[str, float]:
     return {"write_speedup": float(data["write_speedup"])}
 
@@ -67,7 +59,6 @@ def _broadcast_metrics(data: dict) -> Dict[str, float]:
 #: filename -> extractor of {metric name: higher-is-better value}.
 EXTRACTORS = {
     "BENCH_batching.json": _batching_metrics,
-    "BENCH_parallel.json": _parallel_metrics,
     "BENCH_writes.json": _writes_metrics,
     "BENCH_resolver.json": _resolver_metrics,
     "BENCH_broadcast.json": _broadcast_metrics,

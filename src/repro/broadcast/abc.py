@@ -62,7 +62,6 @@ from repro.broadcast.messages import (
     is_batch_payload,
 )
 from repro.broadcast.recovery import PAYLOAD_STORE_ENTRIES, PayloadRecovery, PullKey
-from repro.crypto.executor import CryptoExecutor
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.shoup import ThresholdKeyShare
 from repro.errors import ConfigError
@@ -239,41 +238,24 @@ class BatchQueue:
 class AuthPlane:
     """Broadcast-layer authenticator crypto (PREPARE / EPOCH_FINAL RSA).
 
-    Routes signing and verification through a pluggable
-    :class:`~repro.crypto.executor.CryptoExecutor` when one is attached;
-    :meth:`verify_many` amortizes a whole authenticator pool — a PREPARE
+    :meth:`verify_many` checks a whole authenticator pool — a PREPARE
     certificate's 2t+1 signatures, or a NEW_EPOCH's n-t signed finals —
-    into one executor task instead of one per signature.  Without an
-    executor it computes inline, exactly as the pre-plane code did.
+    in one call.
     """
 
-    def __init__(
-        self,
-        auth_key: RsaPrivateKey,
-        auth_public: List[RsaPublicKey],
-        executor: Optional[CryptoExecutor] = None,
-    ) -> None:
+    def __init__(self, auth_key: RsaPrivateKey, auth_public: List[RsaPublicKey]) -> None:
         self.auth_key = auth_key
         self.auth_public = list(auth_public)
-        self.executor = executor
 
     def sign(self, data: bytes) -> bytes:
-        if self.executor is not None and self.executor.auth_key is not None:
-            return self.executor.rsa_sign(data)
         return self.auth_key.sign(data)
 
     def verify(self, signer: int, data: bytes, signature: bytes) -> bool:
-        if self.executor is not None:
-            return self.executor.rsa_verify(
-                self.auth_public[signer], data, signature
-            )
         return self.auth_public[signer].is_valid(data, signature)
 
     def verify_many(
         self, items: List[Tuple[RsaPublicKey, bytes, bytes]]
     ) -> List[bool]:
-        if self.executor is not None:
-            return self.executor.rsa_verify_many(items)
         return [key.is_valid(data, sig) for key, data, sig in items]
 
 

@@ -63,19 +63,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the signed-answer cache",
     )
-    parser.add_argument(
-        "--crypto-executor",
-        choices=("serial", "pool"),
-        default="serial",
-        help="crypto execution plane: inline (serial) or process pool",
-    )
-    parser.add_argument(
-        "--crypto-workers",
-        type=int,
-        default=4,
-        metavar="W",
-        help="worker processes for the pooled crypto plane",
-    )
 
 
 def _build_service(args: argparse.Namespace):
@@ -90,8 +77,6 @@ def _build_service(args: argparse.Namespace):
             signing_protocol=args.protocol,
             batch_size=args.batch_size,
             answer_cache=not args.no_answer_cache,
-            crypto_executor=args.crypto_executor,
-            crypto_workers=args.crypto_workers,
         ),
         topology=topology,
         zone_text=_load_zone_text(args),

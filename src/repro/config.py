@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.executor import ALL_EXECUTORS, EXECUTOR_SERIAL
 from repro.crypto.protocols import ALL_PROTOCOLS, PROTOCOL_OPTTE
 from repro.errors import ConfigError
 
@@ -49,17 +48,8 @@ class ServiceConfig:
     # (qname, qtype, zone serial); entries are invalidated when an update
     # executes and bumps the serial.
     answer_cache: bool = True
-    # Crypto execution plane: "serial" keeps every bigint operation inline
-    # and deterministic (the simulator's default); "pool" fans share
-    # generation, proof checks, subset trials, and RSA authenticator work
-    # out to ``crypto_workers`` processes that deserialize key material
-    # once at warmup.  Both planes are behaviour-preserving: a run yields
-    # identical ABC transcripts and signatures under either.
-    crypto_executor: str = EXECUTOR_SERIAL
-    crypto_workers: int = 4
     # Write-path fan-out: start every signing session of an update at
-    # once (the coordinator multiplexes them; the pool plane overlaps
-    # their share generation).  Off by default: the serialized
+    # once (the coordinator multiplexes them).  Off by default: the serialized
     # session-at-a-time schedule is what reproduces Table 2's add:delete
     # latency shape, so only the write-throughput experiments flip this.
     parallel_update_signing: bool = False
@@ -97,13 +87,6 @@ class ServiceConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.batch_size > 1 and self.batch_delay <= 0:
             raise ConfigError("batching requires a positive batch_delay")
-        if self.crypto_executor not in ALL_EXECUTORS:
-            raise ConfigError(
-                f"unknown crypto executor {self.crypto_executor!r}; "
-                f"choose from {ALL_EXECUTORS}"
-            )
-        if self.crypto_workers < 1:
-            raise ConfigError("crypto_workers must be at least 1")
         if self.resolver_positive_cache < 1:
             raise ConfigError("resolver_positive_cache must be at least 1")
         if self.resolver_negative_cache < 1:

@@ -26,7 +26,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.broadcast.messages import ClientRequest, ClientResponse
 from repro.config import ServiceConfig
 from repro.crypto.costmodel import CostModel
-from repro.crypto.executor import CryptoExecutor
 from repro.crypto.protocols import OP_VERIFY_SIGNATURE
 from repro.crypto.rsa import RsaPublicKey
 from repro.dns import constants as c
@@ -85,7 +84,6 @@ class _ClientBase:
         costs: Optional[CostModel] = None,
         verify_signatures: bool = True,
         id_rng: Optional[random.Random] = None,
-        executor: Optional[CryptoExecutor] = None,
     ) -> None:
         self.node = node
         self.config = config
@@ -95,9 +93,6 @@ class _ClientBase:
         self.tsig_key = tsig_key
         self.costs = costs if costs is not None else CostModel()
         self.verify_signatures = verify_signatures
-        # Crypto execution plane for answer verification; None verifies
-        # inline (identical verdicts — the plane only moves the modexp).
-        self.executor = executor
         # DNS message ids are random per RFC practice; a seeded RNG makes
         # them — and everything downstream that hashes the request wire —
         # replayable, which the chaos harness's transcript contract needs.
@@ -226,8 +221,6 @@ class _ClientBase:
         self.node.charge(self.costs.crypto_cost(OP_VERIFY_SIGNATURE))
         key = RsaPublicKey(modulus=modulus, exponent=exponent)
         data = b"\x00\x00" + msg.wire[2:]
-        if self.executor is not None:
-            return self.executor.rsa_verify(key, data, signature)
         try:
             key.verify(data, signature)
         except InvalidSignature:

@@ -47,7 +47,6 @@ from repro.config import ServiceConfig
 from repro.core.faults import CorruptionMode, FaultInjector
 from repro.core.keytool import Deployment
 from repro.crypto.costmodel import CostModel
-from repro.crypto.executor import CryptoExecutor
 from repro.crypto.protocols import SigningCoordinator, SigningMessage
 from repro.dns import constants as c
 from repro.dns import dnssec
@@ -72,9 +71,8 @@ MAX_RESPONSE_CACHE_ENTRIES = 4096
 MAX_ANSWER_CACHE_ENTRIES = 4096
 
 #: Session pipelining: the signing coordinator speculatively generates
-#: shares (and, on the pool plane, pre-verifies buffered peer shares) for
-#: up to this many upcoming signing tasks while the current session
-#: assembles.  (``SigningCoordinator(lookahead=0)`` disables pipelining.)
+#: shares for up to this many upcoming signing tasks while the current
+#: session waits for its peers' shares.  (``SigningCoordinator(lookahead=0)`` disables pipelining.)
 SIGNING_LOOKAHEAD = 2
 
 
@@ -177,7 +175,6 @@ class ReplicaServer:
         costs: Optional[CostModel] = None,
         signing_policy: Optional[SigningPolicy] = None,
         seed: int = 0,
-        executor: Optional[CryptoExecutor] = None,
         signers: Optional[int] = None,
     ) -> None:
         self.index = index
@@ -201,7 +198,6 @@ class ReplicaServer:
         self._stale_server = AuthoritativeServer(self._stale_zone)
 
         keys = deployment.replicas[index]
-        self.executor = executor
         # Threshold signing: ``signers`` replicas (default t+1) sign each
         # session at start; a session still unsigned after abc_timeout
         # makes everyone sign (SigningCoordinator.on_timeout).
@@ -210,7 +206,6 @@ class ReplicaServer:
         self.coordinator = SigningCoordinator(
             self.config.signing_protocol,
             keys.zone_share,
-            executor=executor,
             lookahead=SIGNING_LOOKAHEAD,
             signers=signers,
         )
@@ -226,11 +221,7 @@ class ReplicaServer:
                 send=self._send,
                 schedule=node.schedule_timer,
                 timeout=self.config.abc_timeout,
-                crypto=AuthPlane(
-                    keys.auth_key.private,
-                    list(deployment.auth_public),
-                    executor=executor,
-                ),
+                crypto=AuthPlane(keys.auth_key.private, list(deployment.auth_public)),
             )
         else:
             self.abc = None
@@ -696,10 +687,9 @@ class ReplicaServer:
         """Write-path fan-out: open every signing session of the update.
 
         The coordinator multiplexes concurrent sessions (peers buffer
-        shares for sessions they have not reached yet), and on the pool
-        plane the share generation of all sessions overlaps.  Session
-        order is the deterministic task order, so transcripts still match
-        across replicas and executor planes.
+        shares for sessions they have not reached yet).  Session order is
+        the deterministic task order, so transcripts still match across
+        replicas.
         """
         pending = self._pending_update
         assert pending is not None

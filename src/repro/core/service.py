@@ -2,7 +2,7 @@
 
 :class:`NameService` owns everything about the paper's Wrapper + ``named``
 deployment (§4.1–4.2) that does not depend on the transport: keys, the
-signed initial zone, the crypto plane, replicas, clients, fault injection,
+signed initial zone, replicas, clients, fault injection,
 the ``query`` / ``add_record`` / ``delete_name`` experiment API and the
 inspection the G1/G2/G3 checkers read.  A transport subclass supplies two
 things: a client endpoint on its network, and how an issued request
@@ -26,12 +26,6 @@ from repro.core.faults import CorruptionMode
 from repro.core.keytool import Deployment, generate_deployment
 from repro.core.replica import ReplicaServer
 from repro.crypto.costmodel import CostModel
-from repro.crypto.executor import (
-    EXECUTOR_POOL,
-    CryptoExecutor,
-    CryptoWorkerPool,
-    PoolExecutor,
-)
 from repro.crypto.shoup import ThresholdKeyShare, ThresholdPublicKey
 from repro.dns import constants as c
 from repro.dns import dnssec
@@ -92,49 +86,6 @@ def local_threshold_signer(
     return signer
 
 
-def build_crypto_plane(
-    config: ServiceConfig,
-    deployment: Deployment,
-    costs: Optional[CostModel] = None,
-) -> Tuple[
-    Optional[CryptoWorkerPool],
-    List[Optional[CryptoExecutor]],
-    Optional[CryptoExecutor],
-]:
-    """Construct the deployment's crypto execution plane, if pooled.
-
-    Returns ``(pool, replica_executors, client_executor)``.  With the
-    (default) serial plane everything is ``None`` and each component falls
-    back to its own inline :class:`~repro.crypto.executor.SerialExecutor`.
-    With the pool plane, one shared :class:`CryptoWorkerPool` serves a
-    per-owner :class:`PoolExecutor` for every replica plus one for the
-    client side; all key material registers here, *before* the first job,
-    so pool workers deserialize it exactly once at warmup.
-    """
-    if config.crypto_executor != EXECUTOR_POOL:
-        return None, [None] * config.n, None
-    pool = CryptoWorkerPool(config.crypto_workers)
-    executors: List[Optional[CryptoExecutor]] = []
-    for i in range(config.n):
-        keys = deployment.replicas[i]
-        owner = f"replica{i}"
-        pool.register(
-            owner, key_share=keys.zone_share, auth_key=keys.auth_key.private
-        )
-        executors.append(
-            PoolExecutor(
-                pool,
-                owner,
-                key_share=keys.zone_share,
-                auth_key=keys.auth_key.private,
-                costs=costs,
-            )
-        )
-    pool.register("client")
-    client_executor = PoolExecutor(pool, "client", costs=costs)
-    return pool, executors, client_executor
-
-
 class NameService(Generic[R]):
     """A complete deployment of the secure replicated zone over ``net``.
 
@@ -179,12 +130,6 @@ class NameService(Generic[R]):
             )
             dnssec.sign_zone_locally(base_zone, key_record, signer)
 
-        # Real-time runs are where the pool plane actually pays off: the
-        # worker processes do the modexps while the event loop keeps
-        # pumping messages.
-        self._pool, replica_executors, self._client_executor = build_crypto_plane(
-            config, self.deployment, costs=self.costs
-        )
         self.replicas: List[ReplicaServer] = [
             ReplicaServer(
                 index=i,
@@ -193,7 +138,6 @@ class NameService(Generic[R]):
                 node=net.node(i),
                 costs=self.costs,
                 seed=seed,
-                executor=replica_executors[i],
                 signers=signers,
             )
             for i in range(config.n)
@@ -233,7 +177,6 @@ class NameService(Generic[R]):
             costs=self.costs,
             verify_signatures=self._verify_signatures,
             id_rng=self._id_rng,
-            executor=self._client_executor,
         )
         if model == "pragmatic":
             return PragmaticClient(gateway=gateway, **client_args)
@@ -252,10 +195,8 @@ class NameService(Generic[R]):
         return self._make_client("pragmatic", gateway)
 
     def close(self) -> None:
-        """Shut down the shared crypto worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """End the deployment.  It holds no processes or files, so this
+        is a no-op that lets every transport be closed the same way."""
 
     def __enter__(self):
         return self
@@ -342,14 +283,6 @@ class NameService(Generic[R]):
                 for key, value in stats.items():
                     summed[key] = summed.get(key, 0) + value
         return totals
-
-    def cancelled_trials(self) -> int:
-        """OptTE subset trials cancelled by the lane-cancel protocol."""
-        total = 0
-        for replica in self.honest_replicas():
-            if replica.coordinator.executor is not None:
-                total += replica.coordinator.executor.stats["cancelled_trials"]
-        return total
 
 
 class ReplicatedNameService(NameService[CompletedOp]):

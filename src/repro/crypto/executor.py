@@ -1,79 +1,26 @@
-"""Pluggable crypto execution plane: serial or multicore threshold RSA.
+"""The threshold-RSA operations of one replica's signing sessions.
 
 The paper's evaluation (§4, Tables 2–3) shows threshold-signature share
-generation and verification dominate end-to-end latency.  The protocol
-layer is sans-IO and records operation *costs* for the simulator, but the
-actual bigint modexps still run serially under the GIL, so real-time
-(``net.local``) runs are crypto-bound on one core.  This module makes the
-execution strategy pluggable:
+generation and verification dominate end-to-end latency.  The signing
+protocols (:mod:`repro.crypto.protocols`) are sans-IO and record every
+operation in an op log, from which the simulator charges calibrated CPU
+time; the bigint work itself goes through one :class:`CryptoExecutor`
+per coordinator, which runs it inline.  Keeping the six operations behind
+one object gives measurement a single place to attach: the e2e tracer
+wraps these methods on ``coordinator.executor``.
 
-* :class:`SerialExecutor` — the deterministic default.  Every job runs
-  inline in the calling thread; the simulator and the chaos harness keep
-  bit-identical transcripts.
-* :class:`PoolExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  facade.  Worker processes deserialize key material **once at warmup**
-  (via the pool initializer) and then service fine-grained jobs: share and
-  proof generation, amortized share-batch verification, trial-and-error
-  subset assembly, and RSA PREPARE sign/verify for the broadcast layer.
-
-Determinism contract
---------------------
-Both executors compute the *same functions on the same inputs*: share
-values, assembled signatures, and verification verdicts are pure, so a run
-produces identical ABC transcripts and identical assembled signatures
-under either executor.  The only randomized output is the Fiat–Shamir
+Every operation is a pure function of its inputs except the Fiat–Shamir
 proof nonce, which never enters the broadcast transcript (proofs are
-verified and discarded).  ``tests/core/test_executor_equivalence.py``
-asserts the contract end-to-end.
-
-Job taxonomy (what gets offloaded)
-----------------------------------
-==========================  ============================================
-job                         issued by
-==========================  ============================================
-``generate_share``          all three signing protocols (``start`` /
-                            coordinator prefetch)
-``generate_proof``          OptProof's on-demand proof phase
-``verify_shares``           BASIC / OptProof fall-back — **one task per
-                            share batch**, not one per signature
-``assemble_candidates``     OptTE trial-and-error subset assembly
-``rsa_sign``                ABC PREPARE / EPOCH_FINAL authenticators
-``rsa_verify_many``         ABC certificate pools, client-side answer
-                            verification — one task per pool
-==========================  ============================================
-
-Every executor also keeps a :class:`WorkerClock` — a virtual greedy list
-schedule of the jobs it actually executed, costed in reference-machine
-seconds (Table 3).  Benchmarks report modelled makespans from this clock
-so the measured speedup is a property of the schedule, not of how many
-physical cores the CI host happens to have.
+verified and discarded), so runs replay bit for bit.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import sys
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.crypto.shoup import (
-    ShareProof,
-    SignatureShare,
-    ThresholdKeyShare,
-)
-from repro.errors import AssemblyError, ConfigError
-
-if TYPE_CHECKING:
-    from repro.crypto.costmodel import CostModel
-
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_POOL = "pool"
-ALL_EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_POOL)
-
-DEFAULT_POOL_WORKERS = 4
+from repro.crypto.shoup import ShareProof, SignatureShare, ThresholdKeyShare
+from repro.errors import AssemblyError
 
 # Operation names used in the protocol op logs (match Table 3's row
 # labels).  Defined here — the root of the crypto package's import graph —
@@ -85,99 +32,6 @@ OP_ASSEMBLE = "assemble"
 OP_VERIFY_SIGNATURE = "verify_signature"
 
 
-def _default_costs() -> "CostModel":
-    # Imported lazily: costmodel -> protocols -> executor would otherwise
-    # be a cycle at module load time.
-    from repro.crypto.costmodel import CostModel
-
-    return CostModel()
-
-
-class WorkerClock:
-    """Virtual makespan accounting for executor jobs (reference seconds).
-
-    A greedy list schedule: each job is placed on the least-loaded virtual
-    worker at submission time; blocking calls advance the main-thread
-    clock to the job's completion, background submissions only push the
-    worker's clock.  Costs are Table 3 reference-machine seconds, so the
-    resulting makespan models what a W-way pool does to the signing
-    critical path independently of the physical core count of the host
-    running the benchmark.
-    """
-
-    def __init__(self, workers: int, costs: Optional["CostModel"] = None) -> None:
-        if workers < 1:
-            raise ConfigError("worker clock needs at least one worker")
-        self.costs = costs if costs is not None else _default_costs()
-        self._workers = [0.0] * workers
-        self.main = 0.0
-        self.jobs = 0
-        self.busy = 0.0  # total reference-seconds of crypto work executed
-
-    @property
-    def workers(self) -> int:
-        return len(self._workers)
-
-    @property
-    def makespan(self) -> float:
-        """Virtual completion time of everything submitted so far."""
-        return max(self.main, max(self._workers))
-
-    def _submit(self, cost: float) -> float:
-        """Place one job on the least-loaded worker; return its end time."""
-        w = min(range(len(self._workers)), key=self._workers.__getitem__)
-        start = max(self._workers[w], self.main)
-        end = start + cost
-        self._workers[w] = end
-        self.jobs += 1
-        self.busy += cost
-        return end
-
-    def run(self, cost: float) -> None:
-        """Blocking job: the main thread waits for its completion."""
-        self.main = max(self.main, self._submit(cost))
-
-    def background(self, cost: float) -> float:
-        """Offloaded job: returns its virtual completion time."""
-        return self._submit(cost)
-
-    def wait_until(self, vtime: float) -> None:
-        """Main thread blocks on a previously offloaded job's result."""
-        self.main = max(self.main, vtime)
-
-    def crypto_cost(self, op: str, count: int = 1) -> float:
-        return self.costs.crypto_cost(op, count)
-
-
-class CryptoFuture:
-    """Handle to an offloaded crypto job.
-
-    ``result()`` synchronizes the virtual clock (main thread waits for the
-    job's modelled completion) and returns the computed value.  Serial
-    executors hand out already-resolved futures, so pipelined call sites
-    behave identically under both executors.
-    """
-
-    def __init__(
-        self,
-        clock: WorkerClock,
-        vtime: float,
-        value: object = None,
-        future: Optional[Future] = None,
-    ) -> None:
-        self._clock = clock
-        self.vtime = vtime
-        self._value = value
-        self._future = future
-
-    def result(self) -> object:
-        self._clock.wait_until(self.vtime)
-        if self._future is not None:
-            self._value = self._future.result()
-            self._future = None
-        return self._value
-
-
 @dataclass(frozen=True)
 class SubsetTrialResult:
     """Outcome of trial-and-error assembly over candidate share subsets.
@@ -185,8 +39,7 @@ class SubsetTrialResult:
     ``winner`` is the index (into the submitted subset list) of the first
     subset that assembled into a valid signature, or ``None``.
     ``assembled``/``verified`` count the attempts actually evaluated, for
-    op-log accounting (a pooled trial may evaluate more candidates than a
-    serial early-exit would have — the chosen signature is identical).
+    op-log accounting.
     """
 
     winner: Optional[int]
@@ -196,585 +49,50 @@ class SubsetTrialResult:
 
 
 class CryptoExecutor:
-    """Abstract crypto execution plane (see module docstring)."""
+    """Run one replica's threshold-RSA operations inline."""
 
-    kind = "abstract"
-
-    def __init__(
-        self,
-        key_share: Optional[ThresholdKeyShare] = None,
-        auth_key: Optional[RsaPrivateKey] = None,
-        costs: Optional["CostModel"] = None,
-        workers: int = 1,
-    ) -> None:
+    def __init__(self, key_share: ThresholdKeyShare) -> None:
         self.key_share = key_share
-        self.public = key_share.public if key_share is not None else None
-        self.auth_key = auth_key
-        self.clock = WorkerClock(workers, costs)
-        self.stats: Dict[str, int] = {
-            "jobs": 0,
-            "batch_jobs": 0,
-            "batched_items": 0,
-            # OptTE lane-cancel protocol: speculative subset trials whose
-            # lanes were cancelled after an earlier wave produced the
-            # winner (always 0 on the serial plane).
-            "cancelled_trials": 0,
-        }
-
-    @property
-    def prefers_batching(self) -> bool:
-        """Whether call sites should amortize work into batch jobs.
-
-        Serial execution gains nothing from batching (and must keep the
-        exact lazy evaluation order of the unpooled code paths), so the
-        coordinator only pre-validates share batches when this is True.
-        """
-        return False
-
-    # -- threshold jobs -----------------------------------------------------
+        self.public = key_share.public
 
     def generate_share(
         self, message: bytes, with_proof: bool = False
     ) -> SignatureShare:
-        raise NotImplementedError
-
-    def submit_generate_share(
-        self, message: bytes, with_proof: bool = False
-    ) -> CryptoFuture:
-        raise NotImplementedError
+        if with_proof:
+            return self.key_share.generate_share_with_proof(message)
+        return self.key_share.generate_share(message)
 
     def generate_proof(self, message: bytes, share: SignatureShare) -> ShareProof:
-        raise NotImplementedError
+        return self.key_share.prove(message, share)
 
     def verify_shares(
         self, message: bytes, shares: Sequence[SignatureShare]
     ) -> List[bool]:
-        raise NotImplementedError
-
-    def submit_verify_shares(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> CryptoFuture:
-        raise NotImplementedError
+        return [self.public.share_is_valid(message, share) for share in shares]
 
     def assemble(
         self, message: bytes, shares: Sequence[SignatureShare]
     ) -> Optional[bytes]:
-        raise NotImplementedError
+        try:
+            return self.public.assemble(message, shares)
+        except AssemblyError:
+            return None
 
     def verify_signature(self, message: bytes, signature: bytes) -> bool:
-        raise NotImplementedError
+        return self.public.signature_is_valid(message, signature)
 
     def assemble_candidates(
         self, message: bytes, subsets: Sequence[Sequence[SignatureShare]]
     ) -> SubsetTrialResult:
-        raise NotImplementedError
-
-    # -- plain-RSA jobs (broadcast authenticators, client verification) -----
-
-    def rsa_sign(self, message: bytes) -> bytes:
-        raise NotImplementedError
-
-    def rsa_verify(
-        self, key: RsaPublicKey, message: bytes, signature: bytes
-    ) -> bool:
-        raise NotImplementedError
-
-    def rsa_verify_many(
-        self, items: Sequence[Tuple[RsaPublicKey, bytes, bytes]]
-    ) -> List[bool]:
-        raise NotImplementedError
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release executor resources (no-op for serial execution)."""
-
-    # -- shared helpers -----------------------------------------------------
-
-    def _require_key_share(self) -> ThresholdKeyShare:
-        if self.key_share is None:
-            raise ConfigError(f"{self.kind} executor has no threshold key share")
-        return self.key_share
-
-    def _require_auth_key(self) -> RsaPrivateKey:
-        if self.auth_key is None:
-            raise ConfigError(f"{self.kind} executor has no RSA signing key")
-        return self.auth_key
-
-    def _count_job(self, batch: int = 0) -> None:
-        self.stats["jobs"] += 1
-        if batch:
-            self.stats["batch_jobs"] += 1
-            self.stats["batched_items"] += batch
-
-    def _assemble_candidates_inline(
-        self, message: bytes, subsets: Sequence[Sequence[SignatureShare]]
-    ) -> SubsetTrialResult:
-        """Serial early-exit subset trials, shared by both planes."""
-        public = self._require_key_share().public
+        """Try ``subsets`` in order; stop at the first valid signature."""
         assembled = verified = 0
         for i, shares in enumerate(subsets):
             assembled += 1
-            self._count_job()
-            self.clock.run(self.clock.crypto_cost(OP_ASSEMBLE))
             try:
-                signature = public.assemble(message, shares)
+                signature = self.public.assemble(message, shares)
             except AssemblyError:
                 continue
             verified += 1
-            self.clock.run(self.clock.crypto_cost(OP_VERIFY_SIGNATURE))
-            if public.signature_is_valid(message, signature):
+            if self.public.signature_is_valid(message, signature):
                 return SubsetTrialResult(i, signature, assembled, verified)
         return SubsetTrialResult(None, None, assembled, verified)
-
-
-class SerialExecutor(CryptoExecutor):
-    """Run every job inline — the deterministic reference executor."""
-
-    kind = EXECUTOR_SERIAL
-
-    def generate_share(
-        self, message: bytes, with_proof: bool = False
-    ) -> SignatureShare:
-        key_share = self._require_key_share()
-        self._count_job()
-        cost = self.clock.crypto_cost(OP_GENERATE_SHARE)
-        if with_proof:
-            cost += self.clock.crypto_cost(OP_GENERATE_PROOF)
-            share = key_share.generate_share_with_proof(message)
-        else:
-            share = key_share.generate_share(message)
-        self.clock.run(cost)
-        return share
-
-    def submit_generate_share(
-        self, message: bytes, with_proof: bool = False
-    ) -> CryptoFuture:
-        # Serial "prefetch" computes eagerly: same value, same total cost,
-        # just produced earlier — pipelined call sites stay deterministic.
-        share = self.generate_share(message, with_proof=with_proof)
-        return CryptoFuture(self.clock, self.clock.main, value=share)
-
-    def generate_proof(self, message: bytes, share: SignatureShare) -> ShareProof:
-        key_share = self._require_key_share()
-        self._count_job()
-        self.clock.run(self.clock.crypto_cost(OP_GENERATE_PROOF))
-        return key_share.prove(message, share)
-
-    def verify_shares(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> List[bool]:
-        public = self._require_key_share().public
-        self._count_job(batch=len(shares))
-        self.clock.run(self.clock.crypto_cost(OP_VERIFY_SHARE, len(shares)))
-        return [public.share_is_valid(message, share) for share in shares]
-
-    def submit_verify_shares(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> CryptoFuture:
-        verdicts = self.verify_shares(message, shares)
-        return CryptoFuture(self.clock, self.clock.main, value=verdicts)
-
-    def assemble(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> Optional[bytes]:
-        public = self._require_key_share().public
-        self._count_job()
-        self.clock.run(self.clock.crypto_cost(OP_ASSEMBLE))
-        try:
-            return public.assemble(message, shares)
-        except AssemblyError:
-            return None
-
-    def verify_signature(self, message: bytes, signature: bytes) -> bool:
-        public = self._require_key_share().public
-        self._count_job()
-        self.clock.run(self.clock.crypto_cost(OP_VERIFY_SIGNATURE))
-        return public.signature_is_valid(message, signature)
-
-    def assemble_candidates(
-        self, message: bytes, subsets: Sequence[Sequence[SignatureShare]]
-    ) -> SubsetTrialResult:
-        return self._assemble_candidates_inline(message, subsets)
-
-    def rsa_sign(self, message: bytes) -> bytes:
-        key = self._require_auth_key()
-        self._count_job()
-        self.clock.run(self.clock.costs.auth_sign)
-        return key.sign(message)
-
-    def rsa_verify(
-        self, key: RsaPublicKey, message: bytes, signature: bytes
-    ) -> bool:
-        self._count_job()
-        self.clock.run(self.clock.costs.auth_verify)
-        return key.is_valid(message, signature)
-
-    def rsa_verify_many(
-        self, items: Sequence[Tuple[RsaPublicKey, bytes, bytes]]
-    ) -> List[bool]:
-        self._count_job(batch=len(items))
-        self.clock.run(self.clock.costs.auth_verify * len(items))
-        return [key.is_valid(message, sig) for key, message, sig in items]
-
-
-# ---------------------------------------------------------------------------
-# Worker-process side of the pool
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _KeyMaterial:
-    """Per-owner private material shipped to workers at warmup."""
-
-    key_share: Optional[ThresholdKeyShare] = None
-    auth_key: Optional[RsaPrivateKey] = None
-
-
-#: Deserialized key material, one entry per registered owner, populated
-#: once per worker process by :func:`_worker_init`.
-_WORKER_KEYS: Dict[str, _KeyMaterial] = {}
-
-
-def _worker_init(blob: bytes) -> None:
-    """Pool initializer: deserialize all registered key material once."""
-    _WORKER_KEYS.update(pickle.loads(blob))
-
-
-def _worker_material(owner: str, blob: Optional[bytes]) -> _KeyMaterial:
-    """Look up an owner's material, caching a late-registration blob."""
-    material = _WORKER_KEYS.get(owner)
-    if material is None:
-        if blob is None:
-            raise ConfigError(f"worker has no key material for {owner!r}")
-        material = pickle.loads(blob)
-        _WORKER_KEYS[owner] = material
-    return material
-
-
-def _worker_key_share(owner: str, blob: Optional[bytes]) -> ThresholdKeyShare:
-    key_share = _worker_material(owner, blob).key_share
-    if key_share is None:
-        raise ConfigError(f"owner {owner!r} registered no threshold share")
-    return key_share
-
-
-def _job_generate_share(
-    owner: str, blob: Optional[bytes], message: bytes, with_proof: bool
-) -> SignatureShare:
-    key_share = _worker_key_share(owner, blob)
-    if with_proof:
-        return key_share.generate_share_with_proof(message)
-    return key_share.generate_share(message)
-
-
-def _job_generate_proof(
-    owner: str, blob: Optional[bytes], message: bytes, share: SignatureShare
-) -> ShareProof:
-    return _worker_key_share(owner, blob).prove(message, share)
-
-
-def _job_verify_shares(
-    owner: str,
-    blob: Optional[bytes],
-    message: bytes,
-    shares: Sequence[SignatureShare],
-) -> List[bool]:
-    public = _worker_key_share(owner, blob).public
-    return [public.share_is_valid(message, share) for share in shares]
-
-
-def _job_assemble_candidates(
-    owner: str,
-    blob: Optional[bytes],
-    message: bytes,
-    subsets: Sequence[Sequence[SignatureShare]],
-) -> List[Optional[bytes]]:
-    public = _worker_key_share(owner, blob).public
-    out: List[Optional[bytes]] = []
-    for shares in subsets:
-        try:
-            signature = public.assemble(message, shares)
-        except AssemblyError:
-            out.append(None)
-            continue
-        out.append(
-            signature if public.signature_is_valid(message, signature) else None
-        )
-    return out
-
-
-def _job_rsa_sign(owner: str, blob: Optional[bytes], message: bytes) -> bytes:
-    auth_key = _worker_material(owner, blob).auth_key
-    if auth_key is None:
-        raise ConfigError(f"owner {owner!r} registered no RSA signing key")
-    return auth_key.sign(message)
-
-
-def _job_rsa_verify_many(
-    items: Sequence[Tuple[RsaPublicKey, bytes, bytes]],
-) -> List[bool]:
-    return [key.is_valid(message, sig) for key, message, sig in items]
-
-
-# ---------------------------------------------------------------------------
-# Host side of the pool
-# ---------------------------------------------------------------------------
-
-
-class CryptoWorkerPool:
-    """One OS process pool shared by every :class:`PoolExecutor` of a run.
-
-    Owners (replicas, clients) register their key material *before* the
-    first job; the pool then starts lazily and ships the whole registry to
-    each worker exactly once through the pool initializer — that is the
-    warmup.  Material registered after warmup is shipped inline with each
-    of its jobs (and cached worker-side); late registration works but is
-    the exception, not the rule.
-    """
-
-    def __init__(
-        self,
-        workers: int = DEFAULT_POOL_WORKERS,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigError("need at least one pool worker")
-        self.workers = workers
-        if start_method is None:
-            start_method = "fork" if sys.platform != "win32" else "spawn"
-        self._start_method = start_method
-        self._materials: Dict[str, _KeyMaterial] = {}
-        self._warm: Set[str] = set()
-        self._late_blobs: Dict[str, bytes] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def started(self) -> bool:
-        return self._pool is not None
-
-    def register(
-        self,
-        owner: str,
-        key_share: Optional[ThresholdKeyShare] = None,
-        auth_key: Optional[RsaPrivateKey] = None,
-    ) -> None:
-        material = _KeyMaterial(key_share=key_share, auth_key=auth_key)
-        self._materials[owner] = material
-        if self.started:
-            self._late_blobs[owner] = pickle.dumps(material)
-
-    def material_blob(self, owner: str) -> Optional[bytes]:
-        """The inline blob for late-registered owners (None once warm)."""
-        if owner in self._warm:
-            return None
-        return self._late_blobs.get(owner)
-
-    def _ensure_started(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            blob = pickle.dumps(self._materials)
-            self._warm = set(self._materials)
-            ctx = multiprocessing.get_context(self._start_method)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=_worker_init,
-                initargs=(blob,),
-            )
-        return self._pool
-
-    def submit(self, fn, /, *args) -> Future:
-        return self._ensure_started().submit(fn, *args)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "CryptoWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class PoolExecutor(CryptoExecutor):
-    """Route crypto jobs to a shared :class:`CryptoWorkerPool`.
-
-    One instance per owner (replica or client); registering constructs no
-    processes — the shared pool starts on the first submitted job, after
-    every owner of the deployment has registered its material.
-    """
-
-    kind = EXECUTOR_POOL
-
-    def __init__(
-        self,
-        pool: CryptoWorkerPool,
-        owner: str,
-        key_share: Optional[ThresholdKeyShare] = None,
-        auth_key: Optional[RsaPrivateKey] = None,
-        costs: Optional["CostModel"] = None,
-    ) -> None:
-        super().__init__(
-            key_share=key_share,
-            auth_key=auth_key,
-            costs=costs,
-            workers=pool.workers,
-        )
-        self.pool = pool
-        self.owner = owner
-        pool.register(owner, key_share=key_share, auth_key=auth_key)
-
-    @property
-    def prefers_batching(self) -> bool:
-        return True
-
-    def _submit(self, fn, /, *args) -> Future:
-        return self.pool.submit(fn, self.owner, self.pool.material_blob(self.owner), *args)
-
-    def generate_share(
-        self, message: bytes, with_proof: bool = False
-    ) -> SignatureShare:
-        return self.submit_generate_share(message, with_proof=with_proof).result()  # type: ignore[return-value]
-
-    def submit_generate_share(
-        self, message: bytes, with_proof: bool = False
-    ) -> CryptoFuture:
-        self._require_key_share()
-        self._count_job()
-        cost = self.clock.crypto_cost(OP_GENERATE_SHARE)
-        if with_proof:
-            cost += self.clock.crypto_cost(OP_GENERATE_PROOF)
-        future = self._submit(_job_generate_share, message, with_proof)
-        return CryptoFuture(self.clock, self.clock.background(cost), future=future)
-
-    def generate_proof(self, message: bytes, share: SignatureShare) -> ShareProof:
-        self._require_key_share()
-        self._count_job()
-        future = self._submit(_job_generate_proof, message, share)
-        self.clock.run(self.clock.crypto_cost(OP_GENERATE_PROOF))
-        return future.result()
-
-    def verify_shares(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> List[bool]:
-        return self.submit_verify_shares(message, shares).result()  # type: ignore[return-value]
-
-    def submit_verify_shares(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> CryptoFuture:
-        self._require_key_share()
-        if not shares:
-            return CryptoFuture(self.clock, self.clock.main, value=[])
-        # Amortized verification: ONE pool task checks the whole batch —
-        # the IPC cost is paid per batch, not per signature.
-        self._count_job(batch=len(shares))
-        cost = self.clock.crypto_cost(OP_VERIFY_SHARE, len(shares))
-        future = self._submit(_job_verify_shares, message, list(shares))
-        return CryptoFuture(self.clock, self.clock.background(cost), future=future)
-
-    def assemble(
-        self, message: bytes, shares: Sequence[SignatureShare]
-    ) -> Optional[bytes]:
-        # Assembly sits on the critical path and costs ~3% of a signing
-        # round (Table 3); offloading it would add IPC latency for no
-        # overlap, so it runs inline, as do final-signature checks.
-        public = self._require_key_share().public
-        self._count_job()
-        self.clock.run(self.clock.crypto_cost(OP_ASSEMBLE))
-        try:
-            return public.assemble(message, shares)
-        except AssemblyError:
-            return None
-
-    def verify_signature(self, message: bytes, signature: bytes) -> bool:
-        public = self._require_key_share().public
-        self._count_job()
-        self.clock.run(self.clock.crypto_cost(OP_VERIFY_SIGNATURE))
-        return public.signature_is_valid(message, signature)
-
-    def assemble_candidates(
-        self, message: bytes, subsets: Sequence[Sequence[SignatureShare]]
-    ) -> SubsetTrialResult:
-        if not subsets:
-            return SubsetTrialResult(None, None, 0, 0)
-        if len(subsets) == 1:
-            # A single candidate is cheaper inline than over IPC.
-            return self._assemble_candidates_inline(message, subsets)
-        self._require_key_share()
-        # Cancel-on-first-winner lane protocol.  Candidates are grouped
-        # into *waves* of one trial per worker; waves are evaluated in
-        # submission order with one speculative wave kept in flight ahead.
-        # The first valid subset inside the earliest winning wave is the
-        # winner — identical to the serial early exit, because all lower-
-        # indexed candidates belong to waves that were fully evaluated
-        # first.  On a win, every lane still outstanding in later waves is
-        # cancelled and counted (the modelled clock never charges them).
-        width = self.clock.workers
-        waves: List[List[Sequence[SignatureShare]]] = [
-            list(subsets[i : i + width]) for i in range(0, len(subsets), width)
-        ]
-        per_try = self.clock.crypto_cost(OP_ASSEMBLE) + self.clock.crypto_cost(
-            OP_VERIFY_SIGNATURE
-        )
-        lanes: List[List[Future]] = []
-
-        def launch(wave_index: int) -> None:
-            lanes.append(
-                [
-                    self._submit(_job_assemble_candidates, message, [candidate])
-                    for candidate in waves[wave_index]
-                ]
-            )
-
-        launch(0)
-        if len(waves) > 1:
-            launch(1)
-        assembled = verified = 0
-        for w, wave in enumerate(waves):
-            done = max(self.clock.background(per_try) for _ in wave)
-            self.clock.wait_until(done)
-            outcomes = [lane.result()[0] for lane in lanes[w]]
-            assembled += len(wave)
-            verified += sum(1 for outcome in outcomes if outcome is not None)
-            for j, outcome in enumerate(outcomes):
-                if outcome is None:
-                    continue
-                for later in lanes[w + 1 :]:
-                    for lane in later:
-                        lane.cancel()
-                    self.stats["cancelled_trials"] += len(later)
-                self._count_job(batch=assembled)
-                return SubsetTrialResult(w * width + j, outcome, assembled, verified)
-            if w + 2 < len(waves):
-                launch(w + 2)
-        self._count_job(batch=assembled)
-        return SubsetTrialResult(None, None, assembled, verified)
-
-    def rsa_sign(self, message: bytes) -> bytes:
-        self._require_auth_key()
-        self._count_job()
-        future = self._submit(_job_rsa_sign, message)
-        self.clock.run(self.clock.costs.auth_sign)
-        return future.result()
-
-    def rsa_verify(
-        self, key: RsaPublicKey, message: bytes, signature: bytes
-    ) -> bool:
-        return self.rsa_verify_many([(key, message, signature)])[0]
-
-    def rsa_verify_many(
-        self, items: Sequence[Tuple[RsaPublicKey, bytes, bytes]]
-    ) -> List[bool]:
-        if not items:
-            return []
-        # One pool task per authenticator pool (PREPARE certificate,
-        # NEW_EPOCH final set, answer signature) — amortized verification.
-        self._count_job(batch=len(items))
-        future = self.pool.submit(_job_rsa_verify_many, list(items))
-        self.clock.run(self.clock.costs.auth_verify * len(items))
-        return future.result()
-
-    def close(self) -> None:
-        """Per-owner facades do not own the shared pool; close it there."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.crypto.executor import (
     OP_ASSEMBLE,
@@ -48,8 +48,6 @@ from repro.crypto.executor import (
     OP_VERIFY_SHARE,
     OP_VERIFY_SIGNATURE,
     CryptoExecutor,
-    CryptoFuture,
-    SerialExecutor,
 )
 from repro.crypto.shoup import (
     SignatureShare,
@@ -85,6 +83,8 @@ MAX_PENDING_SESSIONS = 4096
 #: replica sends at most a bare share, a proof-carrying share and either a
 #: proof request or a FINAL (DESIGN.md §5m names the one exception).
 MAX_BUFFERED_PER_SENDER = 3
+#: Sessions whose own share a coordinator may generate ahead of time.
+MAX_INFLIGHT_PREFETCH = 2
 #: Sessions a first suspicion lasts; each repeat offence doubles it.  A
 #: transient fault so costs a bounded number of all-sign sessions, and a
 #: replica that stays faulty is re-tested ever more rarely.
@@ -199,7 +199,7 @@ class SigningProtocol:
         sign_id: str,
         message: bytes,
         executor: Optional[CryptoExecutor] = None,
-        own_share: Optional[CryptoFuture] = None,
+        own_share: Optional[SignatureShare] = None,
         eager: bool = True,
         own_counts: bool = False,
         suspects: AbstractSet[int] = frozenset(),
@@ -209,18 +209,18 @@ class SigningProtocol:
         self.sign_id = sign_id
         self.message = message
         self.executor: CryptoExecutor = (
-            executor if executor is not None else SerialExecutor(key_share)
+            executor if executor is not None else CryptoExecutor(key_share)
         )
         self.signature: Optional[bytes] = None
         self._ops: List[Tuple[str, int]] = []
         self._shares: Dict[int, SignatureShare] = {}
         self._arrival_order: List[int] = []
         # Speculatively generated own share (coordinator pipelining).
-        self._own_future = own_share
+        self._own_prefetched = own_share
         # Memoized proof-check verdicts, keyed by the (frozen) share.
-        # Populated lazily by _share_valid and in batches by prevalidate /
-        # preload_verdicts; bounded by _store_share's one-share-per-replica
-        # rule plus the coordinator's pre-session buffer caps.
+        # Populated by _share_valid; bounded by _store_share's
+        # one-share-per-replica rule plus the coordinator's pre-session
+        # buffer caps.
         self._preverified: Dict[SignatureShare, bool] = {}
         self._started = False
         self._eager = eager
@@ -328,16 +328,15 @@ class SigningProtocol:
 
     def _materialize_own_share(self, with_proof: bool) -> SignatureShare:
         """Our own share: take the pipelined prefetch or generate now."""
-        if self._own_future is not None:
-            share = self._own_future.result()
-            self._own_future = None
-            if isinstance(share, SignatureShare):
-                if with_proof and share.proof is None:
-                    # Prefetched bare but the protocol wants a proof —
-                    # finish the job rather than redo it.
-                    proof = self.executor.generate_proof(self.message, share)
-                    share = share.with_proof(proof)
-                return share
+        share = self._own_prefetched
+        if share is not None:
+            self._own_prefetched = None
+            if with_proof and share.proof is None:
+                # Prefetched bare but the protocol wants a proof —
+                # finish the job rather than redo it.
+                proof = self.executor.generate_proof(self.message, share)
+                share = share.with_proof(proof)
+            return share
         return self.executor.generate_share(self.message, with_proof=with_proof)
 
     def _note_verdict(self, share: SignatureShare, ok: bool) -> None:
@@ -353,43 +352,6 @@ class SigningProtocol:
             cached = self.executor.verify_shares(self.message, [share])[0]
             self._note_verdict(share, cached)
         return cached
-
-    def _prevalidate_limit(self) -> int:
-        # Our own share is trusted without verification, so t valid peer
-        # shares complete a t+1 assembly set; checking more up front would
-        # charge verification the serial protocol never performs.
-        return self.public.t
-
-    def prevalidate(self, shares: Sequence[SignatureShare]) -> None:
-        """Amortized verification: one executor task checks a share batch.
-
-        No-op for executors that don't batch (serial execution keeps the
-        exact lazy verification order of the unpooled protocol).
-        """
-        if not self.executor.prefers_batching:
-            return
-        fresh = [
-            share
-            for share in shares
-            if share.proof is not None and share not in self._preverified
-        ]
-        fresh = fresh[: self._prevalidate_limit()]
-        if not fresh:
-            return
-        self.record_op(OP_VERIFY_SHARE, len(fresh))
-        for share, ok in zip(
-            fresh, self.executor.verify_shares(self.message, fresh), strict=True
-        ):
-            self._note_verdict(share, ok)
-
-    def preload_verdicts(
-        self, shares: Sequence[SignatureShare], verdicts: Sequence[bool]
-    ) -> None:
-        """Adopt verdicts from a pipelined background verification job."""
-        for share, ok in zip(shares, verdicts, strict=True):
-            if share not in self._preverified:
-                self.record_op(OP_VERIFY_SHARE)
-                self._note_verdict(share, ok)
 
     def _store_share(self, sender: int, share: SignatureShare) -> bool:
         """Store a share by sender index; returns False on duplicates.
@@ -556,9 +518,7 @@ class OptProofSigningProtocol(SigningProtocol):
         ]
         out.extend(self._answer_proof_request())
         self._blame()
-        # Re-examine shares that already carry proofs (none yet, typically);
-        # amortize their proof checks into one executor batch first.
-        self.prevalidate(list(self._shares.values()))
+        # Re-examine shares that already carry proofs (none yet, typically).
         for share in list(self._shares.values()):
             out.extend(self._try_fallback(share))
         return out
@@ -645,9 +605,7 @@ class OptTESigningProtocol(SigningProtocol):
         super().__init__(*args, **kwargs)
         self._tried: Set[Tuple[int, ...]] = set()
         # Subset-assembly attempts actually evaluated (exposed for the A4
-        # ablation bench).  A pooled trial evaluates whole candidate
-        # batches in parallel, so this may exceed the serial early-exit
-        # count; the signature found is identical either way.
+        # ablation bench).
         self.attempts = 0
 
     def _progress(self) -> List[Outgoing]:
@@ -683,10 +641,7 @@ class OptTESigningProtocol(SigningProtocol):
         subsets = [s for s in self._candidate_subsets() if s not in self._tried]
         if not subsets:
             return []
-        # Trial-and-error assembly as one executor job: the serial
-        # executor evaluates candidates lazily with early exit (the
-        # pre-pool behavior, op for op); the pool fans the whole candidate
-        # batch across workers and keeps the first winner in subset order.
+        # Trial-and-error assembly, in subset order with early exit.
         share_lists = [[self._shares[i] for i in subset] for subset in subsets]
         result = self.executor.assemble_candidates(self.message, share_lists)
         self.attempts += result.assembled
@@ -723,7 +678,7 @@ def make_signing_protocol(
     sign_id: str,
     message: bytes,
     executor: Optional[CryptoExecutor] = None,
-    own_share: Optional[CryptoFuture] = None,
+    own_share: Optional[SignatureShare] = None,
     eager: bool = True,
     own_counts: bool = False,
     suspects: AbstractSet[int] = frozenset(),
@@ -741,14 +696,12 @@ def make_signing_protocol(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Prefetch:
-    """In-flight speculative work for a not-yet-started signing session."""
+    """A share generated ahead of its not-yet-started signing session."""
 
     message: bytes
-    share: CryptoFuture
-    verify_shares: List[SignatureShare]
-    verify: Optional[CryptoFuture]
+    share: SignatureShare
 
 
 class SigningCoordinator:
@@ -769,7 +722,6 @@ class SigningCoordinator:
         self,
         protocol_name: str,
         key_share: ThresholdKeyShare,
-        executor: Optional[CryptoExecutor] = None,
         lookahead: int = 0,
         signers: Optional[int] = None,
     ) -> None:
@@ -787,13 +739,12 @@ class SigningCoordinator:
             )
         #: The paper's rule: everyone signs at start, no suspicion, no timer.
         self.all_sign = self.signers == self.n
-        self.executor: CryptoExecutor = (
-            executor if executor is not None else SerialExecutor(key_share)
-        )
+        self.executor = CryptoExecutor(key_share)
         # Session pipelining: how many upcoming sessions the replica may
-        # prefetch (session k's assembly overlaps k+1's share generation).
+        # prefetch (their shares are generated while session k waits for
+        # its peers' shares).
         self.lookahead = max(0, lookahead)
-        self.max_inflight_prefetch = max(2, 2 * self.executor.clock.workers)
+        self.max_inflight_prefetch = MAX_INFLIGHT_PREFETCH
         self._prefetched: Dict[str, _Prefetch] = {}
         self.pipeline_stats: Dict[str, int] = {
             "prefetched": 0,  # speculative share generations submitted
@@ -892,25 +843,10 @@ class SigningCoordinator:
             self.pipeline_stats["dropped"] += 1
             return False
         with_proof = self.protocol_name == PROTOCOL_BASIC
-        entry = _Prefetch(
+        self._prefetched[sign_id] = _Prefetch(
             message=message,
-            share=self.executor.submit_generate_share(message, with_proof=with_proof),
-            verify_shares=[],
-            verify=None,
+            share=self.executor.generate_share(message, with_proof=with_proof),
         )
-        if self.executor.prefers_batching:
-            # Amortized verification ahead of the session: batch-check the
-            # proof-carrying shares already buffered for this sign_id.
-            buffered = [
-                m.share
-                for _, m in self._pending.get(sign_id, [])
-                if m.is_share and m.share is not None and m.share.proof is not None
-            ]
-            buffered = buffered[: self.key_share.public.t]
-            if buffered:
-                entry.verify_shares = buffered
-                entry.verify = self.executor.submit_verify_shares(message, buffered)
-        self._prefetched[sign_id] = entry
         self.pipeline_stats["prefetched"] += 1
         return True
 
@@ -945,10 +881,6 @@ class SigningCoordinator:
         )
         self.sessions[sign_id] = protocol
         out = protocol.start()
-        if entry is not None and entry.verify is not None:
-            verdicts = entry.verify.result()
-            if isinstance(verdicts, list):
-                protocol.preload_verdicts(entry.verify_shares, verdicts)
         buffered = self._pending.pop(sign_id, [])
         if buffered:
             # The first buffered message's sender opened the session.
@@ -956,10 +888,6 @@ class SigningCoordinator:
             self._opened[opener] -= 1
             if not self._opened[opener]:
                 del self._opened[opener]
-        if self.executor.prefers_batching:
-            protocol.prevalidate(
-                [m.share for _, m in buffered if m.is_share and m.share is not None]
-            )
         for sender, msg in buffered:
             if protocol.done:
                 break

@@ -218,7 +218,6 @@ class StubAuthPlane:
     def __init__(self, me: int, publics: Sequence[StubKey]) -> None:
         self.me = me
         self.auth_public = list(publics)
-        self.executor = None
 
     def sign(self, data: bytes) -> bytes:
         return _stub_sig(self.me, data)

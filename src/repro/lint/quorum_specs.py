@@ -152,9 +152,6 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     ("repro.crypto.protocols", "_try_finish", "t+1", "truncate:t+1"),
     ("repro.crypto.protocols", "_try_fallback", "t+1", "threshold-sig"),
     ("repro.crypto.protocols", "_try_fallback", "t+1", "truncate:t+1"),
-    # Pipelining lookahead: batches at most t buffered proofs ahead of
-    # the session; certifies nothing.
-    ("repro.crypto.protocols", "prefetch", "t", "window"),
     ("repro.crypto.protocols", "_store_share", "n", "identity-bound"),
     # Designated signer set: |D| = t+1 members hold exactly enough
     # shares to assemble.

@@ -153,7 +153,7 @@ SINK_MESSAGE_FIRST: FrozenSet[str] = frozenset(
 #: from our own key), regardless of the message they cover: their return
 #: value is untainted even when the signed message is remote.
 TRUSTED_PRODUCERS: FrozenSet[str] = frozenset(
-    {"generate_share", "generate_share_with_proof", "sign", "rsa_sign"}
+    {"generate_share", "generate_share_with_proof", "sign"}
 )
 
 #: Attribute names whose assignment from a tainted value is epoch/sequence
@@ -179,18 +179,15 @@ GROWTH_CALLS: FrozenSet[str] = frozenset({"setdefault", "add"})
 #: Trailing call-name -> rules cleared from the arguments (and, for the
 #: boolean-guard form ``if not check(x): return``, from ``x`` afterwards).
 SANITIZERS: Dict[str, FrozenSet[str]] = {
-    # share verification (Shoup proofs / protocol prevalidation)
+    # share verification (Shoup proofs)
     "verify_shares": frozenset({"T401", "T407"}),
     "verify_share": frozenset({"T401", "T407"}),
     "share_is_valid": frozenset({"T401", "T407"}),
     "_share_valid": frozenset({"T401", "T407"}),
-    "prevalidate": frozenset({"T401", "T407"}),
-    "preload_verdicts": frozenset({"T401", "T407"}),
     "_store_share": frozenset({"T401", "T406"}),
     # RSA / threshold signature verification
     "verify_signature": frozenset({"T401", "T402", "T405", "T407"}),
     "signature_is_valid": frozenset({"T401", "T402", "T405", "T407"}),
-    "rsa_verify": frozenset({"T401", "T402", "T405", "T407"}),
     "rsa_verify_many": frozenset({"T401", "T402", "T405", "T407"}),
     "verify_many": frozenset({"T401", "T402", "T405", "T407"}),
     "verify": frozenset({"T401", "T402", "T405", "T407"}),

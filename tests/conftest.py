@@ -6,7 +6,6 @@ keys (each test must not mutate them — key objects are immutable).
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 from dataclasses import dataclass
@@ -15,27 +14,9 @@ from typing import List
 
 import pytest
 
-from repro.config import ServiceConfig
-from repro.crypto.executor import ALL_EXECUTORS
 from repro.crypto.params import demo_threshold_key
 from repro.dns.zonefile import parse_zone_text
 from repro.lint.framework import Finding, LintConfig, Program, run_program
-
-_FORCED_PLANE = os.environ.get("REPRO_TEST_EXECUTOR")
-if _FORCED_PLANE:
-    # CI's crypto-plane matrix leg: rerun the whole suite with this
-    # executor as the ServiceConfig default.  Tests that pin an executor
-    # explicitly (the cross-executor determinism suite, the executor unit
-    # tests) still get exactly what they ask for.
-    if _FORCED_PLANE not in ALL_EXECUTORS:
-        raise RuntimeError(
-            f"REPRO_TEST_EXECUTOR={_FORCED_PLANE!r} is not one of {ALL_EXECUTORS}"
-        )
-    _params = list(inspect.signature(ServiceConfig.__init__).parameters)[1:]
-    _defaults = list(ServiceConfig.__init__.__defaults__ or ())
-    _tail = _params[-len(_defaults):]
-    _defaults[_tail.index("crypto_executor")] = _FORCED_PLANE
-    ServiceConfig.__init__.__defaults__ = tuple(_defaults)  # type: ignore[misc]
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,13 +1,18 @@
 """End-to-end replicated name service tests (the paper's whole system)."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ServiceConfig
 from repro.core.faults import CorruptionMode
+from repro.core.keytool import generate_deployment
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
 from repro.dns.name import Name
 from repro.sim.machines import lan_setup, paper_setup
+
+from tests.conftest import ZONE_TEXT
 
 
 def make_service(n=4, t=1, k=0, proto="optte", **kwargs):
@@ -251,3 +256,55 @@ class TestNsupdateSemantics:
         _, _, add_total = svc.nsupdate_add("x.example.com.", c.TYPE_A, 300, "192.0.2.9")
         _, _, delete_total = svc.nsupdate_delete("x.example.com.")
         assert 1.5 < add_total / delete_total < 2.6
+
+
+@pytest.fixture(scope="module")
+def shared_deployment():
+    # Both runs of a replay check sign with the same keys; fresh keys
+    # would make the signatures, and so the transcripts, differ.
+    return generate_deployment(ServiceConfig(n=4, t=1))
+
+
+def run_parallel_write_workload(protocol, deployment):
+    """A3 fully-signed mode with every signing session of an update
+    opened at once; returns the run's transcript."""
+    config = ServiceConfig(
+        n=4,
+        t=1,
+        signing_protocol=protocol,
+        parallel_update_signing=True,
+        sign_every_response=True,
+    )
+    svc = ReplicatedNameService(
+        config,
+        topology=lan_setup(4),
+        zone_text=ZONE_TEXT,
+        seed=7,
+        deployment=dataclasses.replace(deployment, config=config),
+    )
+    ops = [
+        svc.add_record("wp0.example.com.", c.TYPE_A, 300, "192.0.2.20"),
+        svc.add_record("wp0.example.com.", c.TYPE_A, 300, "192.0.2.21"),
+        svc.query("wp0.example.com.", c.TYPE_A),
+        svc.delete_name("txt.example.com."),
+        svc.add_record("wp1.example.com.", c.TYPE_A, 300, "192.0.2.22"),
+    ]
+    svc.settle()
+    return {
+        "deliveries": [r.abc.delivery_digest() for r in svc.replicas],
+        "zones": [r.zone.digest() for r in svc.replicas],
+        "signatures": [sorted(r.coordinator._completed.items()) for r in svc.replicas],
+        "rcodes": [op.response.rcode for op in ops],
+        "answers": [tuple(rr.to_text() for rr in op.response.answers) for op in ops],
+        "latencies": [op.latency for op in ops],
+    }
+
+
+@pytest.mark.parametrize("protocol", ["optproof", "optte"])
+def test_parallel_update_signing_agrees_and_replays(protocol, shared_deployment):
+    first = run_parallel_write_workload(protocol, shared_deployment)
+    assert first["rcodes"] == [c.RCODE_NOERROR] * 5
+    for key in ("deliveries", "zones", "signatures"):
+        assert all(value == first[key][0] for value in first[key]), key
+    assert first["signatures"][0]  # the updates did run signing sessions
+    assert run_parallel_write_workload(protocol, shared_deployment) == first

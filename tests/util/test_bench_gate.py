@@ -30,9 +30,6 @@ _HEALTHY = {
         "read_heavy": {"unbatched_tput": 30.0, "batched_tput": 120.0},
         "mixed": {"unbatched_tput": 30.0, "batched_tput": 80.0},
     },
-    "BENCH_parallel__json": {
-        "groups": [{"protocol": "sign", "n": 4, "t": 1, "model_speedup": 1.9}]
-    },
     "BENCH_writes__json": {"write_speedup": 16.0},
     "BENCH_resolver__json": {"offload_ratio": 0.98},
     "BENCH_broadcast__json": {
@@ -117,10 +114,21 @@ def test_missing_baseline_is_skipped(gate, tmp_path):
     assert gate.check(tmp_path / "base", tmp_path / "fresh", 0.20) == []
 
 
-def test_vanished_metric_fails(gate, tmp_path):
-    _write(tmp_path / "base", **_HEALTHY)
+def test_vanished_metric_fails(gate, tmp_path, monkeypatch):
+    # Every committed extractor reads a fixed set of keys; a bench whose
+    # metrics are keyed by its data can drop one without a parse error.
+    monkeypatch.setitem(
+        gate.EXTRACTORS,
+        "BENCH_groups.json",
+        lambda data: {g["name"]: float(g["speedup"]) for g in data["groups"]},
+    )
+    _write(
+        tmp_path / "base",
+        BENCH_groups__json={"groups": [{"name": "sign", "speedup": 1.9}]},
+        **_HEALTHY,
+    )
     fresh = dict(_HEALTHY)
-    fresh["BENCH_parallel__json"] = {"groups": []}
+    fresh["BENCH_groups__json"] = {"groups": []}
     _write(tmp_path / "fresh", **fresh)
     problems = gate.check(tmp_path / "base", tmp_path / "fresh", 0.20)
     assert len(problems) == 1 and "vanished" in problems[0]
