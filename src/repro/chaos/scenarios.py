@@ -211,13 +211,26 @@ SCENARIOS: Dict[str, Scenario] = {
 # Pinned key material
 # ---------------------------------------------------------------------------
 
-# Threshold keys are dealt once per cluster size from *indexed* safe-prime
-# pool entries (never the process-global cursor), so the RSA private
-# exponents — and with them every assembled threshold signature and coin
-# value — are identical in every process that runs a chaos scenario.
-# Auth keypairs and share polynomials are freshly random, but they only
-# ever influence bytes in transit (share values, proofs, transport
-# signatures), none of which enter the transcript.
+# Key material is dealt once per cluster size and is a pure function of
+# ``(n, t)``: the threshold keys use *indexed* safe-prime pool entries
+# (never the process-global cursor), and the sharing polynomials, the
+# verifiers and the auth keypairs draw from a source seeded by ``(n, t)``.
+# Share proofs derive their nonces from the share and the statement.  So
+# every byte a run sends, not just every assembled signature, repeats in
+# every process that replays a seed.
+class _SeededSource:
+    """A :class:`repro.util.numth.RandomSource` that replays from a seed."""
+
+    def __init__(self, seed: str) -> None:
+        self._rng = random.Random(seed)
+
+    def randbits(self, k: int) -> int:
+        return self._rng.getrandbits(k)
+
+    def randbelow(self, exclusive_upper_bound: int) -> int:
+        return self._rng.randrange(exclusive_upper_bound)
+
+
 @dataclass(frozen=True)
 class _KeyMaterial:
     zone_public: object
@@ -235,20 +248,21 @@ def _key_material(n: int, t: int) -> _KeyMaterial:
     cached = _KEY_CACHE.get((n, t))
     if cached is not None:
         return cached
+    rng = _SeededSource(f"chaos-keys-{n}-{t}")
     zone_p, zone_q = safe_prime_pair_at(256, 0)
     coin_p, coin_q = safe_prime_pair_at(256, 1)
     zone_public, zone_shares = deal_threshold_key(
-        n=n, t=t, bits=512, prime_p=zone_p, prime_q=zone_q
+        n=n, t=t, bits=512, prime_p=zone_p, prime_q=zone_q, rng=rng
     )
     coin_public, coin_shares = deal_threshold_key(
-        n=n, t=t, bits=512, prime_p=coin_p, prime_q=coin_q
+        n=n, t=t, bits=512, prime_p=coin_p, prime_q=coin_q, rng=rng
     )
     material = _KeyMaterial(
         zone_public=zone_public,
         zone_shares=zone_shares,
         coin_public=coin_public,
         coin_shares=coin_shares,
-        auth_keys=tuple(generate_rsa_keypair(512) for _ in range(n)),
+        auth_keys=tuple(generate_rsa_keypair(512, rng=rng) for _ in range(n)),
         tsig_key=TsigKey(
             name=Name.from_text("update-key.repro."),
             secret=b"repro-update-key-secret",

@@ -26,7 +26,11 @@ from repro.core.faults import CorruptionMode
 from repro.core.keytool import Deployment, generate_deployment
 from repro.core.replica import ReplicaServer
 from repro.crypto.costmodel import CostModel
-from repro.crypto.shoup import ThresholdKeyShare, ThresholdPublicKey
+from repro.crypto.shoup import (
+    ThresholdKeyShare,
+    ThresholdPublicKey,
+    recover_private_key,
+)
 from repro.dns import constants as c
 from repro.dns import dnssec
 from repro.dns.name import Name
@@ -66,20 +70,19 @@ www IN A 192.0.2.80
 def local_threshold_signer(
     public: ThresholdPublicKey, shares: Sequence[ThresholdKeyShare]
 ) -> Callable[[bytes], bytes]:
-    """A signing callable combining ``t+1`` shares in one process.
+    """A signing callable for the trusted setup step (§4.3's "special
+    command ... to sign the zone data using the distributed key").
 
-    Used by the trusted setup step (§4.3's "special command ... to sign
-    the zone data using the distributed key") and by tests as the oracle
-    for what the distributed protocol must produce.
+    The setup holds every share, and ``t+1`` of them are the key: it is
+    recovered once (:func:`recover_private_key`) and each RRset is signed
+    by CRT, byte-identical to assembling ``t+1`` signature shares.  Every
+    signature is still verified under the public key, which checks both
+    the CRT arithmetic and the recovery.
     """
-
-    chosen = list(shares[: public.t + 1])
-    if len(chosen) < public.t + 1:
-        raise ConfigError("need t+1 shares to sign")
+    key = recover_private_key(public, shares)
 
     def signer(data: bytes) -> bytes:
-        sig_shares = [share.generate_share(data) for share in chosen]
-        signature = public.assemble(data, sig_shares)
+        signature = key.sign(data)
         public.verify_signature(data, signature)
         return signature
 

@@ -9,6 +9,7 @@ the point of using Shoup's scheme (§2 of the paper).
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -16,7 +17,7 @@ from typing import Tuple
 
 from repro.crypto import pkcs1
 from repro.errors import CryptoError, InvalidSignature, KeyGenerationError
-from repro.util.numth import invmod, random_prime
+from repro.util.numth import RandomSource, invmod, random_prime
 from repro.util.serialization import (
     bytes_to_int,
     int_to_bytes,
@@ -160,19 +161,21 @@ def prime_count(bits: int) -> int:
 
 
 def generate_rsa_keypair(
-    bits: int = 1024, exponent: int = DEFAULT_PUBLIC_EXPONENT
+    bits: int = 1024,
+    exponent: int = DEFAULT_PUBLIC_EXPONENT,
+    rng: RandomSource = secrets,
 ) -> RsaKeyPair:
     """Generate an RSA key pair with a ``bits``-bit modulus.
 
     Plain (non-safe) primes suffice here; only the threshold dealer needs
-    safe primes.
+    safe primes.  The primes are drawn from ``rng``.
     """
     if bits < 128:
         raise KeyGenerationError("modulus must be at least 128 bits")
     count = prime_count(bits)
     sizes = [bits // count + (i < bits % count) for i in range(count)]
     for _ in range(200):
-        primes = [random_prime(size) for size in sizes]
+        primes = [random_prime(size, rng=rng) for size in sizes]
         if len(set(primes)) != count:
             continue
         n = prod(primes)

@@ -27,18 +27,25 @@ Notation follows Shoup's paper:
 The correctness proof is the Fiat–Shamir discrete-log-equality proof of
 Shoup §4: knowledge of ``s_i`` with ``x_i^2 = (x^{4*delta})^{s_i}`` and
 ``v_i = v^{s_i}``.
+
+Whoever holds ``t+1`` shares holds the whole key: the same Lagrange
+combination taken on the share *values* gives an exponent ``F`` with
+``e*F = 1 (mod lambda(N))``, and a known multiple of ``lambda(N)`` factors
+``N``.  :func:`recover_private_key` does that for the trusted setup, which
+deals all ``n`` shares anyway (DESIGN.md §5n).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.crypto import pkcs1
-from repro.crypto.rsa import RsaPublicKey
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.errors import (
     AssemblyError,
     ConfigError,
@@ -47,6 +54,7 @@ from repro.errors import (
     KeyGenerationError,
 )
 from repro.util.numth import (
+    RandomSource,
     egcd,
     factorial,
     invmod,
@@ -63,6 +71,13 @@ from repro.util.serialization import (
 
 # Bit length of the Fiat-Shamir challenge (SHA-256 output).
 _CHALLENGE_BITS = 256
+
+# Bases tried, in order, when splitting N from a multiple of lambda(N).
+# For a safe-prime N a base splits it with probability about 1/2, so 64
+# fixed bases leave a chance near 2^-64 that a valid key fails to split.
+_SPLIT_BASES: Tuple[int, ...] = tuple(
+    p for p in range(2, 312) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 
 @lru_cache(maxsize=256)
@@ -111,6 +126,17 @@ def _proof_challenge(
         h.update(len(data).to_bytes(4, "big"))
         h.update(data)
     return int.from_bytes(h.digest(), "big")
+
+
+def _proof_nonce(secret: int, statement: Tuple[int, ...], bits: int) -> int:
+    """``bits`` bits of SHAKE-256 over the share secret and the statement."""
+    h = hashlib.shake_256(b"repro-shoup-proof-nonce")
+    for value in (secret, *statement):
+        data = int_to_bytes(value)
+        h.update(len(data).to_bytes(4, "big"))
+        h.update(data)
+    size = (bits + 7) // 8
+    return int.from_bytes(h.digest(size), "big") >> (8 * size - bits)
 
 
 @dataclass(frozen=True)
@@ -370,9 +396,11 @@ class ThresholdKeyShare:
         v = self.public.verifier
         v_i = self.public.share_verifier(self.index)
         x_i_sq = pow(share.value, 2, N)
-        # Random nonce wide enough to statistically hide s_i * c.
+        # Nonce wide enough to statistically hide s_i * c, derived from the
+        # secret and the statement (the idea of RFC 6979): the same proof
+        # for the same inputs, an unpredictable nonce for anyone without s_i.
         r_bits = N.bit_length() + 2 * _CHALLENGE_BITS
-        r = secrets.randbits(r_bits)
+        r = _proof_nonce(self.secret, (N, v, x_tilde, v_i, x_i_sq), r_bits)
         commit_v = pow(v, r, N)
         commit_x = pow(x_tilde, r, N)
         c = _proof_challenge(N, v, x_tilde, v_i, x_i_sq, commit_v, commit_x)
@@ -401,6 +429,7 @@ class ThresholdDealer:
 
     Mirrors SINTRA's key generation utility (§4.3): run once by a trusted
     entity, output files shipped to each server over a secure channel.
+    ``rng`` supplies the primes, the sharing polynomial and ``v``.
     """
 
     bits: int
@@ -410,6 +439,7 @@ class ThresholdDealer:
     # Pre-generated safe primes may be supplied to skip the (slow) search.
     prime_p: int = 0
     prime_q: int = 0
+    rng: RandomSource = field(default=secrets, repr=False, compare=False)
     _m: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -435,7 +465,7 @@ class ThresholdDealer:
                 "public exponent shares a factor with p'q'"
             ) from exc
         # Random degree-t polynomial over Z_m with f(0) = d.
-        coeffs = [d] + [secrets.randbelow(m) for _ in range(self.t)]
+        coeffs = [d] + [self.rng.randbelow(m) for _ in range(self.t)]
         secrets_by_index: Dict[int, int] = {}
         for i in range(1, self.n + 1):
             acc = 0
@@ -444,7 +474,7 @@ class ThresholdDealer:
             secrets_by_index[i] = acc
         # v: random generator of Q_N (a random square generates Q_N w.h.p.).
         while True:
-            r = secrets.randbelow(N - 2) + 2
+            r = self.rng.randbelow(N - 2) + 2
             if egcd(r, N)[0] == 1:
                 break
         v = pow(r, 2, N)
@@ -468,9 +498,9 @@ class ThresholdDealer:
         if self.prime_p and self.prime_q:
             return self.prime_p, self.prime_q
         half = self.bits // 2
-        p = random_safe_prime(half)
+        p = random_safe_prime(half, rng=self.rng)
         while True:
-            q = random_safe_prime(self.bits - half)
+            q = random_safe_prime(self.bits - half, rng=self.rng)
             if q != p:
                 return p, q
 
@@ -482,10 +512,17 @@ def deal_threshold_key(
     exponent: int = 65537,
     prime_p: int = 0,
     prime_q: int = 0,
+    rng: RandomSource = secrets,
 ) -> Tuple[ThresholdPublicKey, Tuple[ThresholdKeyShare, ...]]:
     """Convenience wrapper around :class:`ThresholdDealer`."""
     dealer = ThresholdDealer(
-        bits=bits, n=n, t=t, exponent=exponent, prime_p=prime_p, prime_q=prime_q
+        bits=bits,
+        n=n,
+        t=t,
+        exponent=exponent,
+        prime_p=prime_p,
+        prime_q=prime_q,
+        rng=rng,
     )
     return dealer.deal()
 
@@ -506,7 +543,7 @@ def reshare(
         raise KeyGenerationError("dealer has not dealt the original key")
     m = dealer._m
     d_check = invmod(public.exponent, m)
-    coeffs = [d_check] + [secrets.randbelow(m) for _ in range(public.t)]
+    coeffs = [d_check] + [dealer.rng.randbelow(m) for _ in range(public.t)]
     new_shares: list[int] = []
     N = public.modulus
     new_verifiers: list[int] = []
@@ -527,3 +564,80 @@ def reshare(
         ThresholdKeyShare(index=i + 1, secret=s, public=new_public)
         for i, s in enumerate(new_shares)
     )
+
+
+def recover_private_key(
+    public: ThresholdPublicKey, shares: Sequence[ThresholdKeyShare]
+) -> RsaPrivateKey:
+    """The plain RSA key that ``t+1`` distinct shares of ``public`` determine.
+
+    ``D = sum lambda_i * s_i`` over the first ``t+1`` shares (the scaled
+    Lagrange coefficients of :meth:`ThresholdPublicKey.assemble`) is
+    ``delta * d`` modulo ``p'q'``, so ``F = 4*delta*a*D + b`` with
+    ``4*delta^2*a + e*b = 1`` is the exponent an assembled signature
+    raises ``x`` to, and ``e*F - 1`` is a multiple of ``lambda(N)``.
+    Miller's square-root-of-one walk over fixed bases turns that multiple
+    into the factors of ``N`` (Boneh, "Twenty Years of Attacks on the RSA
+    Cryptosystem", Fact 1).  The key signs byte-identically to
+    :meth:`ThresholdPublicKey.assemble`, at the cost of a CRT signature.
+
+    Only the trusted setup calls this: it already holds all ``n`` shares.
+    Raises :class:`KeyGenerationError` for fewer than ``t+1`` shares,
+    repeated or out-of-range indices, or shares that do not determine the
+    key (a tampered share); any factor it does find is a true factor of
+    ``N``, so it never returns a wrong key.
+    """
+    chosen = list(shares[: public.t + 1])
+    if len(chosen) < public.t + 1:
+        raise KeyGenerationError(f"need {public.t + 1} shares, got {len(shares)}")
+    indices = tuple(share.index for share in shares)
+    if len(set(indices)) != len(indices):
+        raise KeyGenerationError("duplicate share indices")
+    if not all(1 <= i <= public.n for i in indices):
+        raise KeyGenerationError("share index out of range")
+    subset = indices[: public.t + 1]
+    N = public.modulus
+    e = public.exponent
+    delta = public.delta
+    D = sum(
+        scaled_lagrange_coefficient(delta, subset, share.index, 0) * share.secret
+        for share in chosen
+    )
+    g, a, b = egcd(4 * delta * delta, e)
+    if g != 1:
+        raise KeyGenerationError(f"gcd(4*delta^2, e) = {g} != 1")
+    # e*F - 1 = 4*delta*a*k*p'q' for an integer k != 0: a multiple of
+    # lambda(N) = 2p'q' that is not zero.
+    p = _split_modulus(N, abs(e * (4 * delta * a * D + b) - 1))
+    q = N // p
+    d = invmod(e, math.lcm(p - 1, q - 1))
+    return RsaPrivateKey(
+        modulus=N, exponent=e, private_exponent=d, prime_p=p, prime_q=q
+    )
+
+
+def _split_modulus(N: int, multiple: int) -> int:
+    """A prime factor of ``N = pq`` from a nonzero multiple of ``lambda(N)``.
+
+    Miller's walk: with ``multiple = 2^s * r``, ``r`` odd, square
+    ``base^r`` until it reaches 1; the value before that is a square root
+    of 1, and one other than ``+-1`` shares a factor with ``N``.  When the
+    walk never reaches 1, ``multiple`` is not a multiple of the base's
+    order, so it is not one of ``lambda(N)`` either.
+    """
+    s = (multiple & -multiple).bit_length() - 1
+    r = multiple >> s
+    for base in _SPLIT_BASES:
+        y = pow(base, r, N)
+        if y in (1, N - 1):
+            continue
+        for _ in range(s):
+            z = y * y % N
+            if z == 1:
+                return math.gcd(y - 1, N)
+            if z == N - 1:
+                break
+            y = z
+        else:
+            raise KeyGenerationError("shares do not determine the key")
+    raise KeyGenerationError("no base split the modulus")

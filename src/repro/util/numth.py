@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import secrets
 from functools import lru_cache
-from typing import Tuple
+from typing import Protocol, Tuple
 
 from repro.errors import KeyGenerationError
 
@@ -22,6 +22,15 @@ _SMALL_PRIMES: Tuple[int, ...] = tuple(
     for p in range(3, 1000)
     if all(p % q for q in range(2, int(p**0.5) + 1))
 )
+
+
+class RandomSource(Protocol):
+    """Where key generation draws its randomness: the :mod:`secrets`
+    module by default, or a seeded source where a run must replay."""
+
+    def randbits(self, k: int, /) -> int: ...
+
+    def randbelow(self, exclusive_upper_bound: int, /) -> int: ...
 
 
 def egcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -82,24 +91,30 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-def random_prime(bits: int, max_attempts: int = 100_000) -> int:
+def random_prime(
+    bits: int, max_attempts: int = 100_000, rng: RandomSource = secrets
+) -> int:
     """Return a random prime with exactly ``bits`` bits.
 
     The top two bits are set (the prime is at least ``1.5 * 2**(bits-1)``),
     so a product of k such primes almost always has the full sum of their
     bit lengths and RSA key generation rarely has to start over.
+    Candidates come from ``rng``; the Miller--Rabin bases do not, since
+    the verdict does not depend on them (except with negligible odds).
     """
     if bits < 2:
         raise ValueError("primes need at least 2 bits")
     high = 0b11 << (bits - 2)
     for _ in range(max_attempts):
-        candidate = secrets.randbits(bits) | high | 1
+        candidate = rng.randbits(bits) | high | 1
         if is_probable_prime(candidate):
             return candidate
     raise KeyGenerationError(f"no {bits}-bit prime found in {max_attempts} attempts")
 
 
-def random_safe_prime(bits: int, max_attempts: int = 1_000_000) -> int:
+def random_safe_prime(
+    bits: int, max_attempts: int = 1_000_000, rng: RandomSource = secrets
+) -> int:
     """Return a random safe prime ``p = 2q + 1`` with ``p`` of ``bits`` bits.
 
     Safe primes are required by Shoup's threshold RSA scheme so that the
@@ -110,7 +125,7 @@ def random_safe_prime(bits: int, max_attempts: int = 1_000_000) -> int:
     if bits < 3:
         raise ValueError("safe primes need at least 3 bits")
     for _ in range(max_attempts):
-        q = secrets.randbits(bits - 1) | (1 << (bits - 2)) | 1
+        q = rng.randbits(bits - 1) | (1 << (bits - 2)) | 1
         # Cheap pre-filters: p = 2q+1 mod small primes.
         p = 2 * q + 1
         if any(p % sp == 0 or q % sp == 0 for sp in _SMALL_PRIMES[:50]):

@@ -12,6 +12,9 @@ smoke and nightly jobs sweep many seeds; here we pin the *contract*:
   what they claim to attack.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -20,6 +23,8 @@ from repro.chaos.scenarios import SCENARIOS, run_scenario
 from repro.core.faults import CorruptionMode
 from repro.errors import ConfigError
 
+from tests.conftest import REPO_ROOT
+
 
 class TestSeedReplay:
     def test_same_seed_same_transcript(self):
@@ -27,6 +32,28 @@ class TestSeedReplay:
         second = run_scenario("mixed", cluster=(4, 1), seed=42)
         assert first.transcript == second.transcript
         assert first.transcript_hash == second.transcript_hash
+
+    def test_same_seed_same_transcript_across_processes(self):
+        """Key material, share polynomials and proof nonces included: two
+        fresh processes replaying one seed print the same hash."""
+        command = [
+            sys.executable, "-m", "repro.cli", "chaos",
+            "--seed", "42", "--scenario", "slowpath", "--cluster", "4,1",
+        ]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(REPO_ROOT / "src"),
+                PYTHONHASHSEED=hash_seed,
+            )
+            done = subprocess.run(
+                command, cwd=REPO_ROOT, env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert "transcript=" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_different_seeds_differ(self):
         a = run_scenario("mixed", cluster=(4, 1), seed=1)

@@ -7,6 +7,7 @@ keys (each test must not mutate them — key objects are immutable).
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,19 @@ sub  IN NS ns1.sub
 ns1.sub IN A 192.0.2.53
 v6   IN AAAA 2001:db8::1
 """
+
+
+class SeededSource:
+    """A replayable randomness source for key-generation tests."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def randbits(self, k):
+        return self._rng.getrandbits(k)
+
+    def randbelow(self, bound):
+        return self._rng.randrange(bound)
 
 
 @pytest.fixture()

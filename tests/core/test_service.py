@@ -9,7 +9,9 @@ from repro.core.faults import CorruptionMode
 from repro.core.keytool import generate_deployment
 from repro.core.service import ReplicatedNameService
 from repro.dns import constants as c
+from repro.dns import dnssec
 from repro.dns.name import Name
+from repro.dns.zonefile import parse_zone_text
 from repro.sim.machines import lan_setup, paper_setup
 
 from tests.conftest import ZONE_TEXT
@@ -24,6 +26,28 @@ def make_service(n=4, t=1, k=0, proto="optte", **kwargs):
     if k:
         svc.corrupt_paper_style(k)
     return svc
+
+
+class TestTrustedSetup:
+    @pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
+    def test_setup_zone_matches_share_assembly(self, n, t):
+        """The setup signs with the key its shares recover; the zone it
+        builds is the one t+1 assembled signature shares would sign."""
+        config = ServiceConfig(n=n, t=t)
+        deployment = generate_deployment(config)
+        svc = ReplicatedNameService(config, zone_text=ZONE_TEXT, deployment=deployment)
+        public = deployment.zone_public
+        chosen = [keys.zone_share for keys in deployment.replicas][-(t + 1):]
+
+        def assemble(data):
+            return public.assemble(data, [share.generate_share(data) for share in chosen])
+
+        zone = parse_zone_text(ZONE_TEXT)
+        key_record = deployment.zone_key_record
+        zone.add_rdata(zone.origin, c.TYPE_KEY, 3600, key_record)
+        assert dnssec.sign_zone_locally(zone, key_record, assemble) > 0
+        assert set(svc.zone_digests()) == {zone.digest()}
+        assert svc.verify_all_zones() > 0
 
 
 class TestReads:

@@ -11,6 +11,8 @@ from repro.crypto.rsa import (
 )
 from repro.errors import CryptoError, InvalidSignature, KeyGenerationError
 
+from tests.conftest import SeededSource
+
 
 @pytest.fixture(scope="module")
 def keypair():
@@ -120,6 +122,14 @@ class TestRsa:
         a = generate_rsa_keypair(256)
         b = generate_rsa_keypair(256)
         assert a.public.modulus != b.public.modulus
+
+    def test_seeded_source_replays_the_keypair(self):
+        assert generate_rsa_keypair(512, rng=SeededSource(1)) == generate_rsa_keypair(
+            512, rng=SeededSource(1)
+        )
+        assert generate_rsa_keypair(256, rng=SeededSource(1)) != generate_rsa_keypair(
+            256, rng=SeededSource(2)
+        )
 
     def test_too_small_modulus_rejected(self):
         with pytest.raises(KeyGenerationError):

@@ -10,10 +10,13 @@ from repro.crypto.shoup import (
     ThresholdDealer,
     ThresholdKeyShare,
     ThresholdPublicKey,
+    deal_threshold_key,
     reshare,
 )
 from repro.crypto.params import safe_prime_pair
 from repro.errors import AssemblyError, ConfigError, InvalidShare
+
+from tests.conftest import SeededSource
 
 MESSAGE = b"www.example.com. 3600 IN A 192.0.2.80"
 
@@ -34,6 +37,17 @@ class TestDealer:
             ThresholdDealer(bits=384, n=4, t=4)
         with pytest.raises(ConfigError):
             ThresholdDealer(bits=384, n=70000, t=1)  # e must exceed n
+
+    def test_seeded_source_replays_the_dealing(self):
+        p, q = safe_prime_pair(192)
+
+        def deal(seed):
+            return deal_threshold_key(
+                4, 1, bits=384, prime_p=p, prime_q=q, rng=SeededSource(seed)
+            )
+
+        assert deal("a") == deal("a")
+        assert deal("a") != deal("b")
 
     def test_verification_keys_consistent(self, threshold_4_1):
         public, shares = threshold_4_1
@@ -145,6 +159,19 @@ class TestProofs:
         share = shares[0].generate_share_with_proof(MESSAGE)
         moved = SignatureShare(index=2, value=share.value, proof=share.proof)
         assert not public.share_is_valid(MESSAGE, moved)
+
+    def test_proof_repeats_for_same_inputs(self, threshold_4_1):
+        """The nonce comes from the share secret and the statement, so a
+        proof is a function of its inputs, and it still verifies."""
+        public, shares = threshold_4_1
+        share = shares[0].generate_share(MESSAGE)
+        proof = shares[0].prove(MESSAGE, share)
+        assert shares[0].prove(MESSAGE, share) == proof
+        public.verify_share(MESSAGE, share.with_proof(proof))
+        assert shares[0].generate_share_with_proof(MESSAGE).proof == proof
+        other = shares[0].generate_share_with_proof(b"other message")
+        public.verify_share(b"other message", other)
+        assert other.proof.z != proof.z
 
     def test_wrong_secret_cannot_prove(self, threshold_4_1):
         public, shares = threshold_4_1

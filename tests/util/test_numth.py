@@ -18,6 +18,8 @@ from repro.util.numth import (
     scaled_lagrange_coefficient,
 )
 
+from tests.conftest import SeededSource
+
 
 class TestEgcd:
     def test_basic(self):
@@ -83,6 +85,14 @@ class TestPrimeGeneration:
         p = random_prime(64)
         assert p.bit_length() == 64
         assert is_probable_prime(p)
+
+    def test_seeded_source_replays_the_prime(self):
+        assert random_prime(64, rng=SeededSource(3)) == random_prime(
+            64, rng=SeededSource(3)
+        )
+        assert random_safe_prime(32, rng=SeededSource(3)) == random_safe_prime(
+            32, rng=SeededSource(3)
+        )
 
     def test_random_safe_prime(self):
         p = random_safe_prime(32)
