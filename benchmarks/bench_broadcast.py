@@ -2,13 +2,15 @@
 
 Drives the atomic broadcast the replicas run (DESIGN.md §5i) over the
 deterministic simulator at the big-n target cluster (n=10, t=3) with
-4 KiB request payloads, and measures what each lane of
-``AtomicBroadcast(dissemination=...)`` puts on the wire, using the
-per-type/per-link byte ledgers the simulated network keeps for every
-transmit:
+4 KiB request payloads, and measures what each lane puts on the wire,
+using the per-type/per-link byte ledgers the simulated network keeps
+for every transmit:
 
 * **full** — the gateway's INITIATE and the leader's ORDER both carry
-  the whole payload to every replica.
+  the whole payload to every replica.  This is the baseline lane, not
+  a mode of the protocol: the bench's driver re-inflates each digest
+  ORDER with its payload before it leaves the leader, and a follower
+  takes a full ORDER's payload as it is.
 * **digest** — what every replica runs: the ORDER carries the
   payload-derived request id instead; a replica that missed the
   INITIATE pulls the payload.
@@ -43,11 +45,14 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from repro.broadcast.abc import DISSEMINATION_MODES, AtomicBroadcast, derive_request_id
+from repro.broadcast.abc import AtomicBroadcast, derive_request_id
+from repro.broadcast.messages import AbcOrder
 from repro.crypto.params import demo_threshold_key
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.sim.machines import lan_setup
 from repro.sim.network import SimNetwork
+
+from tests.broadcast.harness import Driven, drive
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_broadcast.json"
 
@@ -57,6 +62,7 @@ PAYLOAD_SIZE = 4096  # one 4 KiB request
 REQUESTS = 4
 GATEWAY = 1  # not the epoch-0 leader (replica 0)
 SHAPES = ("sequential", "burst")
+LANES = ("full", "digest")
 #: Authenticator modulus: PREPARE signatures are 64 bytes on the wire.
 AUTH_BITS = 512
 
@@ -80,30 +86,41 @@ def _cluster_keys(n: int, t: int) -> tuple:
     return _keys[(n, t)]
 
 
+def _send_full_orders(driven: Driven) -> None:
+    """The full lane: every digest ORDER leaves with its payload."""
+    send, abc = driven.send, driven.core
+
+    def send_full(dest: int, msg: object) -> None:
+        if isinstance(msg, AbcOrder) and msg.payload == b"":
+            payload = abc._resolve_payload(msg.request_id)
+            if payload is not None:
+                msg = AbcOrder(msg.epoch, msg.seq, msg.request_id, payload)
+        send(dest, msg)
+
+    driven.send = send_full  # type: ignore[method-assign]
+
+
 def _run(n: int, t: int, mode: str, shape: str) -> Dict[str, Any]:
     """Submit REQUESTS payloads at the gateway; return the byte ledgers."""
     pairs, pubs, coins = _cluster_keys(n, t)
     net = SimNetwork(lan_setup(n), seed=7, cpu_jitter=0.0)
-    replicas = []
+    drivers = []
     for i in range(n):
-        node = net.node(i)
         abc = AtomicBroadcast(
             n, t, i,
             auth_key=pairs[i].private,
             auth_public=pubs,
             coin_key=coins[i],
-            deliver=lambda rid, payload: None,
-            send=node.send,
-            schedule=node.schedule_timer,
-            dissemination=mode,
         )
-        replicas.append(abc)
-        node.set_handler(abc.on_message)
+        drivers.append(drive(net.node(i), abc))
+        if mode == "full":
+            _send_full_orders(drivers[-1])
+    replicas = [driven.core for driven in drivers]
 
     payloads = [bytes([r]) * PAYLOAD_SIZE for r in range(REQUESTS)]
-    gateway = replicas[GATEWAY]
+    gateway = drivers[GATEWAY]
     for payload in payloads:
-        net.node(GATEWAY).run_local(0.0, lambda p=payload: gateway.a_broadcast(p))
+        net.node(GATEWAY).run_local(0.0, lambda p=payload: gateway.submit(p))
         if shape == "sequential":
             net.run()
     net.run()
@@ -135,7 +152,7 @@ def test_lanes_at_target_cluster():
     both submission shapes."""
     n, t = TARGET_CLUSTER
     shapes = {
-        shape: {mode: _run(n, t, mode, shape) for mode in DISSEMINATION_MODES}
+        shape: {mode: _run(n, t, mode, shape) for mode in LANES}
         for shape in SHAPES
     }
     _results["target_cluster"] = {
@@ -167,7 +184,7 @@ def test_per_replica_bytes_sweep():
     (sequential shape); reported, not gated."""
     sweep: Dict[str, float] = {}
     growth: Dict[str, float] = {}
-    for mode in DISSEMINATION_MODES:
+    for mode in LANES:
         per_replica = []
         for n, t in SWEEP:
             value = _run(n, t, mode, "sequential")["per_replica_total_bytes"]

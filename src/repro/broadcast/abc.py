@@ -38,9 +38,10 @@ the sequence.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.aba import BinaryAgreement
+from repro.broadcast.effects import CancelTimer, Deliver, Effect, Send, SetTimer, TimerId
 from repro.broadcast.messages import (
     MAX_BATCH_NESTING,
     AbaAux,
@@ -66,10 +67,6 @@ from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.shoup import ThresholdKeyShare
 from repro.errors import ConfigError
 from repro.util.lru import BoundedLRU
-
-DeliverFn = Callable[[str, bytes], None]
-SendFn = Callable[[int, object], None]
-ScheduleFn = Callable[[float, Callable[[], None]], Any]  # returns cancellable
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -102,17 +99,6 @@ MAX_FUTURE_BUFFER = 4096
 MODE_FAST = "fast"
 MODE_RECOVERY = "recovery"
 
-#: Request-introduction modes for the fast path (DESIGN.md §5i).
-#: ``digest`` (what every replica runs) keeps the INITIATE fan-out but
-#: strips ORDER frames down to the payload-derived request id, with a
-#: pull fallback for withheld payloads; ``full`` ships the whole payload
-#: in both INITIATE and ORDER, kept as the baseline the broadcast bench
-#: and the explorer measure digest against.  The recovery path
-#: (EPOCH_FINAL / NEW_EPOCH) always travels full-payload — recovery is
-#: rare and must be self-contained — and so does a leader batch frame:
-#: followers never saw it under its own id.
-DISSEMINATION_MODES = ("full", "digest")
-
 #: Leader-side batching: the requests that queued up behind the leader's
 #: slot in flight — or, at a new leader, during the epoch switch — share
 #: batch frames of up to this many payloads per sequence slot.
@@ -144,6 +130,11 @@ def _switch_epoch(sid: object) -> Optional[int]:
     return epoch if sid == f"switch/{epoch}" else None
 
 
+def _payload_matches_id(key: Tuple[str, bytes], payload: bytes) -> bool:
+    """A pulled payload verifies when it hashes to the id it answers."""
+    return derive_request_id(payload) == key[0]
+
+
 def request_digest(epoch: int, seq: int, payload: bytes) -> bytes:
     h = hashlib.sha256()
     h.update(f"{epoch}/{seq}/".encode())
@@ -167,6 +158,10 @@ def _final_signing_input(final: AbcEpochFinal) -> bytes:
     return h.digest()
 
 
+#: The id of :class:`BatchQueue`'s flush timer.
+BATCH_TIMER: TimerId = ("batch", "flush", None)
+
+
 class BatchQueue:
     """Accumulates request payloads and flushes them as one batch.
 
@@ -177,25 +172,26 @@ class BatchQueue:
     is flushed when it reaches ``max_batch`` entries (size threshold) or
     ``max_delay`` elapses on the local clock since the first buffered entry
     (latency threshold), whichever comes first.
+
+    A flush is a :class:`Deliver` of the payload to a-broadcast: a lone
+    request as it is (its id is what an unbatched gateway would have
+    broadcast), two or more in one batch frame.  The queue's effects wait
+    in order until the host calls :meth:`take`, rather than coming back
+    from :meth:`append` and :meth:`flush`: the benchmark tracer
+    (``benchmarks/e2e/trace.py``) wraps those two in functions that do
+    not pass a return value on.
     """
 
-    def __init__(
-        self,
-        max_batch: int,
-        max_delay: float,
-        flush: Callable[[List[bytes]], None],
-        schedule: ScheduleFn,
-    ) -> None:
+    def __init__(self, max_batch: int, max_delay: float) -> None:
         if max_batch < 1:
             raise ConfigError("batch size must be at least 1")
         if max_delay <= 0:
             raise ConfigError("batch flush delay must be positive")
         self.max_batch = max_batch
         self.max_delay = max_delay
-        self._flush_fn = flush
-        self._schedule = schedule
         self._buffer: List[bytes] = []
-        self._timer: Optional[Any] = None
+        self._timer_armed = False
+        self._out: List[Effect] = []
         self.stats: Dict[str, int] = {
             "flushes": 0,
             "flushed_requests": 0,
@@ -206,23 +202,29 @@ class BatchQueue:
     def __len__(self) -> int:
         return len(self._buffer)
 
+    def take(self) -> List[Effect]:
+        """The effects of the calls since the last take, in order."""
+        out, self._out = self._out, []
+        return out
+
     def append(self, payload: bytes) -> None:
         """Buffer one payload; flush if the size threshold is reached."""
         self._buffer.append(payload)
         if len(self._buffer) >= self.max_batch:
             self.flush(reason="size")
-        elif self._timer is None:
-            self._timer = self._schedule(self.max_delay, self._on_timer)
+        elif not self._timer_armed:
+            self._timer_armed = True
+            self._out.append(SetTimer(BATCH_TIMER, self.max_delay))
 
-    def _on_timer(self) -> None:
-        self._timer = None
+    def on_timer(self, timer_id: TimerId) -> None:
+        self._timer_armed = False
         self.flush(reason="timer")
 
     def flush(self, reason: str = "explicit") -> None:
-        """Hand all buffered payloads to the flush callback, oldest first."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Deliver all buffered payloads, oldest first."""
+        if self._timer_armed:
+            self._timer_armed = False
+            self._out.append(CancelTimer(BATCH_TIMER))
         if not self._buffer:
             return
         batch, self._buffer = self._buffer, []
@@ -232,7 +234,8 @@ class BatchQueue:
             self.stats["size_flushes"] += 1
         elif reason == "timer":
             self.stats["timer_flushes"] += 1
-        self._flush_fn(batch)
+        payload = batch[0] if len(batch) == 1 else encode_batch(batch)
+        self._out.append(Deliver(derive_request_id(payload), payload))
 
 
 class AuthPlane:
@@ -262,10 +265,12 @@ class AuthPlane:
 class AtomicBroadcast:
     """One replica's endpoint of the atomic broadcast channel.
 
-    Effects are injected: ``send(dest, msg)`` transmits over the
-    authenticated link, ``schedule(delay, fn)`` arms a timer (returning a
-    handle with ``.cancel()``), and ``deliver(request_id, payload)`` hands
-    an a-delivered request to the replicated state machine.
+    Sans-IO: :meth:`a_broadcast`, :meth:`on_message` and :meth:`on_timer`
+    each return the ordered effect list of the call
+    (:mod:`repro.broadcast.effects`) — sends over the authenticated link,
+    timer set/cancel requests, and a :class:`Deliver` per a-delivered
+    request for the replicated state machine.  Handlers append to
+    ``_out`` as they go; the entry point hands it over.
     """
 
     def __init__(
@@ -276,13 +281,9 @@ class AtomicBroadcast:
         auth_key: RsaPrivateKey,
         auth_public: List[RsaPublicKey],
         coin_key: ThresholdKeyShare,
-        deliver: DeliverFn,
-        send: SendFn,
-        schedule: ScheduleFn,
         timeout: float = DEFAULT_TIMEOUT,
         crypto: Optional[AuthPlane] = None,
         rebatch_max: int = LEADER_BATCH_MAX,
-        dissemination: str = "digest",
     ) -> None:
         if n <= 3 * t:
             raise ConfigError("atomic broadcast requires n > 3t")
@@ -290,11 +291,6 @@ class AtomicBroadcast:
             raise ConfigError("need one verification key per replica")
         if rebatch_max < 1:
             raise ConfigError("rebatch_max must be at least 1")
-        if dissemination not in DISSEMINATION_MODES:
-            raise ConfigError(
-                f"unknown dissemination mode {dissemination!r}; "
-                f"expected one of {DISSEMINATION_MODES}"
-            )
         self.n = n
         self.t = t
         self.me = me
@@ -303,19 +299,14 @@ class AtomicBroadcast:
         self.crypto = crypto if crypto is not None else AuthPlane(auth_key, auth_public)
         # Payloads per leader batch frame (LEADER_BATCH_MAX, _order_pending).
         self.rebatch_max = rebatch_max
-        self.dissemination = dissemination
-        self._deliver = deliver
-        self._send = send
-        self._schedule = schedule
         self.timeout = timeout
+        self._out: List[Effect] = []  # the running call's effects
 
         self.epoch = 0
         self.mode = MODE_FAST
         self.next_deliver = 0
         self.delivered_ids: Set[str] = set()
         self.delivered_log: List[Tuple[int, str]] = []  # (seq, request_id)
-        # payload -> request id for the slot being delivered (see entry_id)
-        self._entry_ids: Dict[bytes, str] = {}
 
         self.pending: Dict[str, bytes] = {}
         # Leader's counter, restarted at the delivery watermark by every
@@ -365,8 +356,9 @@ class AtomicBroadcast:
         self._finals: Dict[int, Dict[int, Tuple[AbcEpochFinal, bytes]]] = {}
         self._final_sent: Set[int] = set()
         self._new_epoch_done: Set[int] = set()
-        self._timer: Optional[Any] = None
-        self._recovery_timer: Optional[Any] = None
+        # Ids of the armed leader-suspicion and recovery-stall timers.
+        self._timer: Optional[TimerId] = None
+        self._recovery_timer: Optional[TimerId] = None
 
         # Digest dissemination state (DESIGN.md §5i).  Buffered digest
         # ORDERs whose payload has not arrived yet, keyed by request id;
@@ -403,10 +395,7 @@ class AtomicBroadcast:
             "future_dropped": 0,
             "await_dropped": 0,
         })
-        self._recovery = PayloadRecovery(
-            n, me, self.stats, self._serve_pull, schedule,
-            lambda outgoing: [self._send(dest, m) for dest, m in outgoing],
-        )
+        self._recovery = PayloadRecovery(n, me, self.stats)
 
     # ------------------------------------------------------------------
     # public API
@@ -428,21 +417,40 @@ class AtomicBroadcast:
             h.update(f"{seq}:{rid};".encode())
         return h.hexdigest()
 
-    def a_broadcast(self, payload: bytes) -> str:
-        """Inject a request into the channel; returns its request id.
+    def a_broadcast(self, payload: bytes) -> List[Effect]:
+        """Inject a request into the channel.
 
-        Request ids are derived from the payload (distinct requests must
-        have distinct payloads — DNS messages carry random ids, so they
-        do), which lets epoch recovery recompute ids deterministically.
+        Its request id is :func:`derive_request_id` of the payload
+        (distinct requests must have distinct payloads — DNS messages
+        carry random ids, so they do), which lets epoch recovery
+        recompute ids deterministically.
         """
-        rid = derive_request_id(payload)
-        msg = AbcInitiate(rid, payload)
+        msg = AbcInitiate(derive_request_id(payload), payload)
         self._broadcast(msg)
-        self.on_message(self.me, msg)
-        return rid
+        self._on_initiate(self.me, msg)
+        return self._take()
 
-    def on_message(self, sender: int, msg: object) -> None:
+    def on_message(self, sender: int, msg: object) -> List[Effect]:
         """Feed one received protocol message."""
+        self._dispatch(sender, msg)
+        return self._take()
+
+    def on_timer(self, timer_id: TimerId) -> List[Effect]:
+        """Fire one of the timers this endpoint's effects armed."""
+        owner, kind, key = timer_id
+        if owner == "pull":
+            self._out.extend(self._recovery.on_timer(timer_id))
+        elif kind == "suspect":
+            self._on_timeout(key)  # type: ignore[arg-type]
+        else:
+            self._recovery_stalled(key)  # type: ignore[arg-type]
+        return self._take()
+
+    def _take(self) -> List[Effect]:
+        out, self._out = self._out, []
+        return out
+
+    def _dispatch(self, sender: int, msg: object) -> None:
         if isinstance(msg, AbcInitiate):
             self._on_initiate(sender, msg)
         elif isinstance(msg, AbcOrder):
@@ -458,11 +466,10 @@ class AtomicBroadcast:
         elif isinstance(msg, AbcNewEpoch):
             self._on_new_epoch(sender, msg)
         elif isinstance(msg, PayloadPull):
-            for dest, reply in self._recovery.on_pull(sender, msg):
-                self._send(dest, reply)
+            self._out.extend(self._recovery.on_pull(sender, msg, self._serve_pull))
         elif isinstance(msg, PayloadReply):
-            if self._recovery.on_reply(sender, msg):
-                self._on_pulled(msg.sid, msg.payload)
+            for pulled in self._recovery.on_reply(sender, msg):
+                self._on_pulled(pulled.request_id, pulled.payload)
         elif isinstance(msg, tuple) and len(msg) == 2 and isinstance(msg[0], AbcEpochFinal):
             self._on_epoch_final(sender, msg)
         elif isinstance(msg, (AbaEst, AbaAux, AbaDecided, CoinShare)):
@@ -537,7 +544,7 @@ class AtomicBroadcast:
         seq = self._next_order_seq
         self._next_order_seq += 1
         order = AbcOrder(self.epoch, seq, rid, payload)
-        if self.dissemination != "full" and payload and rid in self.pending:
+        if payload and rid in self.pending:
             # Digest ORDER: followers hold (or will hold) the payload via
             # INITIATE, so the wire frame needs only the payload-derived
             # request id.  The leader's batch frames never entered
@@ -621,7 +628,7 @@ class AtomicBroadcast:
         buffered, self._future_buffer = self._future_buffer, []
         self._future_held = [0] * self.n
         for sender, msg in buffered:
-            self.on_message(sender, msg)
+            self._dispatch(sender, msg)
 
     def _on_order(self, sender: int, msg: AbcOrder) -> None:
         if self._buffer_future(sender, msg, msg.epoch):
@@ -700,11 +707,9 @@ class AtomicBroadcast:
             self.stats["await_dropped"] += 1
             return
         self._awaiting_order[msg.request_id] = (sender, msg)
-        self._recovery.want(
-            (msg.request_id, b""),
-            self._pull_candidates,
-            lambda key, payload: derive_request_id(payload) == key[0],
-        )
+        self._out.extend(self._recovery.want(
+            (msg.request_id, b""), self._pull_candidates, _payload_matches_id
+        ))
 
     def _replay_awaited(self, rid: str, payload: bytes) -> None:
         """Re-dispatch a buffered digest ORDER now that its payload is known."""
@@ -889,10 +894,10 @@ class AtomicBroadcast:
         # Keep the payload pullable for peers whose digest ORDER outlived
         # their copy (pending is popped on delivery).
         self._payload_archive.put(rid, payload)
-        self._entry_ids = self._mark_batch_delivered(payload, {payload: rid})
+        entry_ids = self._mark_batch_delivered(payload, {payload: rid})
         key = "fast_deliveries" if fast else "recovery_deliveries"
         self.stats[key] += 1
-        self._deliver(rid, payload)
+        self._out.append(Deliver(rid, payload, entry_ids))
 
     def _mark_batch_delivered(
         self, payload: bytes, ids: Dict[bytes, str], depth: int = 0
@@ -906,7 +911,8 @@ class AtomicBroadcast:
         future INITIATEs.  Recurses through nested frames (a new leader
         re-batches whole gateway batches) up to the decoding depth cap.
         Returns ``ids`` with every entry's request id added (payload ->
-        id), which :meth:`entry_id` serves to the deliver callback.
+        id), which the :class:`Deliver` item carries to the host, so the
+        host need not hash an entry a second time.
         """
         if depth >= MAX_BATCH_NESTING or not is_batch_payload(payload):
             return ids
@@ -921,15 +927,6 @@ class AtomicBroadcast:
             self._mark_batch_delivered(entry, ids, depth + 1)
         return ids
 
-    def entry_id(self, entry: bytes) -> str:
-        """Request id of ``entry``, a (batch entry of the) payload being delivered.
-
-        Delivery already hashed every entry to mark it delivered; the
-        deliver callback gets that same id object instead of hashing the
-        entry a second time and keeping a second copy of the string.
-        """
-        return self._entry_ids.get(entry) or derive_request_id(entry)
-
     # ------------------------------------------------------------------
     # complaints and epoch switch
     # ------------------------------------------------------------------
@@ -937,13 +934,11 @@ class AtomicBroadcast:
     def _arm_timer(self) -> None:
         """(Re)arm the leader-suspicion timer while work is pending."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._out.append(CancelTimer(self._timer))
             self._timer = None
         if self.pending and self.mode == MODE_FAST:
-            epoch_at_arm = self.epoch
-            self._timer = self._schedule(
-                self.timeout, lambda: self._on_timeout(epoch_at_arm)
-            )
+            self._timer = ("abc", "suspect", self.epoch)
+            self._out.append(SetTimer(self._timer, self.timeout))
 
     def _on_timeout(self, epoch: int) -> None:
         if epoch != self.epoch or self.mode != MODE_FAST or not self.pending:
@@ -992,7 +987,7 @@ class AtomicBroadcast:
         self.stats["epoch_changes"] += 1
         self._final_sent.add(epoch)
         if self._timer is not None:
-            self._timer.cancel()
+            self._out.append(CancelTimer(self._timer))
             self._timer = None
         final = AbcEpochFinal(
             epoch=epoch,
@@ -1008,10 +1003,9 @@ class AtomicBroadcast:
         self._on_epoch_final(self.me, signed)
         # If the next leader stalls, complain about the next epoch.
         if self._recovery_timer is not None:
-            self._recovery_timer.cancel()
-        self._recovery_timer = self._schedule(
-            self.timeout * 2, lambda: self._recovery_stalled(epoch)
-        )
+            self._out.append(CancelTimer(self._recovery_timer))
+        self._recovery_timer = ("abc", "stalled", epoch)
+        self._out.append(SetTimer(self._recovery_timer, self.timeout * 2))
 
     def _recovery_stalled(self, epoch: int) -> None:
         if self.epoch > epoch or self.mode == MODE_FAST:
@@ -1121,7 +1115,7 @@ class AtomicBroadcast:
                 break
             self.pending.setdefault(rid, payload)
         if self._recovery_timer is not None:
-            self._recovery_timer.cancel()
+            self._out.append(CancelTimer(self._recovery_timer))
             self._recovery_timer = None
         self._arm_timer()
         if self.me == self.leader:
@@ -1212,9 +1206,7 @@ class AtomicBroadcast:
     # ------------------------------------------------------------------
 
     def _broadcast(self, msg: object) -> None:
-        for dest in range(self.n):
-            if dest != self.me:
-                self._send(dest, msg)
+        self._out.extend(Send(dest, msg) for dest in range(self.n) if dest != self.me)
 
     def _route(self, dest: int, msg: object) -> None:
         if dest == -1:
@@ -1222,6 +1214,6 @@ class AtomicBroadcast:
             # ABA components expect their own broadcast handled via
             # self-processing inside the component, which they already do.
         elif dest == self.me:
-            self.on_message(self.me, msg)
+            self._dispatch(self.me, msg)
         else:
-            self._send(dest, msg)
+            self._out.append(Send(dest, msg))

@@ -481,7 +481,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     try:
         result = explore_protocol(
             args.protocol,
-            mode=args.mode or "",
             n=n,
             t=t,
             strategies=args.strategy or None,
@@ -722,12 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["aba", "abc", "e2e"],
         default=None,
         help="which protocol layer to explore",
-    )
-    p.add_argument(
-        "--mode",
-        choices=["full", "digest"],
-        default=None,
-        help="ABC model's dissemination mode (abc only; default: digest)",
     )
     p.add_argument(
         "--cluster",

@@ -19,12 +19,11 @@ execution queue — this preserves the deterministic order across replicas.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast.abc import (
     AtomicBroadcast,
@@ -32,6 +31,7 @@ from repro.broadcast.abc import (
     BatchQueue,
     derive_request_id,
 )
+from repro.broadcast.effects import CancelTimer, Deliver, Effect, Send, SetTimer, TimerId
 from repro.broadcast.messages import (
     MAX_BATCH_NESTING,
     AbcOrder,
@@ -40,7 +40,6 @@ from repro.broadcast.messages import (
     ClientResponse,
     WrapperSigning,
     decode_batch,
-    encode_batch,
     is_batch_payload,
 )
 from repro.config import ServiceConfig
@@ -202,7 +201,9 @@ class ReplicaServer:
         # session at start; a session still unsigned after abc_timeout
         # makes everyone sign (SigningCoordinator.on_timeout).
         self._signers = signers
-        self._sign_timers: Dict[str, object] = {}
+        # Every live timer of this replica, by id (repro.broadcast.effects):
+        # the broadcast plane's and the signing sessions' alike.
+        self._timers: Dict[TimerId, object] = {}
         self.coordinator = SigningCoordinator(
             self.config.signing_protocol,
             keys.zone_share,
@@ -217,9 +218,6 @@ class ReplicaServer:
                 auth_key=keys.auth_key.private,
                 auth_public=list(deployment.auth_public),
                 coin_key=keys.coin_share,
-                deliver=self._on_deliver,
-                send=self._send,
-                schedule=node.schedule_timer,
                 timeout=self.config.abc_timeout,
                 crypto=AuthPlane(keys.auth_key.private, list(deployment.auth_public)),
             )
@@ -230,8 +228,6 @@ class ReplicaServer:
             self.batch_queue: Optional[BatchQueue] = BatchQueue(
                 max_batch=self.config.batch_size,
                 max_delay=self.config.batch_delay,
-                flush=self._flush_batch,
-                schedule=node.schedule_timer,
             )
         else:
             self.batch_queue = None
@@ -371,18 +367,14 @@ class ReplicaServer:
             # Bounded: BatchQueue flushes itself at max_batch entries.
             # repro-lint: disable=C304
             self.batch_queue.append(payload)
+            self._apply(self.batch_queue.take(), self._broadcast_batch)
         else:
-            self.abc.a_broadcast(payload)
+            self._apply(self.abc.a_broadcast(payload), self._on_deliver)
 
-    def _flush_batch(self, payloads: List[bytes]) -> None:
+    def _broadcast_batch(self, flushed: Deliver) -> None:
         """Order a flushed batch in one atomic-broadcast sequence slot."""
         assert self.abc is not None
-        if len(payloads) == 1:
-            # A lone request needs no batch frame; its payload-derived id
-            # matches what an unbatched gateway would have broadcast.
-            self.abc.a_broadcast(payloads[0])
-        else:
-            self.abc.a_broadcast(encode_batch(payloads))
+        self._apply(self.abc.a_broadcast(flushed.payload), self._on_deliver)
 
     def _on_signing_message(self, sender: int, msg: WrapperSigning) -> None:
         outs = self.coordinator.on_message(sender, msg.inner)
@@ -398,7 +390,52 @@ class ReplicaServer:
             self.node.charge(self.costs.auth_sign)  # we sign our prepare
         elif isinstance(msg, AbcPrepare):
             self.node.charge(self.costs.auth_verify)
-        self.abc.on_message(sender, msg)
+        self._apply(self.abc.on_message(sender, msg), self._on_deliver)
+
+    # ------------------------------------------------------------------
+    # effects and timers (repro.broadcast.effects)
+    # ------------------------------------------------------------------
+
+    def _apply(self, effects: List[Effect], deliver: Callable[[Deliver], None]) -> None:
+        """Carry out a core's effects strictly in the order produced;
+        ``deliver`` takes its :class:`Deliver` items."""
+        for effect in effects:
+            if isinstance(effect, Send):
+                self._send(effect.dest, effect.msg)
+            elif isinstance(effect, Deliver):
+                deliver(effect)
+            elif isinstance(effect, SetTimer):
+                self._set_timer(effect.timer_id, effect.delay)
+            else:
+                self._cancel_timer(effect.timer_id)
+
+    def _set_timer(self, timer_id: TimerId, delay: float) -> None:
+        if timer_id in self._timers:  # re-armed: the new deadline replaces it
+            self._cancel_timer(timer_id)
+        self._timers[timer_id] = self.node.schedule_timer(
+            delay, lambda: self._on_timer(timer_id)
+        )
+
+    def _cancel_timer(self, timer_id: TimerId) -> None:
+        handle = self._timers.pop(timer_id, None)
+        if handle is not None:
+            handle.cancel()  # type: ignore[attr-defined]
+
+    def _on_timer(self, timer_id: TimerId) -> None:
+        self._timers.pop(timer_id, None)
+        owner = timer_id[0]
+        if owner == "sign":
+            outs = self.coordinator.on_timeout(timer_id[2])  # type: ignore[arg-type]
+            self.node.charge_ops(self.coordinator.drain_ops(), self.costs)
+            self._send_signing(outs)
+            self._check_signing_progress()
+        elif owner == "batch":
+            assert self.batch_queue is not None
+            self.batch_queue.on_timer(timer_id)
+            self._apply(self.batch_queue.take(), self._broadcast_batch)
+        else:
+            assert self.abc is not None
+            self._apply(self.abc.on_timer(timer_id), self._on_deliver)
 
     # ------------------------------------------------------------------
     # execution (the deterministic state machine)
@@ -424,15 +461,15 @@ class ReplicaServer:
             flat.extend(self._flatten_batches(entry, depth + 1))
         return flat
 
-    def _on_deliver(self, rid: str, payload: bytes) -> None:
-        assert self.abc is not None
-        entries = self._flatten_batches(payload)
-        for entry in entries:
+    def _on_deliver(self, delivered: Deliver) -> None:
+        entry_ids = delivered.entry_ids
+        for entry in self._flatten_batches(delivered.payload):
             # Batch entries execute in frame order, and every request
             # executes at most once system-wide: sub-request ids are
             # payload-derived, so all honest replicas skip the same
             # duplicates and the state machine stays deterministic.
-            sub_rid = self.abc.entry_id(entry)
+            # Delivery already hashed every entry; reuse that id object.
+            sub_rid = entry_ids.get(entry) or derive_request_id(entry)
             if sub_rid in self._executed_rids:
                 continue
             if len(entry) < 4:
@@ -749,23 +786,9 @@ class ReplicaServer:
         coordinator = self.coordinator
         if coordinator.all_sign or sign_id not in coordinator.sessions:
             return
-        if sign_id not in self._sign_timers:
-            self._sign_timers[sign_id] = self.node.schedule_timer(
-                self.config.abc_timeout,
-                functools.partial(self._on_sign_timeout, sign_id),
-            )
-
-    def _disarm_sign_timer(self, sign_id: str) -> None:
-        handle = self._sign_timers.pop(sign_id, None)
-        if handle is not None:
-            handle.cancel()  # type: ignore[attr-defined]
-
-    def _on_sign_timeout(self, sign_id: str) -> None:
-        self._sign_timers.pop(sign_id, None)
-        outs = self.coordinator.on_timeout(sign_id)
-        self.node.charge_ops(self.coordinator.drain_ops(), self.costs)
-        self._send_signing(outs)
-        self._check_signing_progress()
+        timer_id = ("sign", "timeout", sign_id)
+        if timer_id not in self._timers:
+            self._set_timer(timer_id, self.config.abc_timeout)
 
     def _finish_pending_update(self) -> None:
         done = self._pending_update
@@ -792,7 +815,7 @@ class ReplicaServer:
                     # Verified exactly as in the sequential branch below.
                     # repro-lint: disable=T405
                     dnssec.attach_signature(self.zone, task, signature)
-                    self._disarm_sign_timer(task.sign_id)
+                    self._cancel_timer(("sign", "timeout", task.sign_id))
                     self.stats["signatures_completed"] += 1
                     pending.attached.add(i)
                 if pending.finished:
@@ -807,7 +830,7 @@ class ReplicaServer:
                     # assemble-then-verify path, §3.5).
                     # repro-lint: disable=T405
                     dnssec.attach_signature(self.zone, task, signature)
-                    self._disarm_sign_timer(task.sign_id)
+                    self._cancel_timer(("sign", "timeout", task.sign_id))
                     self.stats["signatures_completed"] += 1
                     self._pending_update.index += 1
                     if self._pending_update.finished:
@@ -821,7 +844,7 @@ class ReplicaServer:
                     done = self._pending_read
                     self._pending_read = None
                     self._busy = False
-                    self._disarm_sign_timer(done.task.sign_id)
+                    self._cancel_timer(("sign", "timeout", done.task.sign_id))
                     self.stats["signatures_completed"] += 1
                     if done.cache_key is not None:
                         self._answer_cache.put(done.cache_key, _CachedAnswer(

@@ -208,11 +208,6 @@ class ThresholdPublicKey:
     share_verifiers: Tuple[int, ...]    # v_i = v^{s_i}, indexed from 1
 
     def __post_init__(self) -> None:
-        if self.n <= 3 * self.t and self.t > 0:
-            # The signing scheme itself only needs t < n/2, but the service
-            # model requires n > 3t; the dealer enforces the weaker bound and
-            # the service config the stronger one.  Here enforce t < n/2.
-            pass
         if self.t >= self.n:
             raise ConfigError("threshold t must be smaller than n")
         if len(self.share_verifiers) != self.n:

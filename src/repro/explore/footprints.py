@@ -137,5 +137,5 @@ class FootprintOracle:
 
 
 @lru_cache(maxsize=8)
-def oracle_for(class_qname: str) -> FootprintOracle:
-    return FootprintOracle(broadcast_index(), class_qname)
+def oracle_for(class_qname: str, dispatcher: str = "on_message") -> FootprintOracle:
+    return FootprintOracle(broadcast_index(), class_qname, dispatcher)

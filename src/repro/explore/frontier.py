@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 BROADCAST = -1  # mirror of repro.broadcast.aba.BROADCAST / coin.BROADCAST
 
@@ -88,7 +88,7 @@ class ChannelFrontier:
 
 @dataclass
 class ModelTimer:
-    """A protocol timer armed via the model's schedule hook.
+    """A protocol timer a model armed under ``key``.
 
     Timers never race with deliveries: the explorer fires them only at
     quiescent states (no enabled channel), earliest-armed first, which is
@@ -100,36 +100,32 @@ class ModelTimer:
 
     seq: int
     delay: float
-    callback: object  # zero-arg callable; typed loosely for deepcopy safety
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
+    key: Hashable
 
 
 @dataclass
 class TimerRail:
-    """Ordered collection of armed timers with deterministic firing."""
+    """Armed timers by key, fired in a deterministic order."""
 
-    timers: List[ModelTimer] = field(default_factory=list)
+    timers: Dict[Hashable, ModelTimer] = field(default_factory=dict)
     next_seq: int = 0
     fired: int = 0
 
-    def arm(self, delay: float, callback: object) -> ModelTimer:
-        timer = ModelTimer(self.next_seq, delay, callback)
+    def arm(self, key: Hashable, delay: float) -> None:
+        self.timers[key] = ModelTimer(self.next_seq, delay, key)
         self.next_seq += 1
-        self.timers.append(timer)
-        return timer
+
+    def cancel(self, key: Hashable) -> None:
+        self.timers.pop(key, None)
 
     def pop_next(self) -> Optional[ModelTimer]:
-        """Earliest-armed live timer (delay, then arm order), or None."""
-        live = [t for t in self.timers if not t.cancelled]
-        if not live:
+        """Earliest-armed timer (delay, then arm order), or None."""
+        if not self.timers:
             return None
-        timer = min(live, key=lambda t: (t.delay, t.seq))
-        self.timers.remove(timer)
+        timer = min(self.timers.values(), key=lambda t: (t.delay, t.seq))
+        del self.timers[timer.key]
         self.fired += 1
         return timer
 
     def pending(self) -> int:
-        return sum(1 for t in self.timers if not t.cancelled)
+        return len(self.timers)

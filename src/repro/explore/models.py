@@ -25,25 +25,26 @@ a Byzantine node's outputs never depend on its inputs in any way the
 honest replicas can distinguish beyond the messages themselves — and it
 keeps the choice space finite.
 
-State restore: ``AbaModel`` holds all mutable state in one container
-that deep-copies correctly (callbacks are callable objects or bound
-methods — ``copy.deepcopy`` rebinds bound methods through its memo, but
-treats plain closures as atomic, which would leave them pointing at the
-*original* state).  ``AtomicBroadcast`` arms timers over
-``lambda: self._on_timeout(...)`` closures, so ``AbcModel`` opts out of
-snapshots (``snapshot() -> None``) and the engine replays the choice
-prefix from ``reset()`` instead.
+State restore: each model holds all mutable state in one container,
+and a snapshot is a pickle of it.  Callbacks in that state are callable
+objects, bound methods or module-level functions: pickle stores a bound
+method by its object and name and refuses a closure, which a deep copy
+would have left pointing at the *original* state.  ``AtomicBroadcast``
+returns its sends, timers and deliveries as data
+(:mod:`repro.broadcast.effects`) and ``AbcModel`` keeps its armed timers
+as ``(replica, timer id)`` keys, so both models snapshot.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import pickle
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.broadcast.aba import BinaryAgreement
 from repro.broadcast.abc import AtomicBroadcast, derive_request_id
+from repro.broadcast.effects import CancelTimer, Effect, Send, SetTimer
 from repro.broadcast.messages import (
     AbaAux,
     AbaDecided,
@@ -95,20 +96,6 @@ class DecisionLog:
 
     def get(self, sid: str) -> Optional[int]:
         return self.decisions.get(sid)
-
-
-class AbcDeliveryLog:
-    """Per-replica atomic-broadcast delivery recorder.
-
-    Keeps payloads so integrity (rid == hash of payload) is checkable;
-    order checking uses the replica's own ``delivered_log``.
-    """
-
-    def __init__(self) -> None:
-        self.order: List[Tuple[str, bytes]] = []
-
-    def __call__(self, rid: str, payload: bytes) -> None:
-        self.order.append((rid, payload))
 
 
 # --------------------------------------------------------------------------
@@ -383,12 +370,12 @@ class BaseMessageModel:
         return None  # timer-free protocols override
 
     def snapshot(self) -> Optional[object]:
-        return copy.deepcopy(self.state)
+        # A pickle is a deep copy that is cheaper to take than
+        # copy.deepcopy and, being bytes, restores any number of times.
+        return pickle.dumps(self.state, pickle.HIGHEST_PROTOCOL)
 
     def restore(self, snap: object) -> None:
-        # Copy again: one snapshot may be restored many times and the
-        # restored run mutates the state in place.
-        self.state = copy.deepcopy(snap)
+        self.state = pickle.loads(snap)  # type: ignore[arg-type]
 
     def check_now(self) -> List[str]:
         return []
@@ -635,26 +622,14 @@ class AbaModel(BaseMessageModel):
 # --------------------------------------------------------------------------
 
 
-class _SendHook:
-    """Per-replica ``send`` effect: enqueue into the model frontier with
-    the step index currently being executed."""
-
-    def __init__(self, model: "AbcModel", me: int) -> None:
-        self.model = model
-        self.me = me
-
-    def __call__(self, dest: int, msg: object) -> None:
-        if dest in self.model.honest:
-            self.model.state.frontier.push(
-                self.me, dest, msg, sent_by=self.model._current_index
-            )
-
-
 class _AbcState(_ModelState):
     def __init__(self) -> None:
         super().__init__()
-        self.rail = TimerRail()
-        self.logs: Dict[int, AbcDeliveryLog] = {}
+        self.rail = TimerRail()  # keyed by (replica, timer id)
+        # Per replica: (rid, payload) as delivered, so integrity (rid ==
+        # hash of payload) is checkable; order checking uses the
+        # replica's own ``delivered_log``.
+        self.delivered: Dict[int, List[Tuple[str, bytes]]] = {}
         self.replicas: Dict[int, AtomicBroadcast] = {}
         self.timer_fires = 0
 
@@ -662,12 +637,11 @@ class _AbcState(_ModelState):
 class AbcModel(BaseMessageModel):
     """The full optimistic atomic broadcast under exploration.
 
-    ``AtomicBroadcast`` arms timers over closures, which deep-copy
-    incorrectly (the copy's timers would still poke the original
-    replica), so this model opts out of snapshots: ``snapshot()``
-    returns None and the engine replays the schedule prefix instead.
-    Timer callbacks fire only at quiescent states, earliest-armed first,
-    capped so a complaint loop cannot run away.
+    Each replica's effects are applied in order: sends enter the
+    frontier stamped with the step that produced them, timers go on the
+    rail, deliveries into ``delivered``.  Timers fire only at quiescent
+    states, earliest-armed first, capped so a complaint loop cannot run
+    away.
     """
 
     sids_isolated = False
@@ -678,7 +652,6 @@ class AbcModel(BaseMessageModel):
         n: int,
         t: int,
         *,
-        dissemination: str = "digest",
         byz: Optional[int] = None,
         strategy: Optional[ByzStrategy] = None,
         payloads: Sequence[bytes] = (b"req-a", b"req-b"),
@@ -690,7 +663,6 @@ class AbcModel(BaseMessageModel):
         super().__init__()
         self.n = n
         self.t = t
-        self.dissemination = dissemination
         self.byz = byz
         self.strategy = strategy or ByzStrategy("silent")
         self.payloads = list(payloads)
@@ -700,9 +672,8 @@ class AbcModel(BaseMessageModel):
         self.timer_cap = timer_cap if timer_cap is not None else 6 * n
         self.abc_cls = abc_cls
         self.rids = [derive_request_id(p) for p in self.payloads]
-        self._current_index = -1
         if abc_cls is AtomicBroadcast:
-            self._oracle = oracle_for("repro.broadcast.abc:AtomicBroadcast")
+            self._oracle = oracle_for("repro.broadcast.abc:AtomicBroadcast", "_dispatch")
         # ABA and PayloadRecovery state: reached through attributes.
         self._footprint_extra = frozenset({"aba", "delivered_log", "_chains", "_served"})
 
@@ -713,10 +684,9 @@ class AbcModel(BaseMessageModel):
     def _build_state(self) -> _AbcState:
         state = _AbcState()
         self.state = state
-        self._current_index = -1
         publics = [StubKey(i) for i in range(self.n)]
         for i in self.honest:
-            state.logs[i] = AbcDeliveryLog()
+            state.delivered[i] = []
             abc = self.abc_cls(
                 self.n,
                 self.t,
@@ -724,38 +694,34 @@ class AbcModel(BaseMessageModel):
                 auth_key=publics[i],
                 auth_public=publics,
                 coin_key=StubCoinKey(self.t),
-                deliver=state.logs[i],
-                send=_SendHook(self, i),
-                schedule=state.rail.arm,
                 timeout=self.timeout,
                 crypto=StubAuthPlane(i, publics),
-                dissemination=self.dissemination,
             )
             install_stub_coin(abc.aba, self.t, i)
             state.replicas[i] = abc
         for payload in self.payloads:
-            state.replicas[self.gateway].a_broadcast(payload)
+            self._apply(self.gateway, state.replicas[self.gateway].a_broadcast(payload), -1)
         if self.byz is not None:
             self._enqueue_strategy(self.strategy, self.byz)
         return state
 
-    def snapshot(self) -> Optional[object]:
-        return None  # replay-based restore; see class docstring
-
-    def restore(self, snap: object) -> None:  # pragma: no cover - unused
-        raise RuntimeError("AbcModel restores by replay, not snapshot")
+    def _apply(self, me: int, effects: List[Effect], index: int) -> None:
+        """Replica ``me``'s effects, in order; sends to the Byzantine
+        replica are absorbed."""
+        state: _AbcState = self.state  # type: ignore[assignment]
+        for effect in effects:
+            if isinstance(effect, Send):
+                if effect.dest in self.honest:
+                    state.frontier.push(me, effect.dest, effect.msg, sent_by=index)
+            elif isinstance(effect, SetTimer):
+                state.rail.arm((me, effect.timer_id), effect.delay)
+            elif isinstance(effect, CancelTimer):
+                state.rail.cancel((me, effect.timer_id))
+            else:
+                state.delivered[me].append((effect.request_id, effect.payload))
 
     def _handle(self, src: int, dest: int, payload: object, index: int) -> None:
-        self._current_index = index
-        try:
-            self.state.replicas[dest].on_message(src, payload)
-        finally:
-            self._current_index = -1
-
-    def _loopback(self, me: int, msg: object) -> List[Outgoing]:
-        # AtomicBroadcast self-routes internally; nothing reaches here.
-        self.state.replicas[me].on_message(me, msg)
-        return []
+        self._apply(dest, self.state.replicas[dest].on_message(src, payload), index)  # type: ignore[attr-defined]
 
     def fire_next_timer(self, index: int) -> Optional[StepMeta]:
         state: _AbcState = self.state  # type: ignore[assignment]
@@ -765,11 +731,8 @@ class AbcModel(BaseMessageModel):
         if timer is None:
             return None
         state.timer_fires += 1
-        self._current_index = index
-        try:
-            timer.callback()  # type: ignore[operator]
-        finally:
-            self._current_index = -1
+        me, timer_id = timer.key  # type: ignore[misc]
+        self._apply(me, state.replicas[me].on_timer(timer_id), index)
         return StepMeta(
             choice=("timer", timer.seq),
             dest=-1,
@@ -809,7 +772,7 @@ class AbcModel(BaseMessageModel):
         state: _AbcState = self.state  # type: ignore[assignment]
         problems = check_total_order(self._logs())
         for i in self.honest:
-            for rid, payload in state.logs[i].order:
+            for rid, payload in state.delivered[i]:
                 if derive_request_id(payload) != rid:
                     problems.append(
                         f"integrity violated: replica {i} delivered payload"

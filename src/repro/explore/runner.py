@@ -363,24 +363,21 @@ def _aba_specs(n: int, t: int) -> List[StrategySpec]:
     return specs
 
 
-def _abc_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
+def _abc_specs(n: int, t: int) -> List[StrategySpec]:
     payloads = (b"req-a",)
     byz = 0  # replica 0 is the initial leader: the interesting corruption
     honest = [i for i in range(n) if i != byz]
     specs = [
         StrategySpec(
             "honest",
-            lambda: AbcModel(n, t, dissemination=mode, payloads=payloads),
+            lambda: AbcModel(n, t, payloads=payloads),
         ),
         # Three requests: the second and third reach the leader while the
         # first one's slot is in flight, so the schedules cover the held
         # backlog and its batch frame (one request alone never holds).
         StrategySpec(
             "honest-backlog",
-            lambda: AbcModel(
-                n, t, dissemination=mode,
-                payloads=(b"req-a", b"req-b", b"req-c"),
-            ),
+            lambda: AbcModel(n, t, payloads=(b"req-a", b"req-b", b"req-c")),
         ),
     ]
     for strat in abc_strategies(n, t, byz, honest, [b"req-a", b"req-b"]):
@@ -388,8 +385,7 @@ def _abc_specs(n: int, t: int, mode: str) -> List[StrategySpec]:
             StrategySpec(
                 f"leader-{strat.name}",
                 lambda s=strat: AbcModel(
-                    n, t, dissemination=mode, byz=byz, strategy=s,
-                    payloads=payloads,
+                    n, t, byz=byz, strategy=s, payloads=payloads
                 ),
             )
         )
@@ -405,30 +401,20 @@ def _e2e_specs(n: int, t: int) -> List[StrategySpec]:
     ]
 
 
-def strategy_specs(
-    protocol: str, mode: str, n: int, t: int
-) -> List[StrategySpec]:
-    """All Byzantine/fault strategies explored for ``protocol`` at (n, t).
-
-    ``mode`` (``full`` or ``digest``) picks the ABC model's dissemination;
-    the deployment always runs digest, so no other protocol takes one.
-    """
-    if mode and protocol != "abc":
-        raise ValueError(f"a dissemination mode applies to abc only, not {protocol}")
+def strategy_specs(protocol: str, n: int, t: int) -> List[StrategySpec]:
+    """All Byzantine/fault strategies explored for ``protocol`` at (n, t)."""
     if protocol == "aba":
         return _aba_specs(n, t)
     if protocol == "abc":
-        return _abc_specs(n, t, mode or "digest")
+        return _abc_specs(n, t)
     if protocol == "e2e":
         return _e2e_specs(n, t)
     raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
 
 
-def build_model(
-    protocol: str, mode: str, n: int, t: int, strategy: str
-) -> Any:
+def build_model(protocol: str, n: int, t: int, strategy: str) -> Any:
     """Rebuild the exact model a schedule file was recorded against."""
-    for spec in strategy_specs(protocol, mode, n, t):
+    for spec in strategy_specs(protocol, n, t):
         if spec.name == strategy:
             return spec.factory()
     raise ValueError(
@@ -455,7 +441,6 @@ class ExploreReport:
     """Aggregated exploration outcome for one protocol configuration."""
 
     protocol: str
-    mode: str
     cluster: Tuple[int, int]
     runs: List[StrategyRun] = field(default_factory=list)
     counterexamples: List[ScheduleFile] = field(default_factory=list)
@@ -499,7 +484,7 @@ class ExploreReport:
                     col=0,
                     message=(
                         f"invariant violated under systematic exploration of "
-                        f"{self.protocol}/{self.mode or 'default'} at "
+                        f"{self.protocol} at "
                         f"(n={self.cluster[0]}, t={self.cluster[1]}), "
                         f"strategy {sf.strategy or 'honest'}: {detail} "
                         f"[minimized schedule: {len(sf.schedule)} steps]"
@@ -511,7 +496,6 @@ class ExploreReport:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "protocol": self.protocol,
-            "mode": self.mode,
             "cluster": list(self.cluster),
             "schedules": self.schedules,
             "naive_lower_bound": self.naive_lower_bound,
@@ -546,7 +530,7 @@ class ExploreReport:
 
     def summary_lines(self) -> List[str]:
         lines = [
-            f"explore {self.protocol}/{self.mode or 'default'} "
+            f"explore {self.protocol} "
             f"(n={self.cluster[0]}, t={self.cluster[1]}): "
             f"{self.schedules} schedules, "
             f"{'complete' if self.complete else 'budget-bounded'}, "
@@ -579,13 +563,11 @@ def _package_violation(
     model: Any,
     violation: Violation,
     protocol: str,
-    mode: str,
     cluster: Tuple[int, int],
 ) -> ScheduleFile:
     schedule, messages, fingerprint, digest = minimize_violation(model, violation)
     return ScheduleFile(
         protocol=protocol,
-        mode=mode,
         cluster=cluster,
         strategy=violation.strategy,
         schedule=list(schedule),
@@ -599,7 +581,6 @@ def _package_violation(
 def explore_protocol(
     protocol: str,
     *,
-    mode: str = "",
     n: int = 4,
     t: int = 1,
     strategies: Optional[Sequence[str]] = None,
@@ -620,7 +601,7 @@ def explore_protocol(
     """
     if protocol == "e2e" and bound is None:
         raise ValueError("e2e exploration must be delay-bounded (pass bound=...)")
-    specs = strategy_specs(protocol, mode, n, t)
+    specs = strategy_specs(protocol, n, t)
     if strategies is not None:
         wanted = set(strategies)
         unknown = wanted - {s.name for s in specs}
@@ -630,7 +611,7 @@ def explore_protocol(
                 f"available: {[s.name for s in specs]}"
             )
         specs = [s for s in specs if s.name in wanted]
-    report = ExploreReport(protocol=protocol, mode=mode, cluster=(n, t))
+    report = ExploreReport(protocol=protocol, cluster=(n, t))
     for spec in specs:
         model = spec.factory()
         engine = DporEngine(
@@ -653,7 +634,7 @@ def explore_protocol(
             for violation in result.violations[:max_counterexamples]:
                 report.counterexamples.append(
                     _package_violation(
-                        spec.factory(), violation, protocol, mode, (n, t)
+                        spec.factory(), violation, protocol, (n, t)
                     )
                 )
         else:
@@ -661,7 +642,6 @@ def explore_protocol(
                 report.counterexamples.append(
                     ScheduleFile(
                         protocol=protocol,
-                        mode=mode,
                         cluster=(n, t),
                         strategy=violation.strategy,
                         schedule=list(violation.schedule),
@@ -698,7 +678,7 @@ def replay_file(source: "ScheduleFile | Path | str") -> ReplayOutcome:
         else load_schedule(Path(source))
     )
     n, t = sf.cluster
-    model = build_model(sf.protocol, sf.mode, n, t, sf.strategy)
+    model = build_model(sf.protocol, n, t, sf.strategy)
     problems, fingerprint, labels = replay_schedule(
         model, list(sf.schedule), complete=True
     )

@@ -45,7 +45,6 @@ class ScheduleFile:
     """One replayable counterexample (or witness) schedule."""
 
     protocol: str  # aba | abc | e2e | task
-    mode: str  # abc dissemination mode, "" where not applicable
     cluster: Tuple[int, int]  # (n, t)
     strategy: str  # Byzantine strategy name ("" = no corruption)
     schedule: List[Choice]
@@ -69,6 +68,7 @@ class ScheduleFile:
             raise ValueError(
                 f"unsupported schedule file version {data.get('version')!r}"
             )
+        data.pop("mode", None)  # files written while ABC had two modes
         data["cluster"] = tuple(data["cluster"])
         data["schedule"] = [_decode_choice(c) for c in data["schedule"]]
         return cls(**data)

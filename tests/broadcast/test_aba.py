@@ -4,7 +4,7 @@ import pytest
 
 from repro.broadcast.aba import BinaryAgreement
 
-from tests.broadcast.harness import OutgoingRouter, coin_keys, make_lan
+from tests.broadcast.harness import coin_keys, drive, make_lan
 
 
 @pytest.fixture(scope="module")
@@ -15,45 +15,38 @@ def shares_4_1():
 def build(n, t, net, shares):
     decisions = {i: {} for i in range(n)}
     abas = []
-    routers = []
+    drivers = []
     for i in range(n):
-        router = OutgoingRouter(net, i, n)
         aba = BinaryAgreement(
             n, t, i, shares[i],
             on_decide=lambda sid, v, i=i: decisions[i].__setitem__(sid, v),
         )
         abas.append(aba)
-        routers.append(router)
-
-        def handler(sender, msg, aba=aba, router=router):
-            router.send_all(aba.on_message(sender, msg))
-
-        router.loopback = handler
-        net.node(i).set_handler(handler)
-    return abas, routers, decisions
+        drivers.append(drive(net.node(i), aba))
+    return abas, drivers, decisions
 
 
-def propose_all(net, abas, routers, sid, values):
+def propose_all(net, abas, drivers, sid, values):
     for i, value in enumerate(values):
         if value is None:
             continue
-        routers[i].send_all(abas[i].propose(sid, value))
+        drivers[i].apply(abas[i].propose(sid, value))
 
 
 class TestAgreement:
     @pytest.mark.parametrize("value", [0, 1])
     def test_unanimous_decides_that_value(self, shares_4_1, value):
         net = make_lan(4)
-        abas, routers, decisions = build(4, 1, net, shares_4_1)
-        propose_all(net, abas, routers, "s", [value] * 4)
+        abas, drivers, decisions = build(4, 1, net, shares_4_1)
+        propose_all(net, abas, drivers, "s", [value] * 4)
         net.run(until=60)
         for i in range(4):
             assert decisions[i].get("s") == value, f"replica {i}"
 
     def test_mixed_proposals_agree(self, shares_4_1):
         net = make_lan(4)
-        abas, routers, decisions = build(4, 1, net, shares_4_1)
-        propose_all(net, abas, routers, "s", [0, 1, 0, 1])
+        abas, drivers, decisions = build(4, 1, net, shares_4_1)
+        propose_all(net, abas, drivers, "s", [0, 1, 0, 1])
         net.run(until=120)
         values = {decisions[i].get("s") for i in range(4)}
         assert len(values) == 1
@@ -61,18 +54,18 @@ class TestAgreement:
 
     def test_crashed_minority_does_not_block(self, shares_4_1):
         net = make_lan(4)
-        abas, routers, decisions = build(4, 1, net, shares_4_1)
+        abas, drivers, decisions = build(4, 1, net, shares_4_1)
         net.node(3).dropped = True
-        propose_all(net, abas, routers, "s", [1, 1, 1, None])
+        propose_all(net, abas, drivers, "s", [1, 1, 1, None])
         net.run(until=120)
         for i in range(3):
             assert decisions[i].get("s") == 1
 
     def test_multiple_instances_independent(self, shares_4_1):
         net = make_lan(4)
-        abas, routers, decisions = build(4, 1, net, shares_4_1)
-        propose_all(net, abas, routers, "x", [1, 1, 1, 1])
-        propose_all(net, abas, routers, "y", [0, 0, 0, 0])
+        abas, drivers, decisions = build(4, 1, net, shares_4_1)
+        propose_all(net, abas, drivers, "x", [1, 1, 1, 1])
+        propose_all(net, abas, drivers, "y", [0, 0, 0, 0])
         net.run(until=120)
         for i in range(4):
             assert decisions[i]["x"] == 1
@@ -82,15 +75,15 @@ class TestAgreement:
         """Decision must be a proposed value: all-0 can never yield 1."""
         for seed in range(3):
             net = make_lan(4, seed=seed)
-            abas, routers, decisions = build(4, 1, net, shares_4_1)
-            propose_all(net, abas, routers, "s", [0, 0, 0, 0])
+            abas, drivers, decisions = build(4, 1, net, shares_4_1)
+            propose_all(net, abas, drivers, "s", [0, 0, 0, 0])
             net.run(until=120)
             assert all(decisions[i].get("s") == 0 for i in range(4))
 
     def test_decision_exposed_via_accessor(self, shares_4_1):
         net = make_lan(4)
-        abas, routers, decisions = build(4, 1, net, shares_4_1)
-        propose_all(net, abas, routers, "s", [1, 1, 1, 1])
+        abas, drivers, decisions = build(4, 1, net, shares_4_1)
+        propose_all(net, abas, drivers, "s", [1, 1, 1, 1])
         net.run(until=60)
         assert abas[0].decision("s") == 1
         assert abas[0].decision("other") is None
@@ -98,10 +91,10 @@ class TestAgreement:
     def test_seven_replicas_two_crashes(self):
         shares = coin_keys(7, 2)
         net = make_lan(7)
-        abas, routers, decisions = build(7, 2, net, shares)
+        abas, drivers, decisions = build(7, 2, net, shares)
         net.node(5).dropped = True
         net.node(6).dropped = True
-        propose_all(net, abas, routers, "s", [1, 0, 1, 0, 1, None, None])
+        propose_all(net, abas, drivers, "s", [1, 0, 1, 0, 1, None, None])
         net.run(until=240)
         values = {decisions[i].get("s") for i in range(5)}
         assert len(values) == 1 and values.pop() in (0, 1)

@@ -12,7 +12,7 @@ from repro.broadcast.abc import (
 )
 from repro.broadcast.messages import AbcCommit, AbcOrder, AbcPrepare
 
-from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan, unwrap
+from tests.broadcast.harness import auth_keys, coin_keys, drive, make_lan, unwrap
 
 
 @pytest.fixture(scope="module")
@@ -41,27 +41,25 @@ def build(n, t, net, keys, timeout=1.0):
     delivered = {i: [] for i in range(n)}
     abcs = []
     for i in range(n):
-        node = net.node(i)
         abc = AtomicBroadcast(
             n, t, i,
             auth_key=pairs[i].private,
             auth_public=pubs,
             coin_key=coins[i],
-            deliver=lambda rid, payload, i=i: delivered[i].extend(unwrap([payload])),
-            send=node.send,
-            schedule=node.schedule_timer,
             timeout=timeout,
         )
         abcs.append(abc)
-        node.set_handler(lambda s, m, abc=abc: abc.on_message(s, m))
+        driven = drive(net.node(i), abc)
+        driven.deliver = lambda payload, i=i: delivered[i].extend(unwrap([payload]))
     return abcs, delivered
 
 
 def inject(net, abcs, replica, payloads, spacing=0.001):
+    """Submit ``payloads`` at ``replica`` through its driver (the node's
+    handler, see ``drive``)."""
+    driven = net.node(replica).handler
     for k, payload in enumerate(payloads):
-        net.node(replica).run_local(
-            spacing * k, lambda p=payload: abcs[replica].a_broadcast(p)
-        )
+        net.node(replica).run_local(spacing * k, lambda p=payload: driven.submit(p))
 
 
 class TestFastPath:
@@ -195,19 +193,21 @@ def slot_state_sizes(abc):
 
 
 def build_solo(keys, me=1, n=4, t=1):
-    """One replica with its outgoing messages captured instead of sent."""
+    """One replica and its node-less driver: ``solo.sent`` collects the
+    (dest, msg) sends, ``solo.delivered`` the payloads, and no timer
+    fires."""
     pairs, pubs, coins = keys
-    sent, delivered = [], []
     abc = AtomicBroadcast(
         n, t, me,
         auth_key=pairs[me].private,
         auth_public=pubs,
         coin_key=coins[me],
-        deliver=lambda rid, payload: delivered.append(payload),
-        send=lambda dest, msg: sent.append(msg),
-        schedule=ManualTimers(),
     )
-    return abc, sent, delivered
+    return abc, drive(None, abc)
+
+
+def sent_messages(solo):
+    return [msg for _dest, msg in solo.sent]
 
 
 def signed_prepare(keys, signer, epoch, seq, digest):
@@ -222,14 +222,14 @@ class TestSlotRetirement:
     """Per-slot state lives from ORDER to (delivery and own COMMIT)."""
 
     def test_retired_slot_is_never_prepared_again(self, keys_4_1):
-        abc, sent, delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         payload = b"first"
         digest = request_digest(0, 0, payload)
-        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         for peer in (0, 2):
-            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
-            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
-        assert delivered == [payload]
+            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+            solo.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert solo.delivered == [payload]
         assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
         assert abc._certificates[0].payload == payload
         # The leader equivocates after the fact: a second ORDER for the
@@ -237,95 +237,95 @@ class TestSlotRetirement:
         crypto_calls = []
         abc.crypto.sign = lambda data: crypto_calls.append("sign") or b""
         abc.crypto.verify = lambda *a: crypto_calls.append("verify") or True
-        del sent[:]
+        del solo.sent[:]
         other = b"second"
-        abc.on_message(0, AbcOrder(0, 0, derive_request_id(other), other))
-        abc.on_message(
+        solo.on_message(0, AbcOrder(0, 0, derive_request_id(other), other))
+        solo.on_message(
             3, signed_prepare(keys_4_1, 3, 0, 0, request_digest(0, 0, other))
         )
-        assert sent == [] and crypto_calls == []
+        assert solo.sent == [] and crypto_calls == []
         assert abc.stats["retired_slot_msgs"] == 2
         assert not any(slot_state_sizes(abc).values())
-        assert delivered == [payload]
+        assert solo.delivered == [payload]
 
     def test_own_prepare_is_not_verified(self, keys_4_1):
-        abc, sent, _ = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         verified = []
         real_verify = abc.crypto.verify
         abc.crypto.verify = lambda signer, *a: verified.append(signer) or real_verify(signer, *a)
         payload = b"p"
-        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
-        abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, request_digest(0, 0, payload)))
+        solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, request_digest(0, 0, payload)))
         assert verified == [2]
         assert set(abc._prepares[(0, 0, request_digest(0, 0, payload))]) == {1, 2}
 
     def test_prepare_after_own_commit_is_not_verified(self, keys_4_1):
-        abc, sent, delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         payload = b"certified"
         digest = request_digest(0, 0, payload)
-        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         for peer in (0, 2):
-            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
-        assert (0, 0) in abc._commit_sent and delivered == []
+            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+        assert (0, 0) in abc._commit_sent and solo.delivered == []
         # The certificate is formed and COMMIT is out; the fourth PREPARE
         # is shed before its RSA check and the slot completes as before.
         verified = []
         abc.crypto.verify = lambda signer, *a: verified.append(signer) or True
-        abc.on_message(3, signed_prepare(keys_4_1, 3, 0, 0, digest))
+        solo.on_message(3, signed_prepare(keys_4_1, 3, 0, 0, digest))
         assert verified == [] and abc.stats["surplus_prepares"] == 1
         assert set(abc._prepares[(0, 0, digest)]) == {0, 1, 2}
         for peer in (0, 2):
-            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
-        assert delivered == [payload] and abc._retired_below == 1
+            solo.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert solo.delivered == [payload] and abc._retired_below == 1
 
     def test_delivered_without_own_commit_keeps_votes_until_certificate(self, keys_4_1):
-        abc, sent, delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         payload = b"slow prepares"
         digest = request_digest(0, 0, payload)
-        abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+        solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         for peer in (0, 2, 3):  # 2t+1 foreign COMMITs, only our own PREPARE
-            abc.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
-        assert delivered == [payload]
-        assert not any(isinstance(m, AbcCommit) for m in sent)
+            solo.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
+        assert solo.delivered == [payload]
+        assert not any(isinstance(m, AbcCommit) for m in sent_messages(solo))
         assert (0, 0) in abc._ordered and abc._retired_below == 0
         assert 0 not in abc._certificates
         # The late PREPAREs complete the certificate: COMMIT goes out (the
         # others may be waiting for it) and only then does the slot retire.
         for peer in (0, 2):
-            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
-        commits = [m for m in sent if isinstance(m, AbcCommit)]
+            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+        commits = [m for m in sent_messages(solo) if isinstance(m, AbcCommit)]
         assert len(commits) == abc.n - 1 and commits[0].digest == digest
         assert len(abc._certificates[0].signatures) == abc.n - abc.t
         assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
-        assert delivered == [payload]
+        assert solo.delivered == [payload]
 
     def test_out_of_order_retirement_compacts_into_watermark(self, keys_4_1):
-        abc, sent, delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         payloads = [b"zero", b"one"]
         digests = [request_digest(0, seq, p) for seq, p in enumerate(payloads)]
         for seq, p in enumerate(payloads):
-            abc.on_message(0, AbcOrder(0, seq, derive_request_id(p), p))
+            solo.on_message(0, AbcOrder(0, seq, derive_request_id(p), p))
         for peer in (0, 2, 3):
-            abc.on_message(peer, AbcCommit(0, 0, digests[0], peer, b""))
+            solo.on_message(peer, AbcCommit(0, 0, digests[0], peer, b""))
         for peer in (0, 2):
-            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 1, digests[1]))
-            abc.on_message(peer, AbcCommit(0, 1, digests[1], peer, b""))
-        assert delivered == payloads
+            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 1, digests[1]))
+            solo.on_message(peer, AbcCommit(0, 1, digests[1], peer, b""))
+        assert solo.delivered == payloads
         assert abc._retired == {1} and abc._retired_below == 0  # slot 0 owes its COMMIT
         for peer in (0, 2):
-            abc.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digests[0]))
+            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digests[0]))
         assert abc._retired == set() and abc._retired_below == 2
 
     def test_stuck_slot_cannot_pin_the_watermark(self, keys_4_1, monkeypatch):
         monkeypatch.setattr(abc_mod, "MAX_SEQ_AHEAD", 2)
-        abc, sent, delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         for seq in range(4):
             payload = f"r{seq}".encode()
             digest = request_digest(0, seq, payload)
-            abc.on_message(0, AbcOrder(0, seq, derive_request_id(payload), payload))
+            solo.on_message(0, AbcOrder(0, seq, derive_request_id(payload), payload))
             for peer in (0, 2, 3):  # a certificate never forms here
-                abc.on_message(peer, AbcCommit(0, seq, digest, peer, b""))
-        assert len(delivered) == 4
+                solo.on_message(peer, AbcCommit(0, seq, digest, peer, b""))
+        assert len(solo.delivered) == 4
         assert abc.next_deliver - abc._retired_below == 2
         assert len(abc._ordered) == 2 and abc.stats["out_of_window"] == 2
 

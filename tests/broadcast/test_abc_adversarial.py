@@ -83,8 +83,8 @@ class TestCrashDuringEpochChange:
         inject(net, abcs, 1, [b"early0", b"early1"])
         # Crash the leader shortly after the first batch.
         net.sim.schedule(0.5, lambda: setattr(net.node(0), "dropped", True))  # noqa: B010
-        net.node(1).run_local(0.6, lambda: abcs[1].a_broadcast(b"late0"))
-        net.node(2).run_local(0.7, lambda: abcs[2].a_broadcast(b"late1"))
+        net.node(1).run_local(0.6, lambda: net.node(1).handler.submit(b"late0"))
+        net.node(2).run_local(0.7, lambda: net.node(2).handler.submit(b"late1"))
         net.run(until=600)
         for i in (1, 2, 3):
             assert sorted(delivered[i]) == [b"early0", b"early1", b"late0", b"late1"]

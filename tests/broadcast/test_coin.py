@@ -6,25 +6,21 @@ from repro.broadcast.coin import CommonCoin
 from repro.broadcast.messages import CoinShare
 from repro.crypto.shoup import SignatureShare
 
-from tests.broadcast.harness import OutgoingRouter, coin_keys, make_lan
+from tests.broadcast.harness import coin_keys, drive, make_lan
 
 
 def build(n, t, net, shares):
+    """The coins and what each observed; a coin's driver is its node's
+    handler (``drive``)."""
     values = {i: {} for i in range(n)}
     coins = []
     for i in range(n):
-        router = OutgoingRouter(net, i, n)
         coin = CommonCoin(
             shares[i], i,
             on_value=lambda sid, r, v, i=i: values[i].__setitem__((sid, r), v),
         )
         coins.append(coin)
-
-        def handler(sender, msg, coin=coin, router=router):
-            router.send_all(coin.on_message(sender, msg))
-
-        router.loopback = handler
-        net.node(i).set_handler(handler)
+        drive(net.node(i), coin)
     return coins, values
 
 
@@ -38,8 +34,7 @@ class TestCoin:
         net = make_lan(4)
         coins, values = build(4, 1, net, shares_4_1)
         for i in range(4):
-            router = OutgoingRouter(net, i, 4)
-            router.send_all(coins[i].request("sid", 0))
+            net.node(i).handler.apply(coins[i].request("sid", 0))
         net.run()
         observed = {values[i][("sid", 0)] for i in range(4)}
         assert len(observed) == 1
@@ -50,7 +45,7 @@ class TestCoin:
         coins, values = build(4, 1, net, shares_4_1)
         for round_ in range(8):
             for i in range(4):
-                OutgoingRouter(net, i, 4).send_all(coins[i].request("s", round_))
+                net.node(i).handler.apply(coins[i].request("s", round_))
         net.run()
         bits = [values[0][("s", r)] for r in range(8)]
         # Eight coins should not all collapse to a constant (p = 2^-7 each way).
@@ -60,7 +55,7 @@ class TestCoin:
         net = make_lan(4)
         coins, values = build(4, 1, net, shares_4_1)
         # Only node 0 reveals; t+1 = 2 shares are needed.
-        OutgoingRouter(net, 0, 4).send_all(coins[0].request("sid", 0))
+        net.node(0).handler.apply(coins[0].request("sid", 0))
         net.run()
         assert ("sid", 0) not in values[1]
         assert coins[1].value("sid", 0) is None
@@ -68,7 +63,7 @@ class TestCoin:
     def test_invalid_share_rejected(self, shares_4_1):
         net = make_lan(4)
         coins, values = build(4, 1, net, shares_4_1)
-        OutgoingRouter(net, 1, 4).send_all(coins[1].request("sid", 0))
+        net.node(1).handler.apply(coins[1].request("sid", 0))
         # Node 0 sends a garbage share claiming index 1 (its own).
         garbage = SignatureShare(index=1, value=12345)
         net.node(0).send(1, CoinShare("sid", 0, garbage))
@@ -79,7 +74,7 @@ class TestCoin:
     def test_share_from_wrong_sender_rejected(self, shares_4_1):
         net = make_lan(4)
         coins, values = build(4, 1, net, shares_4_1)
-        OutgoingRouter(net, 1, 4).send_all(coins[1].request("sid", 0))
+        net.node(1).handler.apply(coins[1].request("sid", 0))
         # Node 0 replays node 3's hypothetical share index — not its own.
         msg = b"coin/sid/0"
         stolen = shares_4_1[2].generate_share_with_proof(msg)  # index 3

@@ -15,7 +15,7 @@ from repro.broadcast.abc import MAX_EPOCH_AHEAD, derive_request_id, request_dige
 from repro.broadcast.messages import AbcCommit, AbcComplain, AbcOrder, AbcPrepare
 
 from tests.broadcast.harness import auth_keys, coin_keys, make_lan
-from tests.broadcast.test_abc import build, build_solo, inject, signed_prepare
+from tests.broadcast.test_abc import build, build_solo, inject, sent_messages, signed_prepare
 
 
 @pytest.fixture(scope="module")
@@ -131,31 +131,31 @@ class TestAbcOrderPrepareFlood:
     """
 
     def test_order_equivocation_ignored(self, keys_4_1):
-        abc, sent, _delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         for i in range(50):
             payload = b"payload-%d" % i
-            abc.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
+            solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         assert len(abc._ordered) == 1
         assert abc._prepared_digest[(0, 0)] == request_digest(0, 0, b"payload-0")
         # One PREPARE, sent to each of the three peers.
-        assert sum(isinstance(m, AbcPrepare) for m in sent) == 3
+        assert sum(isinstance(m, AbcPrepare) for m in sent_messages(solo)) == 3
 
     def test_prepare_equivocation_ignored(self, keys_4_1):
-        abc, _sent, _delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         for i in range(50):
-            abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([i]) * 32))
-        abc.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([0]) * 32))  # a repeat
+            solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([i]) * 32))
+        solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([0]) * 32))  # a repeat
         assert abc._slot_digests[(0, 0)] == {bytes([0]) * 32}
         assert [key for key in abc._prepares if key[:2] == (0, 0)] == [(0, 0, bytes([0]) * 32)]
         assert list(abc._prepares[(0, 0, bytes([0]) * 32)]) == [2]
 
     def test_tracked_state_bounded_by_n(self, keys_4_1):
-        abc, _sent, _delivered = build_solo(keys_4_1)
+        abc, solo = build_solo(keys_4_1)
         for sender in (0, 2, 3):
             for i in range(3):
                 digest = bytes([10 * sender + i]) * 32
-                abc.on_message(sender, signed_prepare(keys_4_1, sender, 0, 0, digest))
-                abc.on_message(sender, AbcCommit(0, 0, digest, sender, b""))
+                solo.on_message(sender, signed_prepare(keys_4_1, sender, 0, 0, digest))
+                solo.on_message(sender, AbcCommit(0, 0, digest, sender, b""))
         assert len(abc._slot_digests[(0, 0)]) <= abc.n
         assert len([k for k in abc._prepares if k[:2] == (0, 0)]) <= abc.n
         assert len([k for k in abc._commits if k[:2] == (0, 0)]) <= abc.n

@@ -19,7 +19,7 @@ from repro.broadcast.abc import (
 )
 from repro.broadcast.messages import AbcPrepare, PrepareCertificate
 
-from tests.broadcast.harness import auth_keys, coin_keys, make_lan
+from tests.broadcast.harness import auth_keys, coin_keys, drive, make_lan
 
 
 def build_one(n, t, me=0):
@@ -27,17 +27,14 @@ def build_one(n, t, me=0):
     pairs, pubs = auth_keys(n)
     coins = coin_keys(n, t)
     net = make_lan(n)
-    node = net.node(me)
     abc = AtomicBroadcast(
         n, t, me,
         auth_key=pairs[me].private,
         auth_public=pubs,
         coin_key=coins[me],
-        deliver=lambda rid, payload: None,
-        send=node.send,
-        schedule=node.schedule_timer,
         timeout=1.0,
     )
+    drive(net.node(me), abc)
     return abc, pairs, pubs
 
 

@@ -15,7 +15,7 @@ from repro.broadcast.abc import AtomicBroadcast, derive_request_id
 from repro.broadcast.messages import AbcOrder, encode_batch, is_batch_payload
 from repro.errors import ConfigError
 
-from tests.broadcast.harness import auth_keys, coin_keys, make_lan, unwrap
+from tests.broadcast.harness import auth_keys, coin_keys, drive, make_lan, unwrap
 
 
 @pytest.fixture(scope="module")
@@ -26,47 +26,37 @@ def keys_4_1():
 
 
 def build(n, t, net, keys, timeout=1.0, rebatch_max=1):
+    """The cores and their drivers' delivered payloads (frames as framed)."""
     pairs, pubs, coins = keys
-    delivered = {i: [] for i in range(n)}
-    abcs = []
-    for i in range(n):
-        node = net.node(i)
-        abc = AtomicBroadcast(
+    abcs = [
+        AtomicBroadcast(
             n, t, i,
             auth_key=pairs[i].private,
             auth_public=pubs,
             coin_key=coins[i],
-            deliver=lambda rid, payload, i=i: delivered[i].append(payload),
-            send=node.send,
-            schedule=node.schedule_timer,
             timeout=timeout,
             rebatch_max=rebatch_max,
         )
-        abcs.append(abc)
-        node.set_handler(lambda s, m, abc=abc: abc.on_message(s, m))
+        for i in range(n)
+    ]
+    delivered = {i: drive(net.node(i), abc).delivered for i, abc in enumerate(abcs)}
     return abcs, delivered
 
 
 def inject(net, abcs, replica, payloads, spacing=0.001):
+    driven = net.node(replica).handler
     for k, payload in enumerate(payloads):
-        net.node(replica).run_local(
-            spacing * k, lambda p=payload: abcs[replica].a_broadcast(p)
-        )
+        net.node(replica).run_local(spacing * k, lambda p=payload: driven.submit(p))
 
 
 def test_rebatch_max_is_validated(keys_4_1):
-    net = make_lan(4)
     pairs, pubs, coins = keys_4_1
-    node = net.node(0)
     with pytest.raises(ConfigError):
         AtomicBroadcast(
             4, 1, 0,
             auth_key=pairs[0].private,
             auth_public=pubs,
             coin_key=coins[0],
-            deliver=lambda rid, payload: None,
-            send=node.send,
-            schedule=node.schedule_timer,
             rebatch_max=0,
         )
 
@@ -144,9 +134,9 @@ class TestSelfClockedOrdering:
         backlog = [f"held{k}".encode() for k in range(5)]
         # The leader orders the first request at once; no message has
         # moved yet, so its slot is still in flight when the rest arrive.
-        abcs[0].a_broadcast(b"first")
+        net.node(0).handler.submit(b"first")
         for k, payload in enumerate(backlog):
-            abcs[k % 4].a_broadcast(payload)
+            net.node(k % 4).handler.submit(payload)
         net.run()
         frame = encode_batch(sorted(backlog, key=derive_request_id))
         for i in range(4):
@@ -170,7 +160,7 @@ class TestSelfClockedOrdering:
             net = make_lan(4)
             abcs, delivered = build(4, 1, net, keys_4_1, rebatch_max=rebatch_max)
             times = []
-            abcs[0]._deliver = lambda rid, payload: times.append(net.sim.now)
+            net.node(0).handler.deliver = lambda payload: times.append(net.sim.now)
             # Spaced far wider than a slot takes: never two in flight.
             inject(net, abcs, 2, payloads, spacing=1.0)
             net.run()
@@ -186,7 +176,7 @@ class TestSelfClockedOrdering:
         abcs, delivered = build(4, 1, net, keys_4_1)  # rebatch_max=1
         payloads = [f"solo{k}".encode() for k in range(4)]
         for payload in payloads:
-            abcs[0].a_broadcast(payload)
+            net.node(0).handler.submit(payload)
         assert abcs[0]._next_order_seq == 4  # all four ordered immediately
         net.run()
         for i in range(4):
@@ -214,12 +204,13 @@ class TestSelfClockedOrdering:
         abcs, delivered = build(4, 1, net, keys_4_1, rebatch_max=8)
         # A leader whose ORDERs never leave: its slot stays in flight, so
         # everything after it is held — in ``pending``, under the timer.
-        send = abcs[0]._send
-        abcs[0]._send = lambda dest, msg: (
+        leader = net.node(0).handler
+        send = leader.send
+        leader.send = lambda dest, msg: (
             None if isinstance(msg, AbcOrder) else send(dest, msg)
         )
         payloads = [b"stuck"] + [f"behind{k}".encode() for k in range(3)]
-        abcs[0].a_broadcast(payloads[0])
+        leader.submit(payloads[0])
         inject(net, abcs, 2, payloads[1:])
         net.run(until=300)
         for i in range(4):

@@ -28,7 +28,7 @@ from repro.broadcast.messages import (
 )
 from repro.broadcast.recovery import MAX_PULL_ROUNDS, MAX_PULL_SERVES
 
-from tests.broadcast.harness import ManualTimers, auth_keys, coin_keys, make_lan
+from tests.broadcast.harness import auth_keys, coin_keys, drive, make_lan
 
 #: Cluster size per test id, for the contract and for the caps cases.
 CONFIGS = {"abc-digest": (4, 1), "10-3": (10, 3)}
@@ -78,8 +78,8 @@ class Cluster:
         self.delivered = {}  # replica -> (time, payload)
         self.starve = starve
         self.forge = forge
-        self.replicas = [self._build(t, i, keys) for i in range(self.n)]
-        self.net.node(2).run_local(0.0, lambda: self.replicas[2].a_broadcast(PAYLOAD))
+        self.drivers = [self._build(t, i, keys) for i in range(self.n)]
+        self.net.node(2).run_local(0.0, lambda: self.drivers[2].submit(PAYLOAD))
         self.net.run(until=60)
 
     def _send(self, src, dest, msg):
@@ -96,11 +96,11 @@ class Cluster:
             auth_key=pairs[i].private,
             auth_public=pubs,
             coin_key=coins[i],
-            deliver=lambda rid, p: self._deliver(i, p),
-            send=lambda dest, msg: self._send(i, dest, msg),
-            schedule=self.net.node(i).schedule_timer,
             timeout=1.0,
         )
+        driven = drive(self.net.node(i), replica)
+        driven.send = lambda dest, msg: self._send(i, dest, msg)
+        driven.deliver = lambda payload: self._deliver(i, payload)
 
         def handler(sender, msg):
             if i == self.starved and self.starve and isinstance(msg, AbcInitiate):
@@ -108,10 +108,10 @@ class Cluster:
             if i == 0 and self.forge and isinstance(msg, PayloadPull):
                 self._send(0, sender, PayloadReply(msg.sid, msg.digest, b"forged"))
                 return
-            replica.on_message(sender, msg)
+            driven.on_message(sender, msg)
 
         self.net.node(i).set_handler(handler)
-        return replica
+        return driven
 
     def pulls(self, src=None, after=-1.0):
         return [
@@ -120,7 +120,7 @@ class Cluster:
         ]
 
     def stats(self, i):
-        return self.replicas[i].stats
+        return self.drivers[i].core.stats
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -162,21 +162,19 @@ class TestRecoveryContract:
 # -- caps and counters --------------------------------------------------------
 
 
-def _abc_awaiting(timers, sent, keys, size=(4, 1)):
-    """The last replica of ``size`` holding a digest ORDER from leader 0
-    for a request it never saw; every other replica is a pull candidate."""
+def _abc_awaiting(keys, size=(4, 1)):
+    """The node-less driver of the last replica of ``size``, holding a
+    digest ORDER from leader 0 for a request it never saw; every other
+    replica is a pull candidate."""
     n, t = size
     pairs, pubs, coins = keys
-    abc = AtomicBroadcast(
+    solo = drive(None, AtomicBroadcast(
         n, t, n - 1,
         auth_key=pairs[n - 1].private, auth_public=pubs, coin_key=coins[n - 1],
-        deliver=lambda rid, p: None,
-        send=lambda dest, msg: sent.append((dest, msg)),
-        schedule=timers,
-    )
+    ))
     rid = derive_request_id(PAYLOAD)
-    abc.on_message(0, AbcOrder(0, 0, rid, b""))
-    return abc, (rid, b""), n - 1
+    solo.on_message(0, AbcOrder(0, 0, rid, b""))
+    return solo, (rid, b""), n - 1
 
 
 def _holder(keys, size):
@@ -184,12 +182,10 @@ def _holder(keys, size):
     n, t = size
     pairs, pubs, coins = keys
     abc = AtomicBroadcast(
-        n, t, 0,
-        auth_key=pairs[0].private, auth_public=pubs, coin_key=coins[0],
-        deliver=lambda rid, p: None, send=lambda dest, msg: None,
-        schedule=ManualTimers(),
+        n, t, 0, auth_key=pairs[0].private, auth_public=pubs, coin_key=coins[0]
     )
-    return abc, (abc.a_broadcast(PAYLOAD), b"")
+    drive(None, abc).submit(PAYLOAD)
+    return abc, (derive_request_id(PAYLOAD), b"")
 
 
 @pytest.mark.parametrize("lane", sorted(LANES))
@@ -219,36 +215,34 @@ class TestRecoveryCaps:
         assert len(holder._recovery._served) == 1
 
     def test_unsolicited_and_forged_replies_counted(self, lane, lane_keys):
-        timers, sent = ManualTimers(), []
-        replica, key, _ = _abc_awaiting(timers, sent, lane_keys, LANES[lane])
-        replica.on_message(1, PayloadReply(key[0], key[1], b"forged"))
-        replica.on_message(1, PayloadReply("elsewhere", key[1], PAYLOAD))
-        assert replica.stats["pull_replies_rejected"] == 2
+        solo, key, _ = _abc_awaiting(lane_keys, LANES[lane])
+        solo.on_message(1, PayloadReply(key[0], key[1], b"forged"))
+        solo.on_message(1, PayloadReply("elsewhere", key[1], PAYLOAD))
+        assert solo.core.stats["pull_replies_rejected"] == 2
 
     def test_chain_ends_in_one_burst(self, lane, lane_keys):
-        timers, sent = ManualTimers(), []
-        replica, key, candidates = _abc_awaiting(timers, sent, lane_keys, LANES[lane])
-        assert sent == [] and len(timers.armed) == 1  # first pull waits
-        timers.fire_all()
-        pulls = [dest for dest, msg in sent if isinstance(msg, PayloadPull)]
+        solo, key, candidates = _abc_awaiting(lane_keys, LANES[lane])
+        assert solo.sent == [] and len(solo.timers) == 1  # first pull waits
+        solo.fire_timers()
+        pulls = [dest for dest, msg in solo.sent if isinstance(msg, PayloadPull)]
         singles = MAX_PULL_ROUNDS * candidates
         assert len(pulls) == singles + candidates
         assert sorted(pulls[singles:]) == sorted(set(pulls))  # the burst
-        assert replica.stats["pulls_sent"] == singles + candidates
-        assert replica.stats["pull_chains_exhausted"] == 1
+        assert solo.core.stats["pulls_sent"] == singles + candidates
+        assert solo.core.stats["pull_chains_exhausted"] == 1
 
 
 def test_pulled_order_replays_with_pending_full(keys_4_1, monkeypatch):
     """A pulled payload replays its buffered ORDER even when ``pending``
     is at its cap (unauthenticated INITIATEs can fill it)."""
     monkeypatch.setattr(abc_mod, "MAX_PENDING_REQUESTS", 1)
-    timers, sent = ManualTimers(), []
-    abc, key, _ = _abc_awaiting(timers, sent, keys_4_1)
-    abc.on_message(1, AbcInitiate(derive_request_id(b"flood"), b"flood"))
+    solo, key, _ = _abc_awaiting(keys_4_1)
+    abc = solo.core
+    solo.on_message(1, AbcInitiate(derive_request_id(b"flood"), b"flood"))
     assert len(abc.pending) == 1
-    abc.on_message(0, PayloadReply(key[0], key[1], PAYLOAD))
+    solo.on_message(0, PayloadReply(key[0], key[1], PAYLOAD))
     assert abc.stats["initiates_dropped"] == 1
     assert key[0] not in abc._awaiting_order
-    assert [m.seq for _dest, m in sent if isinstance(m, AbcPrepare)] == [0] * 3
-    timers.fire_all()
+    assert [m.seq for _dest, m in solo.sent if isinstance(m, AbcPrepare)] == [0] * 3
+    solo.fire_timers()
     assert abc.stats["pulls_sent"] == 0  # the reply closed the chain

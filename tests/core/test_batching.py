@@ -104,7 +104,11 @@ class TestBatchedDelivery:
         svc = make_service(batch_size=4)
         # A Byzantine gateway broadcasts a malformed batch frame; honest
         # replicas must skip it and keep serving real traffic.
-        svc.replicas[1].abc.a_broadcast(BATCH_MAGIC + b"\x00\x00\x00\x02junk")
+        gateway = svc.replicas[1]
+        gateway._apply(
+            gateway.abc.a_broadcast(BATCH_MAGIC + b"\x00\x00\x00\x02junk"),
+            gateway._on_deliver,
+        )
         svc.settle(limit=30.0)
         op = svc.query("www.example.com.", c.TYPE_A)
         assert op.response.rcode == c.RCODE_NOERROR

@@ -83,7 +83,7 @@ def test_state_is_proportional_to_inflight_work(monkeypatch):
         assert len(replica.coordinator._pending) == 0
         assert len(replica.coordinator._opened) == 0
         assert len(replica.coordinator._prefetched) == 0  # every prefetch consumed
-        assert len(replica._sign_timers) == 0  # cancelled and dropped
+        assert replica._timers == {}  # every timer fired or cancelled, and dropped
         assert replica.coordinator.stats["share_timeouts"] == 0
         assert len(replica._exec_queue) == 0
         # still one entry per slot / per request until checkpoints exist

@@ -21,9 +21,11 @@ class VulnAbcUnverifiedPull(AtomicBroadcast):
         if len(self._awaiting_order) >= MAX_SEQ_AHEAD:
             return
         self._awaiting_order[msg.request_id] = (sender, msg)
-        self._recovery.want(
-            (msg.request_id, b""),
-            self._pull_candidates,
-            # BUG: no derive_request_id check — first responder wins.
-            lambda key, payload: True,
-        )
+        self._out.extend(self._recovery.want(
+            (msg.request_id, b""), self._pull_candidates, _accept_anything
+        ))
+
+
+def _accept_anything(key, payload):
+    # BUG: no derive_request_id check — first responder wins.
+    return True

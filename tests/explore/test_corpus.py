@@ -175,7 +175,6 @@ def _protocol_model(filename):
             _FutureDropModel(
                 4,
                 1,
-                dissemination="digest",
                 byz=0,
                 strategy=ByzStrategy("silent"),
                 payloads=(b"req-a",),
@@ -191,7 +190,6 @@ def _protocol_model(filename):
             AbcModel(
                 5,
                 1,
-                dissemination="digest",
                 byz=0,
                 strategy=_equivocate_at_5_1(),
                 payloads=(b"req-a",),
@@ -208,7 +206,6 @@ def _protocol_model(filename):
             _ForgedPullModel(
                 4,
                 1,
-                dissemination="digest",
                 byz=0,
                 strategy=_forged_pull_strategy(),
                 payloads=(b"req-a",),
@@ -289,7 +286,6 @@ def test_clean_abc_control_stays_silent():
     model = AbcModel(
         5,
         1,
-        dissemination="digest",
         byz=0,
         strategy=_equivocate_at_5_1(),
         payloads=(b"req-a",),
@@ -305,7 +301,7 @@ def test_clean_abc_control_stays_silent():
 def test_production_pull_rejects_the_forged_reply():
     # The same adversary against the real request-id check.
     model = _ForgedPullModel(
-        4, 1, dissemination="digest", byz=0,
+        4, 1, byz=0,
         strategy=_forged_pull_strategy(), payloads=(b"req-a",),
     )
     result = DporEngine(model, max_schedules=1_000).run()

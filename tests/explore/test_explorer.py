@@ -72,7 +72,6 @@ def test_frontier_records_fifo_predecessor_edges():
 def test_schedule_file_round_trip(tmp_path):
     sf = ScheduleFile(
         protocol="abc",
-        mode="digest",
         cluster=(4, 1),
         strategy="leader-equivocate-seq",
         schedule=[(0, 1), (2, 3), "timer"],
@@ -90,7 +89,7 @@ def test_schedule_file_round_trip(tmp_path):
 
 def test_schedule_file_rejects_unknown_version(tmp_path):
     sf = ScheduleFile(
-        protocol="abc", mode="digest", cluster=(4, 1), strategy="", schedule=[]
+        protocol="abc", cluster=(4, 1), strategy="", schedule=[]
     )
     path = tmp_path / "bad.schedule.json"
     save_schedule(sf, path)
@@ -289,7 +288,6 @@ def test_replay_file_round_trip_detects_clean_witness(tmp_path):
     # clean", and the transcript hash pins the whole step sequence.
     sf = ScheduleFile(
         protocol="abc",
-        mode="digest",
         cluster=(4, 1),
         strategy="honest",
         schedule=[],
@@ -328,15 +326,12 @@ def test_e2e_delay_bounded_smoke():
 def test_e2e_requires_a_bound():
     with pytest.raises(ValueError, match="bound"):
         explore_protocol("e2e", n=4, t=1)
-    # The deployment always runs digest: only the ABC model takes a mode.
-    with pytest.raises(ValueError, match="abc only"):
-        explore_protocol("e2e", mode="digest", n=4, t=1, bound=1)
 
 
 def test_strategy_specs_cover_documented_palettes():
-    aba = [s.name for s in strategy_specs("aba", "", 4, 1)]
+    aba = [s.name for s in strategy_specs("aba", 4, 1)]
     assert "honest-mixed" in aba
-    abc = [s.name for s in strategy_specs("abc", "digest", 4, 1)]
+    abc = [s.name for s in strategy_specs("abc", 4, 1)]
     assert abc == [
         "honest",
         "honest-backlog",
@@ -344,29 +339,77 @@ def test_strategy_specs_cover_documented_palettes():
         "leader-equivocate-seq",
         "leader-withhold-payload",
     ]
-    e2e = [s.name for s in strategy_specs("e2e", "", 4, 1)]
+    e2e = [s.name for s in strategy_specs("e2e", 4, 1)]
     assert e2e == ["honest", "crash-follower"]
 
 
 def test_build_model_rejects_unknown_strategy():
     with pytest.raises(ValueError):
-        build_model("abc", "digest", 4, 1, "no-such-strategy")
+        build_model("abc", 4, 1, "no-such-strategy")
 
 
 @pytest.mark.parametrize(
-    "protocol,mode,strategy",
+    "protocol,strategy",
     [
-        ("abc", "digest", "leader-withhold-payload"),
+        pytest.param(
+            "abc", "leader-withhold-payload", id="abc-digest-leader-withhold-payload"
+        ),
     ],
 )
-def test_footprint_extras_name_live_state(protocol, mode, strategy):
+def test_footprint_extras_name_live_state(protocol, strategy):
     """Every name a model adds to each step's footprint is an attribute
     the wrapped protocol objects really hold — a stale name (say, of a
     pull field that moved into ``PayloadRecovery``) would let DPOR treat
     dependent steps as independent."""
-    model = build_model(protocol, mode, 4, 1, strategy)
+    model = build_model(protocol, 4, 1, strategy)
     model.reset()
     names = set()
     for replica in model.state.replicas.values():
         names |= set(vars(replica)) | set(vars(replica._recovery))
     assert model._footprint_extra <= names, model._footprint_extra - names
+
+
+def _run_to_quiescence(model, index):
+    """Deliver the first enabled message, or fire the next timer when
+    none is; the step labels in order."""
+    labels = []
+    while True:
+        enabled = model.enabled()
+        if enabled:
+            meta = model.execute(enabled[0], index)
+        else:
+            meta = model.fire_next_timer(index)
+            if meta is None:
+                return labels
+        labels.append(meta.label)
+        index += 1
+
+
+def test_abc_snapshot_is_an_independent_copy():
+    """A snapshot taken with timers armed restores to a state whose run
+    repeats the original one exactly and leaves the original untouched."""
+    model = build_model("abc", 4, 1, "leader-silent")
+    model.reset()
+    prefix = []
+    while model.enabled():  # the gateway's INITIATEs; the leader is silent
+        prefix.append(model.execute(model.enabled()[0], len(prefix)).label)
+    armed = dict(model.state.rail.timers)
+    assert len(armed) == 3, "every honest replica suspects the leader"
+    snap = model.snapshot()
+    assert snap is not None
+
+    first_labels = _run_to_quiescence(model, len(prefix))
+    first = model.state
+    first_fingerprint = model.fingerprint()
+    first_seen = (first.frontier.pending(), dict(first.rail.timers), first.timer_fires)
+    assert any(label.startswith("timer#") for label in first_labels)
+    assert any(abc.epoch > 0 for abc in first.replicas.values())
+
+    model.restore(snap)
+    assert model.state is not first
+    assert model.state.rail.timers == armed
+    second_labels = _run_to_quiescence(model, len(prefix))
+    assert second_labels == first_labels  # same deliveries and timer firings
+    assert model.fingerprint() == first_fingerprint
+    # The second run worked on its own copy.
+    assert (first.frontier.pending(), dict(first.rail.timers), first.timer_fires) == first_seen

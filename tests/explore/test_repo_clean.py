@@ -25,10 +25,9 @@ from repro.explore.runner import build_model, explore_protocol
 class TestProductionProtocolsClean:
     def test_abc_leader_silent_budget_bounded(self):
         # A silent leader: the schedules run through complaints, the
-        # switch agreement and a NEW_EPOCH.  Far past exhaustive (the
-        # engine replays AbcModel, it cannot snapshot it); tier-1 pins a
-        # bounded prefix.
-        model = build_model("abc", "digest", 4, 1, "leader-silent")
+        # switch agreement and a NEW_EPOCH.  Far past exhaustive; tier-1
+        # pins a bounded prefix.
+        model = build_model("abc", 4, 1, "leader-silent")
         result = DporEngine(model, max_schedules=400).run()
         assert not result.violations, [v.messages for v in result.violations]
         assert result.schedules >= 400, "budget should bind, not the space"
@@ -38,7 +37,7 @@ class TestProductionProtocolsClean:
         # The leader ORDERs a different request into slot 0 for each
         # honest camp: neither camp reaches n-t PREPAREs, so no slot 0
         # certificate forms and the epoch changes.
-        model = build_model("abc", "digest", 4, 1, "leader-equivocate-seq")
+        model = build_model("abc", 4, 1, "leader-equivocate-seq")
         result = DporEngine(model, max_schedules=400).run()
         assert not result.violations, [v.messages for v in result.violations]
         assert result.schedules >= 400, "budget should bind, not the space"
@@ -57,7 +56,7 @@ class TestProductionProtocolsClean:
         # leader behind its slot in flight, so every schedule goes
         # through the held backlog and the leader's batch frame.  The
         # space is far past exhaustive; tier-1 pins a bounded prefix.
-        model = build_model("abc", "digest", 4, 1, "honest-backlog")
+        model = build_model("abc", 4, 1, "honest-backlog")
         result = DporEngine(model, max_schedules=400).run()
         assert not result.violations, [v.messages for v in result.violations]
         assert result.schedules >= 400, "budget should bind, not the space"
@@ -69,7 +68,7 @@ class TestProductionProtocolsClean:
         # The Byzantine leader digest-ORDERs a request only one honest
         # replica holds and never answers pulls: the other two must pull
         # it from that replica through the timer rail.
-        model = build_model("abc", "digest", 4, 1, "leader-withhold-payload")
+        model = build_model("abc", 4, 1, "leader-withhold-payload")
         result = DporEngine(model, max_schedules=400).run()
         assert not result.violations, [v.messages for v in result.violations]
         assert result.schedules >= 400, "budget should bind, not the space"

@@ -150,7 +150,10 @@ class TestAsyncNameService:
             frozenset(), frozenset({1})
         }
         assert any(r.coordinator.suspects == {1} for r in honest)
-        assert all(not r._sign_timers for r in service.replicas)
+        assert all(
+            not [timer for timer in r._timers if timer[0] == "sign"]
+            for r in service.replicas
+        )
 
     def test_full_client_model(self):
         async def scenario():
