@@ -13,8 +13,8 @@ Subcommands mirror the utilities the prototype relied on:
 * ``chaos``    — run seed-replayable Byzantine fault-injection scenarios
   and check the paper's G1/G2/G3 goals; failures print the replaying seed.
 * ``explore``  — systematically enumerate message interleavings of the
-  replicated protocols (DPOR model checking), replay counterexample
-  schedule files, and dynamically confirm static race findings.
+  replicated protocols (DPOR model checking) and replay counterexample
+  schedule files.
 
 Run ``python -m repro.cli <subcommand> --help`` for details.
 """
@@ -417,7 +417,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     from repro.explore import (
         EXPLORE_RULES,
-        confirm_races,
         explore_protocol,
         replay_file,
         save_schedule,
@@ -448,35 +447,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: --cluster must be 'n,t', got {args.cluster!r}", file=sys.stderr)
         return 2
 
-    if args.confirm_races:
-        from repro.lint.framework import LintConfig, Program, find_repo_root
-
-        root = Path(args.root).resolve() if args.root else find_repo_root()
-        paths = [Path(p) for p in args.paths] if args.paths else [root / "src" / "repro"]
-        config = LintConfig.from_pyproject(root / "pyproject.toml")
-        outcomes = confirm_races(
-            Program.from_paths(paths, root, config),
-            max_schedules=args.max_schedules or 5_000,
-            deadline_s=args.deadline,
-        )
-        findings = [o.finding() for o in outcomes]
-        if args.format == "json":
-            print(report.render_json(findings))
-        else:
-            if not outcomes:
-                print("confirm-races: no Y601-Y604 findings to confirm")
-            for o in outcomes:
-                f = o.finding()
-                print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
-        if args.sarif:
-            Path(args.sarif).write_text(
-                report.render_sarif(findings, EXPLORE_RULES.values()), encoding="utf-8"
-            )
-            print(f"SARIF written to {args.sarif}")
-        return 1 if any(o.status == "confirmed" for o in outcomes) else 0
-
     if args.protocol is None:
-        print("error: --protocol is required (or --replay/--confirm-races/--list-rules)", file=sys.stderr)
+        print("error: --protocol is required (or --replay/--list-rules)", file=sys.stderr)
         return 2
     try:
         result = explore_protocol(
@@ -712,11 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="systematic interleaving exploration (DPOR model checking, DESIGN.md §5j)",
     )
     p.add_argument(
-        "paths",
-        nargs="*",
-        help="files to analyze with --confirm-races (default: src/repro)",
-    )
-    p.add_argument(
         "--protocol",
         choices=["aba", "abc", "e2e"],
         default=None,
@@ -773,16 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="replay a counterexample schedule file and exit",
-    )
-    p.add_argument(
-        "--confirm-races",
-        action="store_true",
-        help="dynamically confirm static Y601-Y604 findings (X702/X703)",
-    )
-    p.add_argument(
-        "--root",
-        default=None,
-        help="repository root for --confirm-races (default: auto-discovered)",
     )
     p.add_argument(
         "--out",

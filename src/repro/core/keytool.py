@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.config import ServiceConfig
-from repro.crypto.params import demo_threshold_key
+from repro.crypto.params import safe_prime_pair_at
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_rsa_keypair
 from repro.crypto.shoup import ThresholdKeyShare, ThresholdPublicKey, deal_threshold_key
 from repro.dns.name import Name
@@ -66,15 +66,22 @@ def generate_deployment(
 
     ``use_demo_primes`` selects the pre-generated safe primes (fast,
     demo-grade); pass ``False`` to generate fresh safe primes (slow in
-    pure Python but fully independent).
+    pure Python but fully independent).  The demo zone and coin keys use
+    pool entries 0 and 1, not the process-wide cursor, so a deployment's
+    moduli do not depend on how many keys the process dealt before it.
     """
     n, t = config.n, config.t
     if use_demo_primes:
-        zone_public, zone_shares = demo_threshold_key(n, t, zone_bits)
-        coin_public, coin_shares = demo_threshold_key(n, t, zone_bits)
+        zone_p, zone_q = safe_prime_pair_at(zone_bits // 2, 0)
+        coin_p, coin_q = safe_prime_pair_at(zone_bits // 2, 1)
     else:
-        zone_public, zone_shares = deal_threshold_key(n, t, bits=zone_bits)
-        coin_public, coin_shares = deal_threshold_key(n, t, bits=zone_bits)
+        zone_p = zone_q = coin_p = coin_q = 0  # the dealer draws fresh primes
+    zone_public, zone_shares = deal_threshold_key(
+        n, t, bits=zone_bits, prime_p=zone_p, prime_q=zone_q
+    )
+    coin_public, coin_shares = deal_threshold_key(
+        n, t, bits=zone_bits, prime_p=coin_p, prime_q=coin_q
+    )
     auth_keys = [generate_rsa_keypair(auth_bits) for _ in range(n)]
     replicas = tuple(
         ReplicaKeys(

@@ -9,7 +9,6 @@ fraction of the naive schedule count; violating schedules are minimized
 and written as replayable files.
 """
 
-from repro.explore.confirm import EXPLORE_RULES, RaceHarness, confirm_races
 from repro.explore.dpor import (
     DporEngine,
     ExploreResult,
@@ -23,6 +22,7 @@ from repro.explore.frontier import (
     SchedulePoint,
 )
 from repro.explore.runner import (
+    EXPLORE_RULES,
     ExploreReport,
     explore_protocol,
     replay_file,
@@ -43,12 +43,10 @@ __all__ = [
     "ExploreReport",
     "ExploreResult",
     "ModelTimer",
-    "RaceHarness",
     "SchedulePoint",
     "ScheduleFile",
     "StepMeta",
     "Violation",
-    "confirm_races",
     "explore_protocol",
     "load_schedule",
     "minimize_violation",

@@ -5,9 +5,9 @@ The engine explores every message-delivery interleaving of a *model*
 by depth-first search over schedule prefixes, in the style of
 Flanagan–Godefroid DPOR with Godefroid's sleep sets:
 
-* A **schedule** is a sequence of choices (FIFO channel picks for the
-  message models, task ids for the await-interleaving models).  Because
-  channels are FIFO, a choice sequence identifies a unique execution.
+* A **schedule** is a sequence of choices (FIFO channel picks).
+  Because channels are FIFO, a choice sequence identifies a unique
+  execution.
 * **Backtrack sets** — after executing step ``S``, find the latest
   earlier step ``R`` that is *dependent* with ``S`` but not ordered
   before it by happens-before; schedule ``S``'s choice (or, if it was
@@ -15,9 +15,8 @@ Flanagan–Godefroid DPOR with Godefroid's sleep sets:
   ``R``'s state.  Dependence is decided by the commutativity oracle:
   two deliveries commute unless they touch the same
   ``(replica, protocol-instance)`` state — refined by static read/write
-  footprints from the PR-5 ``ProgramIndex`` (message models) or runtime
-  read/write sets (task models).  Over-approximating dependence is
-  always sound; it only costs extra schedules.
+  footprints from the lint ``ProgramIndex``.  Over-approximating
+  dependence is always sound; it only costs extra schedules.
 * **Sleep sets** — a choice fully explored from a state is inherited by
   sibling subtrees that are independent of the step taken, pruning the
   symmetric half of commuting pairs.  Sleep-set pruning is sound only
@@ -32,9 +31,9 @@ Flanagan–Godefroid DPOR with Godefroid's sleep sets:
 Happens-before is tracked as an integer bitmask per step (edges: the
 step that sent the delivered message, the FIFO predecessor on the same
 channel, and the latest barrier; closures union), so a race check is one
-``&``.  States are restored either from model snapshots (deepcopy-safe
-models) or by replaying the choice prefix from ``reset()`` (models whose
-protocol code arms closures over live objects, e.g. ABC timers).
+``&``.  States are restored from the nearest model snapshot (a pickle of
+the model's state) plus a replay of the choices below it, or by replaying
+the choice prefix from ``reset()`` when no ancestor has a snapshot.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class StepMeta:
     """What the oracle needs to know about one executed (or peeked) step."""
 
     choice: Choice
-    dest: int  # replica / shared-object group the handler runs on
+    dest: int  # replica the handler runs on
     instance: Optional[str] = None  # protocol-instance id (sid); None = unknown
     reads: Optional[FrozenSet[str]] = None  # None = unknown (conservative)
     writes: Optional[FrozenSet[str]] = None
@@ -300,7 +299,7 @@ class DporEngine:
         Snapshots are taken only every ``snapshot_interval`` frames (and
         never at leaves), so restoring finds the nearest snapshotted
         ancestor and deterministically replays the few recorded choices
-        below it — one deepcopy amortized over several cheap handler
+        below it — one snapshot amortized over several cheap handler
         re-executions.
         """
         frame = self._stack[depth]
@@ -584,7 +583,7 @@ class DporEngine:
         enabled = list(self.model.enabled())
         # Leaves never need restoring, and interior frames only every
         # ``snapshot_interval`` levels (nearest-ancestor replay covers
-        # the rest) — deepcopy is the engine's dominant cost.
+        # the rest) — snapshotting is the engine's dominant cost.
         snapshot = None
         if enabled and len(self._stack) % self.snapshot_interval == 0:
             snapshot = self.model.snapshot()

@@ -50,9 +50,20 @@ from repro.explore.schedule import (
     minimize_violation,
     transcript_hash,
 )
-from repro.lint.framework import Finding
+from repro.lint.framework import SCOPE_ALL, Finding, rule_table
 
 PROTOCOLS = ("aba", "abc", "e2e")
+
+#: Rule catalog for the exploration family, rendered by the lint reporter.
+EXPLORE_RULES = rule_table("explore", SCOPE_ALL, "error", {
+    "X701": (
+        "invariant violated under systematic exploration",
+        "Exhaustive (or delay-bounded) exploration of the protocol's "
+        "message interleavings found a schedule violating a safety or "
+        "liveness invariant; the minimized schedule replays the "
+        "violation deterministically via 'repro explore --replay'.",
+    ),
+})
 
 #: Where a protocol-level violation anchors in the source tree.
 _PROTOCOL_SOURCE = {

@@ -44,7 +44,7 @@ def _decode_choice(raw: List[Any]) -> Choice:
 class ScheduleFile:
     """One replayable counterexample (or witness) schedule."""
 
-    protocol: str  # aba | abc | e2e | task
+    protocol: str  # aba | abc | e2e
     cluster: Tuple[int, int]  # (n, t)
     strategy: str  # Byzantine strategy name ("" = no corruption)
     schedule: List[Choice]

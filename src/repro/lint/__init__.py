@@ -1,5 +1,5 @@
 """``repro lint``: one static-analysis framework for determinism, crypto
-hygiene, Byzantine taint, quorum arithmetic and yield-point races.
+hygiene, asyncio safety, Byzantine taint and quorum arithmetic.
 
 See DESIGN.md §5c for the rule catalog and the ratchet workflow.
 """

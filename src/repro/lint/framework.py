@@ -7,13 +7,12 @@ unordered collections into ordered output, or do float arithmetic on
 sequence numbers; crypto paths must compare secrets in constant time and
 bound work on untrusted collections (KeyTrap); attacker-controlled
 message fields must be verified before they reach a protocol sink;
-every n/t threshold must meet a declared quorum obligation; async
-handlers must not lose updates across an ``await``.
+and every n/t threshold must meet a declared quorum obligation.
 
 One run (:func:`run_program`) reads and parses each file once
 (:class:`Program`), runs the per-file AST rules (small :class:`Rule`
 visitors registered with :func:`register`), then the whole-program
-passes (taint, quorum, races; registered with :func:`register_pass`)
+passes (taint, quorum; registered with :func:`register_pass`)
 over one lazily built :class:`~repro.lint.index.ProgramIndex`, then
 applies inline suppressions and reports stale ones (S101).  Every rule
 lives in one registry (:data:`RULES`) and is scoped to module families
@@ -65,15 +64,13 @@ SCOPE_HANDLERS = "handlers"
 SCOPE_TAINT = "taint"
 #: Modules whose n/t threshold arithmetic the quorum pass proves.
 SCOPE_QUORUM = "quorum"
-#: Modules whose async handlers the yield-point pass checks.
-SCOPE_RACES = "races"
 #: Everything.
 SCOPE_ALL = "all"
 
 #: Scopes of the whole-program passes.  Unlike the AST-rule scopes they
 #: also cover files outside the package (tests, corpus fixtures) that are
 #: passed explicitly.
-PASS_SCOPES = (SCOPE_TAINT, SCOPE_QUORUM, SCOPE_RACES)
+PASS_SCOPES = (SCOPE_TAINT, SCOPE_QUORUM)
 
 DEFAULT_SCOPE_PATTERNS: Dict[str, Tuple[str, ...]] = {
     SCOPE_DETERMINISTIC: (
@@ -109,7 +106,6 @@ DEFAULT_SCOPE_PATTERNS: Dict[str, Tuple[str, ...]] = {
         "repro.crypto.protocols",
         "repro.crypto.shoup",
     ),
-    SCOPE_RACES: ("repro.*",),
     SCOPE_ALL: ("*",),
 }
 
@@ -312,7 +308,6 @@ def load_rules() -> List[RuleInfo]:
         cryptohygiene,
         determinism,
         quorum,
-        races,
         taint,
     )
 

@@ -384,8 +384,7 @@ class ProgramIndex:
         """Transitive call-graph closure of ``roots`` (function qnames).
 
         BFS through :meth:`resolve_call` over every call site of every
-        reached function — shared by the race checker's handler
-        reachability and the explorer's commutativity footprints.
+        reached function; the explorer's commutativity footprints use it.
         """
         seen: Set[str] = {q for q in roots if q in self.functions}
         queue = list(seen)

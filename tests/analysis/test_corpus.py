@@ -1,9 +1,9 @@
-"""Quorum/race-family view of the shared corpus run
+"""Quorum-family view of the shared corpus run
 (``tests/lint/test_corpus.py``).
 
 The fixtures live in ``tests/lint/corpus/`` and are analyzed once, by
-the shared runner; these checks restate its Q- and Y-rule pins under
-the names the protocol-invariant suite has always used.
+the shared runner; these checks restate its Q-rule pins under the names
+the protocol-invariant suite has always used.
 """
 
 import pytest
@@ -13,14 +13,14 @@ from tests.lint import test_corpus as corpus
 EXPECTED = {
     name: rules
     for name, rules in corpus.EXPECTED.items()
-    if name.startswith(("vuln_q", "vuln_y"))
+    if name.startswith("vuln_q")
 }
 
-CLEAN = ["clean_quorum.py", "clean_races.py"]
+CLEAN = ["clean_quorum.py"]
 
 
 def test_corpus_is_complete():
-    assert len(EXPECTED) == 9
+    assert len(EXPECTED) == 5
     assert set(CLEAN) <= set(corpus.EXPECTED)
 
 
@@ -45,5 +45,5 @@ def test_counterexamples_name_concrete_deployments():
 
 
 def test_full_repo_analysis_under_budget(tree_lint):
-    assert not [f for f in tree_lint.findings if f.rule[0] in "QY"]
+    assert not [f for f in tree_lint.findings if f.rule[0] == "Q"]
     assert tree_lint.elapsed_s < 30.0, f"whole-tree run took {tree_lint.elapsed_s:.1f}s"

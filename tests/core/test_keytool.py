@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.keytool import generate_deployment, load_replica_keys, save_replica_keys
+from repro.crypto.params import demo_threshold_key
 from repro.errors import ConfigError, CryptoError
 
 
@@ -29,6 +30,18 @@ class TestGeneration:
 
     def test_zone_and_coin_keys_independent(self, deployment):
         assert deployment.zone_public.modulus != deployment.coin_public.modulus
+
+    def test_demo_moduli_independent_of_earlier_deals(self):
+        # Another deal in between advances the process-wide prime cursor;
+        # a deployment's moduli must not follow it.  The 384-bit prime
+        # pool holds two pairs, so a cursor-drawn deal would swap them.
+        config = ServiceConfig(n=4, t=1)
+        first = generate_deployment(config, zone_bits=768)
+        demo_threshold_key(4, 1, 768)
+        second = generate_deployment(config, zone_bits=768)
+        assert second.zone_public.modulus == first.zone_public.modulus
+        assert second.coin_public.modulus == first.coin_public.modulus
+        assert first.zone_public.modulus != first.coin_public.modulus
 
     def test_auth_keys_distinct(self, deployment):
         moduli = {k.modulus for k in deployment.auth_public}

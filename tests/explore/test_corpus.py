@@ -1,14 +1,12 @@
 """Recall pinning for the planted-interleaving-bug corpus.
 
 Every ``vuln_*`` module in ``tests/explore/corpus/`` plants exactly one
-concurrency bug — four protocol-level defects found by exploring the
-real broadcast stack under a Byzantine palette, and four task-level
-Y601-Y604 yield-point races confirmed through their published
-``EXPLORE_HARNESSES``.  The explorer must witness each one, and must
-stay silent on the two ``clean_*`` controls (a correct-threshold ABC
-subclass and correctly-guarded task code).  The per-bug pins are exact:
-a regression in any single detection path fails loudly, and the whole
-corpus must finish well inside the issue's 60 s budget.
+protocol-level concurrency bug, found by exploring the real broadcast
+stack under a Byzantine palette.  The explorer must witness each one,
+and must stay silent on the ``clean_abc`` control (a correct-threshold
+ABC subclass).  The per-bug pins are exact: a regression in any single
+detection path fails loudly, and the whole corpus must finish well
+inside a 60 s budget.
 """
 
 import sys
@@ -23,8 +21,6 @@ from repro.broadcast.abc import (
     request_digest,
 )
 from repro.broadcast.messages import AbcCommit, AbcPrepare, PayloadReply
-from repro.explore import confirm_races
-from repro.explore.confirm import _explore_harness, _load_harnesses
 from repro.explore.dpor import DporEngine
 from repro.explore.models import (
     AbaModel,
@@ -33,7 +29,6 @@ from repro.explore.models import (
     StubKey,
     abc_strategies,
 )
-from repro.lint.framework import Program
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -45,15 +40,7 @@ PROTOCOL_VULNS = [
     "vuln_abc_unverified_pull.py",
 ]
 
-#: Task vulns: file -> the Y rule that must be dynamically confirmed.
-TASK_VULNS = {
-    "vuln_task_toctou.py": "Y601",
-    "vuln_task_lost_update.py": "Y602",
-    "vuln_task_busy_flag.py": "Y603",
-    "vuln_task_fire_forget.py": "Y604",
-}
-
-CLEAN = ["clean_abc.py", "clean_task.py"]
+CLEAN = ["clean_abc.py"]
 
 #: The exact invariant messages of the re-planted ABC bugs' witnesses.
 WITNESS_MESSAGES = {
@@ -218,7 +205,7 @@ def _protocol_model(filename):
 
 def test_corpus_is_complete():
     names = sorted(p.name for p in CORPUS.glob("*.py"))
-    assert names == sorted(PROTOCOL_VULNS + list(TASK_VULNS) + CLEAN)
+    assert names == sorted(PROTOCOL_VULNS + CLEAN)
 
 
 @pytest.mark.parametrize(
@@ -241,43 +228,6 @@ def test_protocol_bug_witnessed(filename):
     expected = WITNESS_MESSAGES.get(filename)
     if expected is not None:
         assert violation.messages == expected, violation.messages
-
-
-@pytest.mark.parametrize(
-    "filename,rule", sorted(TASK_VULNS.items())
-)
-def test_task_race_confirmed(filename, rule):
-    outcomes = confirm_races(Program.from_paths([CORPUS / filename], CORPUS))
-    assert outcomes, f"{filename}: no {rule} finding to confirm"
-    confirmed = [o for o in outcomes if o.original.rule == rule]
-    assert confirmed, f"{filename}: static finding is not {rule}"
-    for outcome in confirmed:
-        assert outcome.status == "confirmed", (
-            f"{filename}: {rule} not dynamically confirmed "
-            f"({outcome.schedules_explored} schedules, "
-            f"complete={outcome.complete})"
-        )
-        assert outcome.rule == "X702"
-        # The minimized schedule may legitimately be empty (the default
-        # completion order alone reproduces, e.g. the Y604 crash) — but
-        # a confirmed finding must always carry witness messages.
-        assert outcome.messages
-
-
-def test_task_corpus_exact_rules():
-    # One Y finding per task file, no cross-contamination.
-    outcomes = confirm_races(Program.from_paths([CORPUS], CORPUS))
-    by_file = {}
-    for o in outcomes:
-        by_file.setdefault(Path(o.original.path).name, []).append(o)
-    got = {
-        name: sorted(o.original.rule for o in outs)
-        for name, outs in by_file.items()
-    }
-    assert got == {name: [rule] for name, rule in TASK_VULNS.items()}
-    assert all(
-        o.status == "confirmed" for outs in by_file.values() for o in outs
-    )
 
 
 def test_clean_abc_control_stays_silent():
@@ -309,27 +259,11 @@ def test_production_pull_rejects_the_forged_reply():
     assert result.schedules == 1_000, "budget should bind, not the space"
 
 
-def test_clean_task_control_stays_silent():
-    path = CORPUS / "clean_task.py"
-    # Statically clean: nothing to confirm.
-    assert confirm_races(Program.from_paths([path], CORPUS)) == []
-    # Dynamically clean: every published harness explores exhaustively
-    # with zero violations.
-    harnesses = _load_harnesses(path, path.read_text())
-    assert len(harnesses) == 3
-    for harness in harnesses:
-        evidence = _explore_harness(
-            harness, max_schedules=5_000, deadline_s=None
-        )
-        assert evidence.complete, f"{harness.name}: budget hit"
-        assert not evidence.violations, f"{harness.name}: false positive"
-
-
 @pytest.mark.slow  # its own budget is 60 s
 def test_whole_corpus_under_budget():
-    # Issue acceptance: the full corpus (all witnesses + both controls)
-    # completes in < 60 s.  The heavyweight pieces re-run here; the
-    # per-file tests above stay independently debuggable.
+    # The full corpus (every witness) completes in < 60 s.  The
+    # heavyweight pieces re-run here; the per-file tests above stay
+    # independently debuggable.
     start = time.monotonic()
     for filename in PROTOCOL_VULNS:
         model, budget = _protocol_model(filename)
@@ -337,7 +271,5 @@ def test_whole_corpus_under_budget():
             model, stop_on_first=True, max_schedules=budget
         ).run()
         assert result.violations, filename
-    outcomes = confirm_races(Program.from_paths([CORPUS], CORPUS))
-    assert len(outcomes) == len(TASK_VULNS)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"corpus run took {elapsed:.1f}s"

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.explore.dpor import (
     DporEngine,
     StepMeta,
@@ -326,6 +327,12 @@ def test_e2e_delay_bounded_smoke():
 def test_e2e_requires_a_bound():
     with pytest.raises(ValueError, match="bound"):
         explore_protocol("e2e", n=4, t=1)
+
+
+def test_cli_lists_only_the_exploration_rule(capsys):
+    assert main(["explore", "--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == ["X701"]
 
 
 def test_strategy_specs_cover_documented_palettes():

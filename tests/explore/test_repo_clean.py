@@ -1,23 +1,16 @@
 """Pin production cleanliness under systematic exploration.
 
 The corpus tests prove the explorer *finds* planted interleaving bugs;
-this file proves the shipped protocols *pass* the same scrutiny.  Two
-layers:
+this file proves the shipped protocols *pass* the same scrutiny:
+budget-bounded sweeps of every Byzantine-leader palette of the atomic
+broadcast at (4, 1), of ABA, and a delay-bounded end-to-end run (none
+of these spaces is small enough to finish; the nightly workflow pushes
+them wider under a deadline).
 
-* budget-bounded sweeps of every Byzantine-leader palette of the atomic
-  broadcast at (4, 1), of ABA, and a delay-bounded end-to-end run (none
-  of these spaces is small enough to finish; the nightly workflow pushes
-  them wider under a deadline), and
-* ``--confirm-races`` over ``src/repro``, which must produce *zero*
-  findings: the static race baseline is clean, so there is nothing to
-  confirm or leave unwitnessed.
-
-If a future PR introduces a real interleaving bug in ABA/ABC, or a
-Y601-Y604 window in production code, this file is the tier-1 tripwire;
-the wide exploration legs live in nightly CI.
+If a change introduces a real interleaving bug in ABA/ABC, this file is
+the tier-1 tripwire; the wide exploration legs live in nightly CI.
 """
 
-from repro.explore.confirm import confirm_races
 from repro.explore.dpor import DporEngine
 from repro.explore.runner import build_model, explore_protocol
 
@@ -78,9 +71,3 @@ class TestProductionProtocolsClean:
     def test_e2e_delay_bounded_clean(self):
         report = explore_protocol("e2e", n=4, t=1, strategies=["honest"], bound=1)
         assert report.ok, [v.kind for v in report.violations]
-
-
-class TestProductionSourceRaceClean:
-    def test_confirm_races_has_nothing_to_confirm(self, tree_lint):
-        outcomes = confirm_races(tree_lint.program)
-        assert outcomes == [], [o.finding.rule for o in outcomes]

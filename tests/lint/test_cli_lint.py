@@ -58,7 +58,7 @@ class TestDefaultRun:
         except SystemExit:
             pass
         out = capsys.readouterr().out
-        for flag in ("--taint", "--quorum", "--races"):
+        for flag in ("--taint", "--quorum"):
             assert flag not in out
 
 
@@ -145,8 +145,8 @@ class TestListRules:
         assert main(["lint", "--list-rules"]) == 0
         listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
         assert listed == sorted(rule.rule_id for rule in load_rules())
-        assert len(listed) == 30
-        for rule_id in ("T401", "T408", "Q501", "Y604", "S101"):
+        assert len(listed) == 26
+        for rule_id in ("T401", "T408", "Q501", "S101"):
             assert rule_id in listed
 
     def test_design_rule_table_matches_registry(self):

@@ -1,8 +1,8 @@
 """The seeded corpus: one runner for every analyzer pass.
 
-Every ``vuln_*`` fixture in ``corpus/`` plants one class of bug (taint,
-quorum arithmetic, or yield-point race); every ``clean_*`` fixture is a
-control.  Each fixture is analyzed alone by a full ``repro lint`` run
+Every ``vuln_*`` fixture in ``corpus/`` plants one class of bug (taint
+or quorum arithmetic); every ``clean_*`` fixture is a control.  Each
+fixture is analyzed alone by a full ``repro lint`` run
 (all passes), and the exact sorted rule multiset is pinned per file, so
 a missed bug, a new false positive, or cross-talk between passes fails
 here.  The expectation table must name every fixture in the directory.
@@ -24,7 +24,6 @@ EXPECTED = {
     "clean_dict_keys.py": [],
     "clean_local_material.py": [],
     "clean_quorum.py": [],
-    "clean_races.py": [],
     "clean_verdict_flow.py": [],
     "clean_verified.py": [],
     "vuln_attr_flow.py": ["T401", "T404"],
@@ -46,10 +45,6 @@ EXPECTED = {
     # cross-function variant needs the summary's sanitize replay.
     "vuln_t408_cross_function.py": ["T401", "T408"],
     "vuln_t408_late_verify.py": ["T401", "T408"],
-    "vuln_y601_toctou.py": ["Y601"],
-    "vuln_y602_cross_handler.py": ["Y602"],
-    "vuln_y603_busy_flag.py": ["Y603"],
-    "vuln_y604_fire_forget.py": ["Y604", "Y604"],
 }
 
 

@@ -172,18 +172,18 @@ class TestScopeExclusion:
         (tmp_path / "pyproject.toml").write_text(
             "[tool.repro-lint]\n"
             'deterministic_modules = ["repro.*", "!repro.core.faults"]\n'
-            'races_modules = ["repro.net.*"]\n'
+            'quorum_modules = ["repro.net.*"]\n'
         )
         config = LintConfig.from_pyproject(tmp_path / "pyproject.toml")
         assert not config.module_in_scope("repro.core.faults", "deterministic")
         assert config.module_in_scope("repro.core.replica", "deterministic")
-        assert config.scope_patterns["races"] == ("repro.net.*",)
+        assert config.scope_patterns["quorum"] == ("repro.net.*",)
         # untouched scopes keep their defaults
         assert "repro.broadcast.*" in config.scope_patterns["taint"]
 
     def test_file_outside_package_only_in_all_and_pass_scopes(self):
         config = LintConfig()
-        for scope in ("all", "taint", "quorum", "races"):
+        for scope in ("all", "taint", "quorum"):
             assert config.module_in_scope("", scope)
         for scope in ("deterministic", "crypto", "handlers"):
             assert not config.module_in_scope("", scope)
