@@ -6,39 +6,39 @@ requests, and a **fall-back** mode entered when the leader is apparently
 not performing correctly, which runs a Byzantine agreement to switch
 epochs and re-establish a consistent state.
 
-Fast path (no crypto beyond transferable prepare authenticators):
+Fast path (no public-key operation; DESIGN.md §5o):
 
 1. A request enters via :meth:`AtomicBroadcast.a_broadcast` — the replica
    sends ``INITIATE`` to all (the client talks to one gateway, §3.4).
 2. The epoch's leader assigns the next sequence number and sends
-   ``ORDER(epoch, seq, request)``.
-3. Replicas answer with a *signed* ``PREPARE(epoch, seq, digest)``; a set
-   of ``2t+1`` valid prepares is a transferable **prepare certificate**.
-4. A replica holding a certificate broadcasts ``COMMIT``; on ``2t+1``
-   commits the request is **a-delivered** in sequence order.
-
-Two quorum intersections give safety: two certificates for the same
-``(epoch, seq)`` share an honest replica, so at most one digest per slot;
-and a delivered slot implies ``t+1`` honest replicas hold its
-certificate, so *any* ``n-t`` epoch-final messages collected during
-fall-back contain that certificate — the new epoch can never lose a
-delivered request.
+   ``ORDER(epoch, seq, request)``.  A replica that takes it has
+   *accepted* ``(epoch, request)`` for the slot.
+3. Replicas answer with an unsigned ``PREPARE(epoch, seq, digest)`` over
+   the authenticated link; ``n-t`` matching PREPAREs and the payload are
+   a **lock** on the slot.
+4. A replica holding a lock broadcasts ``COMMIT``; on ``2t+1`` commits
+   the request is **a-delivered** in sequence order.
 
 Fall-back: replicas that time out on an undelivered request broadcast
 ``COMPLAIN``; ``t+1`` complaints are joined, ``2t+1`` complaints start a
 binary Byzantine agreement on switching epochs (this is where the
 threshold-coin ABA of :mod:`repro.broadcast.aba` runs).  After deciding,
-replicas send signed ``EPOCH_FINAL`` messages carrying their certificates
-and pending requests; the next leader assembles ``n-t`` of them into
-``NEW_EPOCH``, which every replica *revalidates and recomputes
-deterministically* — a Byzantine new leader can stall but never corrupt
-the sequence.
+replicas send RSA-signed ``EPOCH_FINAL`` messages carrying their locks,
+accepted claims and pending requests.  The next leader sends
+``NEW_EPOCH`` with a pool of ``n-t`` to ``n`` signed finals once
+:func:`decide` — PBFT's view-change rule with MACs — leaves no slot of
+it undecided; every replica re-verifies the finals and re-runs
+:func:`decide`.  The choice list is then one slot of the new epoch:
+``n-t`` PREPAREs over its digest lock every choice and ``2t+1`` COMMITs
+deliver it.  A committed request has ``t+1`` honest lockers, so no
+decisive pool can choose anything else for its slot; a Byzantine new
+leader can stall the epoch change but never corrupt the sequence.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.broadcast.aba import BinaryAgreement
 from repro.broadcast.effects import CancelTimer, Deliver, Effect, Send, SetTimer, TimerId
@@ -57,7 +57,6 @@ from repro.broadcast.messages import (
     CoinShare,
     PayloadPull,
     PayloadReply,
-    PrepareCertificate,
     decode_batch,
     encode_batch,
     is_batch_payload,
@@ -97,7 +96,7 @@ MAX_EPOCH_AHEAD = 64
 MAX_FUTURE_BUFFER = 4096
 
 MODE_FAST = "fast"
-MODE_RECOVERY = "recovery"
+MODE_RECOVERY = "recovery"  # until a NEW_EPOCH's choice list delivers
 
 #: Leader-side batching: the requests that queued up behind the leader's
 #: slot in flight — or, at a new leader, during the epoch switch — share
@@ -142,19 +141,134 @@ def request_digest(epoch: int, seq: int, payload: bytes) -> bytes:
     return h.digest()
 
 
-def _prepare_signing_input(epoch: int, seq: int, digest: bytes) -> bytes:
-    return b"prepare/" + f"{epoch}/{seq}/".encode() + digest
+#: Request id of the null choice: a slot an epoch change skips.
+NULL_RID = ""
+_NULL = (NULL_RID, b"")
+
+#: Sequence number of a new epoch's install slot: PREPARE and COMMIT
+#: votes on the choice list of the NEW_EPOCH that opens the epoch.
+INSTALL_SEQ = -1
+
+#: What :func:`decide` returns for a decisive pool: the end of the choice
+#: range, and the slots a lock candidate chose, seq -> (rid, payload).
+#: Every other slot below the range end is null.
+Decision = Tuple[int, Dict[int, Tuple[str, bytes]]]
 
 
 def _final_signing_input(final: AbcEpochFinal) -> bytes:
     h = hashlib.sha256()
-    h.update(f"final/{final.epoch}/{final.sender}/{final.delivered_seq}/".encode())
-    for cert in final.certificates:
-        h.update(f"{cert.epoch}/{cert.seq}/".encode())
-        h.update(cert.digest)
-    for rid, payload in final.pending:
-        h.update(rid.encode())
+    h.update(
+        f"final/{final.epoch}/{final.sender}/{len(final.locks)}/"
+        f"{len(final.accepted)}/{len(final.pending)}/".encode()
+    )
+    for seq, epoch, rid, payload in final.locks:
+        h.update(f"L{seq}/{epoch}/{len(rid)}/{rid}".encode())
         h.update(hashlib.sha256(payload).digest())
+    for seq, epoch, rid in final.accepted:
+        h.update(f"A{seq}/{epoch}/{len(rid)}/{rid}".encode())
+    for rid, payload in final.pending:
+        h.update(f"P{len(rid)}/{rid}".encode())
+        h.update(hashlib.sha256(payload).digest())
+    return h.digest()
+
+
+def _is_index(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+_Claims = Tuple[Dict[int, Tuple[int, str, bytes]], Dict[int, Dict[str, int]]]
+
+
+def final_claims(final: AbcEpochFinal) -> Optional[_Claims]:
+    """A final's locks (seq -> (epoch, rid, payload)) and accepted claims
+    (seq -> rid -> epoch), or None when it is malformed: a repeated slot
+    or (slot, rid), a non-index number, or a locked payload that does not
+    hash to its rid.  A malformed final counts nowhere; honest finals
+    never are."""
+    try:
+        if not (_is_index(final.epoch) and _is_index(final.sender)):
+            return None
+        locks: Dict[int, Tuple[int, str, bytes]] = {}
+        for seq, epoch, rid, payload in final.locks:
+            if not (_is_index(seq) and _is_index(epoch)) or seq in locks:
+                return None
+            if not isinstance(payload, bytes) or not isinstance(rid, str):
+                return None
+            if rid != NULL_RID and derive_request_id(payload) != rid:
+                return None
+            if rid == NULL_RID and payload:
+                return None
+            locks[seq] = (epoch, rid, payload)
+        accepted: Dict[int, Dict[str, int]] = {}
+        for seq, epoch, rid in final.accepted:
+            if not (_is_index(seq) and _is_index(epoch)) or not isinstance(rid, str):
+                return None
+            by_rid = accepted.setdefault(seq, {})
+            if rid in by_rid:
+                return None
+            by_rid[rid] = epoch
+        for rid, payload in final.pending:
+            if not (isinstance(rid, str) and isinstance(payload, bytes)):
+                return None
+    except (TypeError, ValueError):
+        return None  # an entry of the wrong arity
+    return locks, accepted
+
+
+def decide(claims: List[_Claims], n: int, t: int) -> Optional[Decision]:
+    """The epoch-change decision over a pool of finals' claims
+    (:func:`final_claims`), or None when some slot is undecided.
+
+    Per slot named by a lock, a lock ``(e, r)`` in the pool is a
+    candidate.  **A1**: at least n-t finals hold no lock on the slot at
+    an epoch above e and none on another rid at e.  **A2**: at least t+1
+    finals accepted or locked r at an epoch >= e.  A candidate meeting
+    both chooses the slot — a value beats null, then the higher epoch,
+    then the smaller rid.  Otherwise **B** (n-t finals hold no lock on
+    the slot) makes it null; otherwise it is undecided.  The choice range
+    ends at the highest slot a candidate chose; every other slot below
+    that is null.  DESIGN.md §5o argues safety and liveness.
+    """
+    chosen: Dict[int, Tuple[str, bytes]] = {}
+    for seq in sorted({seq for locks, _ in claims for seq in locks}):
+        slot = [locks.get(seq) for locks, _ in claims]
+        candidates = {(lock[0], lock[1]): lock[2] for lock in slot if lock is not None}
+        best: Optional[Tuple[bool, int, str]] = None
+        for (epoch, rid), payload in candidates.items():
+            free = sum(
+                1
+                for lock in slot
+                if lock is None
+                or lock[0] < epoch
+                or (lock[0] == epoch and lock[1] == rid)
+            )
+            if free < n - t:  # A1
+                continue
+            support = 0
+            for locks, accepted in claims:
+                lock = locks.get(seq)
+                if lock is not None and lock[1] == rid and lock[0] >= epoch:
+                    support += 1
+                elif accepted.get(seq, {}).get(rid, -1) >= epoch:
+                    support += 1
+            if support < t + 1:  # A2
+                continue
+            rank = (rid == NULL_RID, -epoch, rid)
+            if best is None or rank < best:
+                best = rank
+                chosen[seq] = (rid, payload)
+        if best is None and sum(lock is None for lock in slot) < n - t:  # B
+            return None
+    start_seq = max(chosen) + 1 if chosen else 0
+    return start_seq, chosen
+
+
+def _decision_digest(epoch: int, decision: Decision) -> bytes:
+    start_seq, chosen = decision
+    h = hashlib.sha256()
+    h.update(f"install/{epoch}/{start_seq}/".encode())
+    for seq, (rid, _payload) in sorted(chosen.items()):
+        h.update(f"{seq}/{len(rid)}/{rid}".encode())
     return h.digest()
 
 
@@ -166,9 +280,9 @@ class BatchQueue:
     """Accumulates request payloads and flushes them as one batch.
 
     SINTRA-style amortization: instead of paying a full agreement instance
-    (ORDER / PREPARE-certificate / COMMIT round with its per-slot signature
-    work) for every request, the gateway buffers payloads and hands the
-    broadcast layer one length-prefixed batch per sequence slot.  A batch
+    (ORDER / PREPARE / COMMIT round) for every request, the gateway
+    buffers payloads and hands the broadcast layer one length-prefixed
+    batch per sequence slot.  A batch
     is flushed when it reaches ``max_batch`` entries (size threshold) or
     ``max_delay`` elapses on the local clock since the first buffered entry
     (latency threshold), whichever comes first.
@@ -239,11 +353,11 @@ class BatchQueue:
 
 
 class AuthPlane:
-    """Broadcast-layer authenticator crypto (PREPARE / EPOCH_FINAL RSA).
+    """Broadcast-layer authenticator crypto: the EPOCH_FINAL RSA signature.
 
-    :meth:`verify_many` checks a whole authenticator pool — a PREPARE
-    certificate's 2t+1 signatures, or a NEW_EPOCH's n-t signed finals —
-    in one call.
+    Nothing on the fast path signs; a replica signs its final once per
+    epoch change, and :meth:`verify_many` checks a NEW_EPOCH's pool of
+    signed finals in one call.
     """
 
     def __init__(self, auth_key: RsaPrivateKey, auth_public: List[RsaPublicKey]) -> None:
@@ -260,6 +374,25 @@ class AuthPlane:
         self, items: List[Tuple[RsaPublicKey, bytes, bytes]]
     ) -> List[bool]:
         return [key.is_valid(data, sig) for key, data, sig in items]
+
+
+class _Install:
+    """An accepted NEW_EPOCH: its decision and its install-slot votes."""
+
+    def __init__(
+        self, epoch: int, decision: Decision, pending: Dict[str, bytes]
+    ) -> None:
+        self.epoch = epoch
+        self.start_seq, self.chosen = decision
+        self.digest = _decision_digest(epoch, decision)
+        self.pending = pending
+        self.prepares: Set[int] = set()
+        self.commits: Set[int] = set()
+        self.locked = False
+        self.delivered = False
+
+    def choice(self, seq: int) -> Tuple[str, bytes]:
+        return self.chosen.get(seq, _NULL)
 
 
 class AtomicBroadcast:
@@ -316,29 +449,32 @@ class AtomicBroadcast:
         self._ordered: Dict[Tuple[int, int], Tuple[str, bytes]] = {}
         self._payload_by_digest: Dict[bytes, Tuple[str, bytes]] = {}
         self._prepared_digest: Dict[Tuple[int, int], bytes] = {}
-        self._prepares: Dict[Tuple[int, int, bytes], Dict[int, bytes]] = {}
+        self._prepares: Dict[Tuple[int, int, bytes], Set[int]] = {}
         # Distinct digests admitted per (epoch, seq) slot.  A Byzantine
-        # signer carries a valid signature over any digest it invents, so
-        # without a cap each in-window slot admits unlimited pool entries
-        # in _prepares/_commits (digest stuffing).  Admission is bounded
+        # replica can vote for any digest it invents, so without a cap
+        # each in-window slot admits unlimited pool entries in
+        # _prepares/_commits (digest stuffing).  Admission is bounded
         # *per sender* — each replica may introduce at most one digest per
         # slot — so a flooder exhausts only its own budget and can never
         # crowd out the honest leader's digest (a global first-come cap
         # would let one replica censor every slot).
         self._slot_digests: Dict[Tuple[int, int], Set[bytes]] = {}
         self._slot_introducer: Dict[Tuple[int, int], Dict[int, bytes]] = {}
-        self._certificates: Dict[int, PrepareCertificate] = {}  # seq -> best cert
+        # DESIGN.md §5o.  seq -> (epoch, rid, payload): the highest-epoch
+        # lock this replica holds on each slot (rid NULL_RID for a null).
+        self._locks: Dict[int, Tuple[int, str, bytes]] = {}
+        # seq -> rid -> highest epoch this replica accepted rid at, kept
+        # only above the slot's lock epoch and below delivery.
+        self._accepted: Dict[int, Dict[str, int]] = {}
         self._commit_sent: Set[Tuple[int, int]] = set()
         self._commits: Dict[Tuple[int, int, bytes], Set[int]] = {}
         self._committed: Dict[int, bytes] = {}  # seq -> digest (commit quorum)
-        self._skipped: Set[int] = set()
         # Slot retirement (DESIGN.md "State lifetime"): once a slot is
         # delivered here *and* this replica has sent its own COMMIT, every
-        # per-slot structure above except ``_certificates[seq]`` is
-        # dropped.  Retired slots are remembered as a contiguous watermark
-        # plus the few slots retired ahead of it, so late ORDER / PREPARE
-        # / COMMIT traffic is shed before any signature work and a retired
-        # slot can never be prepared a second time.
+        # per-slot structure above except ``_locks[seq]`` is dropped.
+        # Retired slots are remembered as a contiguous watermark plus the
+        # few slots retired ahead of it, so late ORDER / PREPARE / COMMIT
+        # traffic is shed and a retired slot is never prepared again.
         self._retired_below = 0
         self._retired: Set[int] = set()
 
@@ -356,6 +492,9 @@ class AtomicBroadcast:
         self._finals: Dict[int, Dict[int, Tuple[AbcEpochFinal, bytes]]] = {}
         self._final_sent: Set[int] = set()
         self._new_epoch_done: Set[int] = set()
+        # The NEW_EPOCH this replica accepted last, while its choice list
+        # collects its install-slot votes (and after, for late votes).
+        self._install: Optional[_Install] = None
         # Ids of the armed leader-suspicion and recovery-stall timers.
         self._timer: Optional[TimerId] = None
         self._recovery_timer: Optional[TimerId] = None
@@ -373,7 +512,6 @@ class AtomicBroadcast:
         self.aba = BinaryAgreement(
             n, t, me, coin_key, on_decide=self._on_switch_decided
         )
-        self._switch_decided: Set[int] = set()
 
         # Statistics for benchmarks/ablations; the dict is ABA's, so its
         # coin-round drops count here too.
@@ -394,6 +532,13 @@ class AtomicBroadcast:
             "aba_out_of_window": 0,
             "future_dropped": 0,
             "await_dropped": 0,
+            # Complaints and finals for epochs past MAX_EPOCH_AHEAD.
+            "complaints_out_of_window": 0,
+            "finals_out_of_window": 0,
+            # NEW_EPOCHs refused: some slot undecided, or a choice that
+            # contradicts this replica's delivered log (a G1 tripwire).
+            "undecided_new_epochs": 0,
+            "conflicting_new_epochs": 0,
         })
         self._recovery = PayloadRecovery(n, me, self.stats)
 
@@ -566,7 +711,7 @@ class AtomicBroadcast:
 
         Also what keeps "an honest replica prepares at most one digest per
         (epoch, seq)" true once ``_prepared_digest`` is gone: a retired
-        slot was prepared (or certified by a NEW_EPOCH) before it retired,
+        slot was prepared (or installed by a NEW_EPOCH) before it retired,
         and no ORDER for it is ever looked at again.
         """
         if seq < self._retired_below or seq in self._retired:
@@ -580,9 +725,8 @@ class AtomicBroadcast:
         Waiting for the COMMIT is liveness, not safety: a replica that
         delivered on 2t+1 foreign COMMITs still owes the others its own,
         so it keeps the vote state until the late PREPAREs complete its
-        certificate.  Safety needs neither — the certificate stays in
-        ``_certificates`` and t+1 honest replicas hold one for every
-        delivered slot, so any n-t epoch finals carry it.
+        lock.  Safety needs neither — the lock stays in ``_locks`` and
+        t+1 honest replicas hold one for every delivered slot.
         """
         if seq < self.next_deliver and (epoch, seq) in self._commit_sent:
             self._retire(epoch, seq)
@@ -594,6 +738,7 @@ class AtomicBroadcast:
         self._slot_introducer.pop(key, None)
         self._commit_sent.discard(key)
         self._committed.pop(seq, None)
+        self._accepted.pop(seq, None)
         # Every _prepares/_commits pool and the slot's payload entry are
         # keyed by a digest that went through _admit_slot_digest.
         for digest in self._slot_digests.pop(key, ()):
@@ -658,21 +803,42 @@ class AtomicBroadcast:
         self._ordered[key] = (msg.request_id, payload)
         self._payload_by_digest[digest] = (msg.request_id, payload)
         self._prepared_digest[key] = digest
-        signature = self.crypto.sign(
-            _prepare_signing_input(msg.epoch, msg.seq, digest)
-        )
-        prepare = AbcPrepare(msg.epoch, msg.seq, digest, self.me, signature)
+        self._accept(msg.seq, msg.epoch, msg.request_id)
+        prepare = AbcPrepare(msg.epoch, msg.seq, digest, self.me)
         self._broadcast(prepare)
         self._on_prepare(self.me, prepare)
         # Prepares may have reached quorum before the ORDER arrived.  The
-        # prepare quorum is n-t, not 2t+1: two certificates for the same
-        # slot must share an honest signer for every n >= 3t+1, and
-        # 2*(n-t) - n = n - 2t >= t+1 always, while 2t+1 only intersects
-        # when n == 3t+1 exactly.
+        # lock quorum is n-t, not 2t+1: two locks on the same slot must
+        # share an honest voter for every n >= 3t+1, and 2*(n-t) - n =
+        # n - 2t >= t+1 always, while 2t+1 only intersects when n == 3t+1
+        # exactly.
         pool = self._prepares.get((msg.epoch, msg.seq, digest))
         if pool is not None and len(pool) >= self.n - self.t:
-            self._form_certificate(msg.epoch, msg.seq, digest, pool)
-        self._advance_delivery(fast=True)
+            self._lock_slot(msg.epoch, msg.seq, digest)
+        self._advance_delivery()
+
+    def _accept(self, seq: int, epoch: int, rid: str) -> None:
+        """Record an accepted claim: ``rid`` at ``epoch`` for ``seq``."""
+        lock = self._locks.get(seq)
+        if lock is not None and lock[0] >= epoch:
+            return  # the lock already speaks for this epoch
+        claims = self._accepted.setdefault(seq, {})
+        if claims.get(rid, -1) < epoch:
+            claims[rid] = epoch
+
+    def _set_lock(self, seq: int, epoch: int, rid: str, payload: bytes) -> None:
+        """Keep the highest-epoch lock per slot; accepted claims at or
+        below it say nothing more."""
+        existing = self._locks.get(seq)
+        if existing is not None and existing[0] >= epoch:
+            return
+        self._locks[seq] = (epoch, rid, payload)
+        claims = self._accepted.get(seq)
+        if claims is not None:
+            for claimed in [r for r, e in claims.items() if e <= epoch]:
+                del claims[claimed]
+            if not claims:
+                del self._accepted[seq]
 
     # ------------------------------------------------------------------
     # digest dissemination (DESIGN.md §5i)
@@ -744,32 +910,31 @@ class AtomicBroadcast:
         return [] if payload is None else [PayloadReply(key[0], b"", payload)]
 
     def _on_prepare(self, sender: int, msg: AbcPrepare) -> None:
+        if msg.signer != sender:
+            return  # the link names the voter; PREPAREs carry no signature
+        if msg.seq == INSTALL_SEQ:
+            self._on_install_vote(sender, msg)
+            return
         if self._buffer_future(sender, msg, msg.epoch):
             return
         if msg.epoch != self.epoch or self.mode != MODE_FAST:
             return
-        if msg.signer != sender:
-            return
         if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
         if (msg.epoch, msg.seq) in self._commit_sent:
-            # The slot's certificate is formed and our COMMIT is out: a
-            # PREPARE beyond its n-t can change nothing, so it is shed
-            # before the RSA check like traffic for a retired slot.
+            # The slot is locked and our COMMIT is out: a PREPARE beyond
+            # its n-t can change nothing, so it is shed like traffic for
+            # a retired slot.
             self.stats["surplus_prepares"] += 1
-            return
-        # Our own PREPARE was signed a few lines up in _on_order; only
-        # foreign signatures need checking.
-        if sender != self.me and not self._verify_prepare(msg):
             return
         if not self._admit_slot_digest(sender, msg.epoch, msg.seq, msg.digest):
             return
-        pool = self._prepares.setdefault((msg.epoch, msg.seq, msg.digest), {})
-        if msg.signer in pool:
+        pool = self._prepares.setdefault((msg.epoch, msg.seq, msg.digest), set())
+        if sender in pool:
             return
-        pool[msg.signer] = msg.signature
+        pool.add(sender)
         if len(pool) >= self.n - self.t:
-            self._form_certificate(msg.epoch, msg.seq, msg.digest, pool)
+            self._lock_slot(msg.epoch, msg.seq, msg.digest)
 
     def _admit_slot_digest(
         self, sender: int, epoch: int, seq: int, digest: bytes
@@ -795,32 +960,13 @@ class AtomicBroadcast:
         digests.add(digest)
         return True
 
-    def _verify_prepare(self, msg: AbcPrepare) -> bool:
-        if not 0 <= msg.signer < self.n:
-            return False
-        return self.crypto.verify(
-            msg.signer,
-            _prepare_signing_input(msg.epoch, msg.seq, msg.digest),
-            msg.signature,
-        )
-
-    def _form_certificate(
-        self, epoch: int, seq: int, digest: bytes, pool: Dict[int, bytes]
-    ) -> None:
+    def _lock_slot(self, epoch: int, seq: int, digest: bytes) -> None:
+        """n-t PREPAREs for ``digest``: lock the slot once the ORDER's
+        payload is here, and send our COMMIT."""
         known = self._payload_by_digest.get(digest)
         if known is None:
             return  # wait until the ORDER (payload) arrives
-        existing = self._certificates.get(seq)
-        if existing is not None and existing.epoch >= epoch:
-            pass
-        else:
-            self._certificates[seq] = PrepareCertificate(
-                epoch=epoch,
-                seq=seq,
-                digest=digest,
-                payload=known[1],
-                signatures=tuple(sorted(pool.items()))[: self.n - self.t],
-            )
+        self._set_lock(seq, epoch, known[0], known[1])
         if (epoch, seq) not in self._commit_sent:
             self._commit_sent.add((epoch, seq))
             commit = AbcCommit(epoch, seq, digest, self.me, b"")
@@ -829,11 +975,14 @@ class AtomicBroadcast:
             self._retire_if_done(epoch, seq)
 
     def _on_commit(self, sender: int, msg: AbcCommit) -> None:
+        if msg.signer != sender:
+            return
+        if msg.seq == INSTALL_SEQ:
+            self._on_install_vote(sender, msg)
+            return
         if self._buffer_future(sender, msg, msg.epoch):
             return
         if msg.epoch != self.epoch or self.mode != MODE_FAST:
-            return
-        if msg.signer != sender:
             return
         if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
@@ -845,15 +994,12 @@ class AtomicBroadcast:
         voters.add(sender)
         if len(voters) >= 2 * self.t + 1 and msg.seq not in self._committed:
             self._committed[msg.seq] = msg.digest
-            self._advance_delivery(fast=True)
+            self._advance_delivery()
 
-    def _advance_delivery(self, fast: bool) -> None:
+    def _advance_delivery(self) -> None:
         delivered_from = self.next_deliver
         while True:
             seq = self.next_deliver
-            if seq in self._skipped:
-                self.next_deliver += 1
-                continue
             digest = self._committed.get(seq)
             if digest is None:
                 break
@@ -862,9 +1008,9 @@ class AtomicBroadcast:
                 break
             rid, payload = known
             self.next_deliver += 1
-            self._deliver_once(seq, rid, payload, fast)
+            self._deliver_once(seq, rid, payload, fast=True)
             self._retire_if_done(self.epoch, seq)
-        # A slot delivered on foreign COMMITs whose certificate never
+        # A slot delivered on foreign COMMITs whose lock never
         # completes here (a Byzantine signer withholding its PREPARE at
         # n > 3t+1) must not pin the watermark: once it trails delivery
         # by the window, it is retired without our COMMIT.
@@ -873,14 +1019,13 @@ class AtomicBroadcast:
             self._retire(self.epoch, self._retired_below)
         self._arm_timer()
         if (
-            fast
-            and self.next_deliver > delivered_from
+            self.next_deliver > delivered_from
             and self.mode == MODE_FAST
             and self.me == self.leader
         ):
             # The slot in flight delivered: order what queued up behind
-            # it.  (A NEW_EPOCH install orders its own backlog once the
-            # new epoch's state is in place.)
+            # it.  (An install orders its own backlog once the new
+            # epoch's state is in place.)
             self._order_pending()
 
     def _deliver_once(self, seq: int, rid: str, payload: bytes, fast: bool) -> None:
@@ -931,11 +1076,14 @@ class AtomicBroadcast:
     # complaints and epoch switch
     # ------------------------------------------------------------------
 
-    def _arm_timer(self) -> None:
-        """(Re)arm the leader-suspicion timer while work is pending."""
+    def _disarm_timer(self) -> None:
         if self._timer is not None:
             self._out.append(CancelTimer(self._timer))
             self._timer = None
+
+    def _arm_timer(self) -> None:
+        """(Re)arm the leader-suspicion timer while work is pending."""
+        self._disarm_timer()
         if self.pending and self.mode == MODE_FAST:
             self._timer = ("abc", "suspect", self.epoch)
             self._out.append(SetTimer(self._timer, self.timeout))
@@ -958,7 +1106,9 @@ class AtomicBroadcast:
         if msg.complainer != sender or msg.epoch < self.epoch:
             return
         if msg.epoch > self.epoch + MAX_EPOCH_AHEAD:
-            return  # far-future epochs only come from Byzantine senders
+            # Far-future epochs only come from Byzantine senders.
+            self.stats["complaints_out_of_window"] += 1
+            return
         voters = self._complaints.setdefault(msg.epoch, set())
         if sender in voters:
             return
@@ -973,42 +1123,48 @@ class AtomicBroadcast:
     def _on_switch_decided(self, sid: str, value: int) -> None:
         if not sid.startswith("switch/") or value != 1:
             return
-        epoch = int(sid.split("/", 1)[1])
-        # Bounded: one entry per *decided* ABA instance, each of which
-        # needed 2t+1 participating replicas — not attacker-drivable.
-        # repro-lint: disable=C304,T404
-        self._switch_decided.add(epoch)
-        self._enter_recovery(epoch)
+        self._enter_recovery(int(sid.split("/", 1)[1]))
 
     def _enter_recovery(self, epoch: int) -> None:
+        """Close ``epoch``: sign and send this replica's final.  From here
+        on it neither locks nor COMMITs in any epoch <= ``epoch`` — a
+        lock formed later would be missing from the final."""
         if epoch < self.epoch or epoch in self._final_sent:
             return
         self.mode = MODE_RECOVERY
         self.stats["epoch_changes"] += 1
         self._final_sent.add(epoch)
-        if self._timer is not None:
-            self._out.append(CancelTimer(self._timer))
-            self._timer = None
+        self._disarm_timer()
         final = AbcEpochFinal(
             epoch=epoch,
             sender=self.me,
-            delivered_seq=self.next_deliver - 1,
-            certificates=tuple(
-                cert for _, cert in sorted(self._certificates.items())
+            locks=tuple(
+                (seq, lock_epoch, rid, payload)
+                for seq, (lock_epoch, rid, payload) in sorted(self._locks.items())
+            ),
+            accepted=tuple(
+                (seq, claim_epoch, rid)
+                for seq, claims in sorted(self._accepted.items())
+                for rid, claim_epoch in sorted(claims.items())
             ),
             pending=tuple(sorted(self.pending.items())),
         )
         signed = (final, self.crypto.sign(_final_signing_input(final)))
         self._broadcast(signed)
         self._on_epoch_final(self.me, signed)
-        # If the next leader stalls, complain about the next epoch.
+        self._arm_stall_timer(epoch)
+
+    def _arm_stall_timer(self, epoch: int) -> None:
+        """If the next leader stalls, complain about the next epoch."""
         if self._recovery_timer is not None:
             self._out.append(CancelTimer(self._recovery_timer))
         self._recovery_timer = ("abc", "stalled", epoch)
         self._out.append(SetTimer(self._recovery_timer, self.timeout * 2))
 
     def _recovery_stalled(self, epoch: int) -> None:
-        if self.epoch > epoch or self.mode == MODE_FAST:
+        """No fast path in an epoch past ``epoch`` yet: the next leader
+        never sent a NEW_EPOCH, or its choice list never committed."""
+        if self.epoch > epoch and self.mode == MODE_FAST:
             return
         self._complain(epoch + 1)
 
@@ -1020,12 +1176,16 @@ class AtomicBroadcast:
             return
         # Window check first: it reads only final.epoch, so stale/far-future
         # spam is shed before paying for a full signature verification.
-        if final.epoch < self.epoch or final.epoch > self.epoch + MAX_EPOCH_AHEAD:
-            return  # stale finals are useless; far-future ones are Byzantine
-        if not self.crypto.verify(sender, _final_signing_input(final), signature):
+        if final.epoch < self.epoch:
+            return  # stale finals are useless
+        if final.epoch > self.epoch + MAX_EPOCH_AHEAD:
+            # Far-future finals only come from Byzantine senders.
+            self.stats["finals_out_of_window"] += 1
             return
         pool = self._finals.setdefault(final.epoch, {})
-        if sender in pool:
+        if sender in pool or final_claims(final) is None:
+            return
+        if not self.crypto.verify(sender, _final_signing_input(final), signature):
             return
         pool[sender] = (final, signature)  # signed tuple, forwarded in NEW_EPOCH
         next_epoch = final.epoch + 1
@@ -1035,102 +1195,49 @@ class AtomicBroadcast:
             and next_epoch not in self._new_epoch_done
             and next_epoch > self.epoch
         ):
+            # Send only a decisive pool; until then keep collecting (a
+            # pool with every honest final is decisive, DESIGN.md §5o).
+            claims = [final_claims(f) for f, _sig in pool.values()]
+            if self._decide([c for c in claims if c is not None]) is None:
+                return
             self._new_epoch_done.add(next_epoch)
-            finals = tuple(pool.values())[: self.n - self.t]
-            new_epoch = AbcNewEpoch(
-                epoch=next_epoch,
-                certificates=finals,  # carries the signed finals themselves
-                start_seq=0,          # recomputed by every validator
-            )
+            new_epoch = AbcNewEpoch(epoch=next_epoch, finals=tuple(pool.values()))
             self._broadcast(new_epoch)
             self._on_new_epoch(self.me, new_epoch)
 
+    def _decide(self, claims: List[_Claims]) -> Optional[Decision]:
+        return decide(claims, self.n, self.t)
+
     def _on_new_epoch(self, sender: int, msg: AbcNewEpoch) -> None:
+        """Accept a NEW_EPOCH: vote for its choice list in the install
+        slot.  Nothing is delivered until that slot commits."""
         if msg.epoch <= self.epoch:
             return
         if sender != msg.epoch % self.n:
             return
-        adopted, start_seq, merged_pending = self._validate_new_epoch(msg)
-        if adopted is None:
+        install = self._validate_new_epoch(msg)
+        if install is None:
             return
-        # Explicit local bound on the certificate-validated state installed
-        # below: _validate_new_epoch clamps every final's delivered-seq
-        # claim to its own certificate evidence, so a legitimate NEW_EPOCH
-        # can never open a window wider than the fast path's delivery
-        # window — refuse anything larger outright instead of installing
-        # unbounded per-slot state.  Slots this replica already delivered
-        # install nothing but their certificate, so they do not count.
-        missing = [seq for seq in sorted(adopted) if seq >= self.next_deliver]
-        if len(missing) > MAX_SEQ_AHEAD or start_seq > self.next_deliver + MAX_SEQ_AHEAD:
-            self.stats["out_of_window"] += 1
-            return
-        # Install the certified prefix.
-        self._certificates.update(adopted)
-        for seq in missing:
-            cert = adopted[seq]
-            self._payload_by_digest[cert.digest] = (
-                derive_request_id(cert.payload),
-                cert.payload,
-            )
-            self._committed[seq] = cert.digest
-        for seq in range(self.next_deliver, start_seq):
-            if seq not in self._committed:
-                self._skipped.add(seq)
-        self._advance_delivery(fast=False)
-        if self.next_deliver < start_seq:
-            self.next_deliver = start_seq
-        # Enter the new epoch.  Everything below start_seq is delivered or
-        # skipped and all fast-path vote state is keyed by an epoch that
-        # is over (traffic for this one was only buffered), so the slot
-        # structures restart empty behind the watermark; complaint and
-        # epoch-final pools of finished epochs go with them.
-        self._ordered.clear()
-        self._payload_by_digest.clear()
-        self._prepared_digest.clear()
-        self._prepares.clear()
-        self._slot_digests.clear()
-        self._slot_introducer.clear()
-        self._commit_sent.clear()
-        self._commits.clear()
-        self._committed.clear()
-        self._skipped.clear()
-        self._retired.clear()
-        self._retired_below = self.next_deliver
-        self._complaints = {
-            e: v for e, v in self._complaints.items() if e >= msg.epoch
-        }
-        self._finals = {e: v for e, v in self._finals.items() if e >= msg.epoch}
         self.epoch = msg.epoch
-        self.mode = MODE_FAST
-        # Restart at the watermark, whatever this replica ordered in an
-        # earlier leadership: slots nobody certified are below nobody's
-        # watermark, so a surviving counter would order past a gap that is
-        # never filled — and read as "slot in flight" forever.
-        self._next_order_seq = self.next_deliver
-        for rid, payload in merged_pending.items():
-            if rid in self.delivered_ids:
-                continue
-            if len(self.pending) >= MAX_PENDING_REQUESTS:
-                self.stats["initiates_dropped"] += 1
-                break
-            self.pending.setdefault(rid, payload)
-        if self._recovery_timer is not None:
-            self._out.append(CancelTimer(self._recovery_timer))
-            self._recovery_timer = None
-        self._arm_timer()
-        if self.me == self.leader:
-            self._order_pending()
-        # Replay fast-path traffic that arrived while we lagged behind the
-        # epoch switch; anything still ahead of us is re-buffered.
+        self.mode = MODE_RECOVERY
+        self._install = install
+        self._disarm_timer()  # a replica that missed the switch still had it
+        if self._recovery_timer is None:  # ... and no stall timer yet
+            self._arm_stall_timer(msg.epoch - 1)
+        for seq in range(install.start_seq):
+            self._accept(seq, msg.epoch, install.choice(seq)[0])
+        prepare = AbcPrepare(msg.epoch, INSTALL_SEQ, install.digest, self.me)
+        self._broadcast(prepare)
+        self._on_prepare(self.me, prepare)
+        # Install votes that arrived early; fast-path traffic of the new
+        # epoch is buffered again until the install delivers.
         self._replay_buffered()
 
-    def _validate_new_epoch(
-        self, msg: AbcNewEpoch
-    ) -> Tuple[Optional[Dict[int, PrepareCertificate]], int, Dict[str, bytes]]:
-        """Revalidate a NEW_EPOCH deterministically from its signed finals."""
+    def _validate_new_epoch(self, msg: AbcNewEpoch) -> Optional[_Install]:
+        """Re-verify a NEW_EPOCH's signed finals and re-run the decision."""
         prev_epoch = msg.epoch - 1
         candidates: List[Tuple[AbcEpochFinal, bytes]] = []
-        for item in msg.certificates:
+        for item in msg.finals:
             if not (isinstance(item, tuple) and len(item) == 2):
                 continue
             final, signature = item
@@ -1138,7 +1245,7 @@ class AtomicBroadcast:
                 continue
             if final.epoch != prev_epoch:
                 continue
-            if not 0 <= final.sender < self.n:
+            if not 0 <= final.sender < self.n or final_claims(final) is None:
                 continue
             candidates.append((final, signature))
         # Amortized verification: every structurally-valid final is checked
@@ -1156,50 +1263,131 @@ class AtomicBroadcast:
                 seen.add(final.sender)
                 valid_finals.append(final)
         if len(valid_finals) < self.n - self.t:
-            return None, 0, {}
-        adopted: Dict[int, PrepareCertificate] = {}
+            return None
+        claims = [final_claims(final) for final in valid_finals]
+        decision = self._decide([c for c in claims if c is not None])
+        if decision is None:
+            self.stats["undecided_new_epochs"] += 1
+            return None
+        start_seq, chosen = decision
+        # The fast path's delivery window bounds what an install opens.
+        missing = [seq for seq in chosen if seq >= self.next_deliver]
+        if len(missing) > MAX_SEQ_AHEAD or start_seq > self.next_deliver + MAX_SEQ_AHEAD:
+            self.stats["out_of_window"] += 1
+            return None
+        if not self._consistent_with_log(decision):
+            self.stats["conflicting_new_epochs"] += 1
+            return None
         merged_pending: Dict[str, bytes] = {}
-        delivered_claim = 0
         for final in valid_finals:
-            for cert in final.certificates:
-                if not self._validate_certificate(cert):
-                    continue
-                current = adopted.get(cert.seq)
-                if current is None or cert.epoch > current.epoch:
-                    adopted[cert.seq] = cert
             for rid, payload in final.pending:
                 merged_pending.setdefault(rid, payload)
-            # A final's delivered-seq claim counts only up to its own
-            # certificate evidence: honest replicas carry certificates for
-            # every slot at or above their watermark, so clamping changes
-            # nothing for them, while a Byzantine final cannot skip the
-            # sequence space ahead with a bare delivered_seq number.
-            evidence = max((c.seq for c in final.certificates), default=-1)
-            delivered_claim = max(
-                delivered_claim, min(final.delivered_seq, evidence) + 1
-            )
-        start_seq = max(adopted) + 1 if adopted else 0
-        start_seq = max(start_seq, delivered_claim)
-        return adopted, start_seq, merged_pending
+        return _Install(msg.epoch, decision, merged_pending)
 
-    def _validate_certificate(self, cert: PrepareCertificate) -> bool:
-        if not isinstance(cert, PrepareCertificate):
+    def _consistent_with_log(self, decision: Decision) -> bool:
+        """The G1 tripwire: a decision never contradicts what this replica
+        delivered (a different request at a delivered slot, a request at a
+        slot it skipped, or a range ending below its watermark)."""
+        start_seq, chosen = decision
+        if start_seq < self.next_deliver:
             return False
-        if cert.digest != request_digest(cert.epoch, cert.seq, cert.payload):
-            return False
-        seen: Set[int] = set()
-        data = _prepare_signing_input(cert.epoch, cert.seq, cert.digest)
-        items = []
-        for signer, signature in cert.signatures:
-            if signer in seen or not 0 <= signer < self.n:
+        delivered_at = dict(self.delivered_log)
+        for seq in range(self.next_deliver):
+            rid = chosen.get(seq, _NULL)[0]
+            logged = delivered_at.get(seq)
+            if logged is not None:
+                if rid != logged:
+                    return False
+            elif rid != NULL_RID and rid not in self.delivered_ids:
+                return False  # skipped here (or a duplicate of nothing)
+        return True
+
+    def _on_install_vote(self, sender: int, msg: Union[AbcPrepare, AbcCommit]) -> None:
+        """A PREPARE or COMMIT on a new epoch's choice list."""
+        epoch = msg.epoch
+        if epoch > self.epoch:
+            self._buffer_future(sender, msg, epoch)
+            return
+        install = self._install
+        if (
+            install is None
+            or install.epoch != epoch
+            or epoch in self._final_sent  # closed: no lock or COMMIT now
+            or not 0 <= sender < self.n
+            or msg.digest != install.digest
+        ):
+            return
+        if isinstance(msg, AbcPrepare):
+            install.prepares.add(sender)
+            if len(install.prepares) >= self.n - self.t and not install.locked:
+                # n-t PREPAREs: lock every choice (nulls too) at this epoch.
+                install.locked = True
+                for seq in range(install.start_seq):
+                    rid, payload = install.choice(seq)
+                    self._set_lock(seq, epoch, rid, payload)
+                commit = AbcCommit(epoch, INSTALL_SEQ, install.digest, self.me, b"")
+                self._broadcast(commit)
+                self._on_commit(self.me, commit)
+        else:
+            install.commits.add(sender)
+            if len(install.commits) >= 2 * self.t + 1 and not install.delivered:
+                install.delivered = True
+                self._complete_install(install)
+
+    def _complete_install(self, install: _Install) -> None:
+        """2t+1 COMMITs on the choice list: deliver it, enter the epoch."""
+        for seq in range(self.next_deliver, install.start_seq):
+            rid, payload = install.choice(seq)
+            if rid != NULL_RID:
+                self._deliver_once(seq, rid, payload, fast=False)
+        self.next_deliver = max(self.next_deliver, install.start_seq)
+        # Everything below start_seq is delivered or skipped and all
+        # fast-path vote state is keyed by an epoch that is over (traffic
+        # for this one was only buffered), so the slot structures restart
+        # empty behind the watermark; accepted claims below it and the
+        # complaint and epoch-final pools of finished epochs go with them.
+        self._ordered.clear()
+        self._payload_by_digest.clear()
+        self._prepared_digest.clear()
+        self._prepares.clear()
+        self._slot_digests.clear()
+        self._slot_introducer.clear()
+        self._commit_sent.clear()
+        self._commits.clear()
+        self._committed.clear()
+        self._retired.clear()
+        self._retired_below = self.next_deliver
+        self._accepted = {
+            seq: claims
+            for seq, claims in self._accepted.items()
+            if seq >= self.next_deliver
+        }
+        self._complaints = {
+            e: v for e, v in self._complaints.items() if e >= install.epoch
+        }
+        self._finals = {e: v for e, v in self._finals.items() if e >= install.epoch}
+        self.mode = MODE_FAST
+        # Restart at the watermark, whatever this replica ordered in an
+        # earlier leadership: slots nobody locked are below nobody's
+        # watermark, so a surviving counter would order past a gap that is
+        # never filled — and read as "slot in flight" forever.
+        self._next_order_seq = self.next_deliver
+        for rid, payload in install.pending.items():
+            if rid in self.delivered_ids:
                 continue
-            seen.add(signer)
-            items.append((self.auth_public[signer], data, signature))
-        # One amortized crypto-plane task checks the whole prepare pool.
-        # Certificates need the full n-t intersection quorum (see
-        # _on_prepare); accepting 2t+1 here would admit certificates a
-        # Byzantine signer could duplicate for a conflicting digest.
-        return sum(self.crypto.verify_many(items)) >= self.n - self.t
+            if len(self.pending) >= MAX_PENDING_REQUESTS:
+                self.stats["initiates_dropped"] += 1
+                break
+            self.pending.setdefault(rid, payload)
+        if self._recovery_timer is not None:
+            self._out.append(CancelTimer(self._recovery_timer))
+            self._recovery_timer = None
+        self._arm_timer()
+        if self.me == self.leader:
+            self._order_pending()
+        # Replay fast-path traffic that arrived while we lagged behind the
+        # epoch switch; anything still ahead of us is re-buffered.
+        self._replay_buffered()
 
     # ------------------------------------------------------------------
     # plumbing

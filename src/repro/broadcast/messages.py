@@ -165,35 +165,27 @@ class AbcOrder:
 
 @dataclass(frozen=True)
 class AbcPrepare:
-    """First-phase echo: replica ``signer`` vouches for (epoch, seq, digest)."""
+    """First-phase echo: replica ``signer`` vouches for (epoch, seq, digest).
+
+    Unsigned: the authenticated link names the sender, and a PREPARE
+    whose ``signer`` is not that sender is dropped.  ``seq`` is
+    ``INSTALL_SEQ`` for a vote on a NEW_EPOCH's choice list."""
 
     epoch: int
     seq: int
     digest: bytes
     signer: int
-    signature: bytes
 
 
 @dataclass(frozen=True)
 class AbcCommit:
-    """Second-phase echo, sent only by replicas holding a prepare certificate."""
+    """Second-phase echo, sent only by replicas holding a lock on the slot."""
 
     epoch: int
     seq: int
     digest: bytes
     signer: int
     signature: bytes
-
-
-@dataclass(frozen=True)
-class PrepareCertificate:
-    """n-t signed prepares — transferable proof that (seq, digest) is safe."""
-
-    epoch: int
-    seq: int
-    digest: bytes
-    payload: bytes
-    signatures: Tuple[Tuple[int, bytes], ...]  # (signer, signature) pairs
 
 
 @dataclass(frozen=True)
@@ -208,30 +200,33 @@ class AbcComplain:
 class AbcEpochFinal:
     """A replica's closing state for an epoch (sent during fall-back).
 
-    Carries every prepare certificate the replica holds at or above its
-    delivered watermark, plus its undelivered pending requests so the new
-    leader can re-propose them.
+    ``locks`` holds the replica's highest-epoch lock on every slot it
+    locked, ``(seq, epoch, request_id, payload)``, with request id
+    ``""`` and an empty payload for a null (skipped) slot.  ``accepted``
+    holds, per slot, each request id it accepted at an epoch above its
+    lock there, ``(seq, epoch, request_id)``.  ``pending`` lists its
+    undelivered requests, so the new leader can re-propose them.  The
+    whole message is signed (DESIGN.md §5o).
     """
 
     epoch: int
     sender: int
-    delivered_seq: int
-    certificates: Tuple[PrepareCertificate, ...]
+    locks: Tuple[Tuple[int, int, str, bytes], ...]
+    accepted: Tuple[Tuple[int, int, str], ...]
     pending: Tuple[Tuple[str, bytes], ...]  # (request_id, payload)
 
 
 @dataclass(frozen=True)
 class AbcNewEpoch:
-    """New leader's epoch-start message: the adopted certified prefix.
+    """New leader's epoch-start message: the signed finals it decided from.
 
-    ``certificates`` carries the signed EPOCH_FINAL messages themselves
-    (``(final, signature)`` pairs) so every validator can re-verify the
-    n-t closing states instead of trusting the new leader's summary.
+    ``finals`` carries the signed EPOCH_FINAL messages themselves
+    (``(final, signature)`` pairs), so every validator re-verifies them
+    and re-runs the decision instead of trusting the new leader.
     """
 
     epoch: int  # the NEW epoch
-    certificates: Tuple[Tuple[AbcEpochFinal, bytes], ...]
-    start_seq: int
+    finals: Tuple[Tuple[AbcEpochFinal, bytes], ...]
 
 
 @dataclass(frozen=True)

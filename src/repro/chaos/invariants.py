@@ -202,6 +202,12 @@ def check_expectations(
                 report.expectations.append(
                     "expect: the poisoning replica replayed no stale answer"
                 )
+        elif expectation == "lying_final":
+            lies = sum(r.fault.stats["lying_finals"] for r in service.replicas)
+            if lies == 0:
+                report.expectations.append(
+                    "expect: the equivocating leader signed no lying EPOCH_FINAL"
+                )
         elif expectation == "batched":
             batches = sum(r.stats["batches_delivered"] for r in honest)
             if batches == 0:

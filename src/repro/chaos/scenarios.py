@@ -160,7 +160,27 @@ SCENARIOS: Dict[str, Scenario] = {
             delay_rate=0.1,
             max_delay=0.1,
             ops=8,
-            expects=("epoch_change",),
+            expects=("epoch_change", "lying_final"),
+        ),
+        Scenario(
+            name="equivocate-lie",
+            description=(
+                "the epoch leader ORDERs its first request honestly to n-t-1 "
+                "replicas and tampered to the other t, so the honest request "
+                "delivers at the majority camp; it then stops ordering and "
+                "signs an EPOCH_FINAL claiming a lock on the tampered request, "
+                "which the epoch change must not believe"
+            ),
+            corruptions=(
+                CorruptionMode.EQUIVOCATE_MINORITY,
+                CorruptionMode.WITHHOLD_SHARES,
+            ),
+            placement=(0, 4),
+            abc_timeout=2.5,
+            delay_rate=0.1,
+            max_delay=0.1,
+            ops=8,
+            expects=("epoch_change", "lying_final"),
         ),
         Scenario(
             name="batch",

@@ -11,7 +11,12 @@ The extended palette attacks each of the paper's goals in a targeted way:
 
 * ``EQUIVOCATE`` — a Byzantine leader sends *different* ORDER payloads to
   different replicas (the classic safety attack; quorum intersection must
-  keep G1).
+  keep G1), and its signed EPOCH_FINAL claims a lock on the tampered
+  request (the epoch-change decision must not believe it).
+* ``EQUIVOCATE_MINORITY`` — the same, but only ``t`` replicas get the
+  tampered ORDER, so the honest request delivers at the other ``n-t-1``
+  before the lie; the leader then stops ordering, forcing the epoch
+  change in which the lie is told.
 * ``MALFORMED_BATCHES`` — a Byzantine gateway garbles the length-prefixed
   batch frames it broadcasts; strict total decoding must make every honest
   replica reach the same verdict (drop the batch) and client retry must
@@ -33,10 +38,12 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
+from repro.broadcast.abc import _final_signing_input
 from repro.broadcast.messages import (
     BATCH_MAGIC,
+    AbcEpochFinal,
     AbcInitiate,
     AbcOrder,
     ClientResponse,
@@ -63,8 +70,12 @@ class CorruptionMode(enum.Enum):
     #: that weak correctness G1' permits but full G1 does not).
     STALE_READS = "stale_reads"
     #: Byzantine leader: send conflicting ORDER payloads to different
-    #: replicas for the same sequence slot.
+    #: replicas for the same sequence slot, then claim a lock on the
+    #: tampered one in a re-signed EPOCH_FINAL.
     EQUIVOCATE = "equivocate"
+    #: EQUIVOCATE with a tampered camp of only t replicas, on the first
+    #: ORDER only; later ORDERs are withheld.
+    EQUIVOCATE_MINORITY = "equivocate_minority"
     #: Byzantine gateway: garble the length-prefixed batch frames so the
     #: strict decoder (and client retry) are exercised end to end.
     MALFORMED_BATCHES = "malformed_batches"
@@ -126,14 +137,32 @@ class FaultInjector:
     stats: Dict[str, int] = field(
         default_factory=lambda: {
             "equivocations": 0,
+            "lying_finals": 0,
             "garbled_batches": 0,
             "poisoned_responses": 0,
             "withheld_messages": 0,
         }
     )
 
+    #: Set by the replica when it turns equivocating (``arm_lies``): the
+    #: cluster's (n, t) and its authenticator signing function.
+    cluster: Tuple[int, int] = field(default=(0, 0), init=False, repr=False)
+    sign: Optional[Callable[[bytes], bytes]] = field(default=None, init=False, repr=False)
+    #: Equivocation memory: payloads of this replica's own INITIATEs (so
+    #: a digest ORDER can be tampered), the tampered (rid, payload) per
+    #: (epoch, seq), and the re-signed final per epoch.
+    initiated: Dict[str, bytes] = field(default_factory=dict, repr=False)
+    lies: Dict[Tuple[int, int], Tuple[str, bytes]] = field(default_factory=dict, repr=False)
+    lying_finals: Dict[int, Tuple[AbcEpochFinal, bytes]] = field(
+        default_factory=dict, repr=False
+    )
+
     def __post_init__(self) -> None:
         self.rng = random.Random(self.seed)
+
+    def arm_lies(self, n: int, t: int, sign: Callable[[bytes], bytes]) -> None:
+        self.cluster = (n, t)
+        self.sign = sign
 
     @staticmethod
     def derive_seed(scenario_seed: int, replica_index: int) -> int:
@@ -170,7 +199,7 @@ class FaultInjector:
             msg, ClientResponse
         ):
             return None
-        if self.mode is CorruptionMode.EQUIVOCATE:
+        if self.mode in (CorruptionMode.EQUIVOCATE, CorruptionMode.EQUIVOCATE_MINORITY):
             return self._equivocate(msg, dest)
         if self.mode is CorruptionMode.MALFORMED_BATCHES:
             return self._garble_batch(msg)
@@ -204,26 +233,45 @@ class FaultInjector:
 
     # -- extended palette ---------------------------------------------------
 
-    def _equivocate(self, msg: object, dest: Optional[int]) -> object:
-        """Byzantine leader: half the replicas get a conflicting ORDER.
+    def _equivocate(self, msg: object, dest: Optional[int]) -> Optional[object]:
+        """Byzantine leader: part of the replicas get a conflicting ORDER.
 
-        The tampered payload carries a *consistent* payload-derived request
-        id, so it passes the per-message sanity check and the attack is
-        only stopped where it must be: no slot can gather two prepare
-        certificates (quorum intersection), so the epoch stalls and the
-        complaint/ABA path takes over.
+        The tampered payload carries a *consistent* payload-derived
+        request id, so it passes the per-message sanity check; a digest
+        ORDER for one of this replica's own INITIATEs is tampered through
+        the payload it remembers, and travels full.  EQUIVOCATE tampers
+        every ORDER for odd-numbered replicas, so no slot locks and the
+        complaint/ABA path takes over.  EQUIVOCATE_MINORITY tampers only
+        the first ORDER, for the ``t`` highest-numbered replicas, so the
+        honest request delivers at the others, and withholds the rest.
+        Either way the signed EPOCH_FINAL then claims a lock on every
+        tampered request (:meth:`_lie`).
         """
+        if isinstance(msg, AbcInitiate):
+            if len(self.initiated) < 4096:  # a chaos run sends far fewer
+                self.initiated[msg.request_id] = msg.payload
+            return msg
+        if isinstance(msg, tuple) and len(msg) == 2 and isinstance(msg[0], AbcEpochFinal):
+            return self._lie(msg)
         if not isinstance(msg, AbcOrder) or dest is None:
             return msg
-        if dest % 2 == 0:
-            return msg  # even-numbered replicas see the honest ORDER
-        payload = msg.payload
+        minority = self.mode is CorruptionMode.EQUIVOCATE_MINORITY
+        key = (msg.epoch, msg.seq)
+        if minority and self.lies and key not in self.lies:
+            return None  # stall: the epoch change that follows hears the lie
+        n, t = self.cluster
+        if (dest < n - t) if minority else (dest % 2 == 0):
+            return msg  # the honest camp sees the honest ORDER
+        if key in self.lies:
+            rid, tampered = self.lies[key]
+            return AbcOrder(epoch=msg.epoch, seq=msg.seq, request_id=rid, payload=tampered)
+        payload = msg.payload or self.initiated.get(msg.request_id, b"")
         if payload == b"":
-            # Digest-mode ORDER: there is no payload to tamper, so the
-            # leader equivocates on the request id itself.  Odd replicas
-            # chase a payload that does not exist (their pulls are
-            # bounded), the slot can never gather two certificates, and
-            # the complaint path takes over exactly as below.
+            # A digest ORDER for a payload this replica never held: the
+            # leader equivocates on the request id itself.  That camp
+            # chases a payload that does not exist (their pulls are
+            # bounded), the slot never locks, and the complaint path
+            # takes over; there is no payload to lie about.
             flipped = "0" if msg.request_id[-1] != "0" else "1"
             self.stats["equivocations"] += 1
             return AbcOrder(
@@ -236,12 +284,34 @@ class FaultInjector:
             return msg
         tampered = payload[:-1] + bytes([payload[-1] ^ 0xFF])
         self.stats["equivocations"] += 1
+        self.lies[key] = (_derive_rid(tampered), tampered)
         return AbcOrder(
             epoch=msg.epoch,
             seq=msg.seq,
             request_id=_derive_rid(tampered),
             payload=tampered,
         )
+
+    def _lie(self, signed: Tuple[AbcEpochFinal, bytes]) -> object:
+        """Re-sign this replica's EPOCH_FINAL with a lock on every request
+        it tampered, at the epoch it ORDERed it in."""
+        final = signed[0]
+        if not self.lies or self.sign is None:
+            return signed
+        cached = self.lying_finals.get(final.epoch)
+        if cached is not None:
+            return cached
+        lied = {seq: (epoch, rid, payload) for (epoch, seq), (rid, payload) in self.lies.items()}
+        locks = {seq: (epoch, rid, payload) for seq, epoch, rid, payload in final.locks}
+        locks.update(lied)
+        lie = replace(
+            final,
+            locks=tuple((seq, *lock) for seq, lock in sorted(locks.items())),
+            accepted=tuple(claim for claim in final.accepted if claim[0] not in lied),
+        )
+        self.stats["lying_finals"] += 1
+        self.lying_finals[final.epoch] = (lie, self.sign(_final_signing_input(lie)))
+        return self.lying_finals[final.epoch]
 
     def _garble_batch(self, msg: object) -> object:
         """Byzantine gateway: damage the batch frame it disseminates.

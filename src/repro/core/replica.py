@@ -34,8 +34,7 @@ from repro.broadcast.abc import (
 from repro.broadcast.effects import CancelTimer, Deliver, Effect, Send, SetTimer, TimerId
 from repro.broadcast.messages import (
     MAX_BATCH_NESTING,
-    AbcOrder,
-    AbcPrepare,
+    AbcNewEpoch,
     ClientRequest,
     ClientResponse,
     WrapperSigning,
@@ -299,6 +298,10 @@ class ReplicaServer:
         self.fault.reseed(self._seed, self.index)
         if mode is CorruptionMode.CRASH:
             self.node.dropped = True
+        if self.abc is not None and mode in (
+            CorruptionMode.EQUIVOCATE, CorruptionMode.EQUIVOCATE_MINORITY
+        ):
+            self.fault.arm_lies(self.config.n, self.config.t, self.abc.crypto.sign)
         if mode is CorruptionMode.BAD_SHARES:
             bad = tampered_zone_share(
                 self.deployment.replicas[self.index].zone_share
@@ -385,12 +388,19 @@ class ReplicaServer:
     def _on_abc_message(self, sender: int, msg: object) -> None:
         if self.abc is None:
             return
-        # Charge the broadcast layer's authentication work.
-        if isinstance(msg, AbcOrder):
-            self.node.charge(self.costs.auth_sign)  # we sign our prepare
-        elif isinstance(msg, AbcPrepare):
+        # Charge the broadcast layer's authentication work: nothing per
+        # slot (PREPAREs are unsigned), one verification per signed
+        # EPOCH_FINAL received or re-checked in a NEW_EPOCH, one
+        # signature per final this replica sends.
+        if isinstance(msg, tuple):
             self.node.charge(self.costs.auth_verify)
-        self._apply(self.abc.on_message(sender, msg), self._on_deliver)
+        elif isinstance(msg, AbcNewEpoch):
+            self.node.charge(self.costs.auth_verify * len(msg.finals))
+        epoch_changes = self.abc.stats["epoch_changes"]
+        effects = self.abc.on_message(sender, msg)
+        if self.abc.stats["epoch_changes"] > epoch_changes:
+            self.node.charge(self.costs.auth_sign)
+        self._apply(effects, self._on_deliver)
 
     # ------------------------------------------------------------------
     # effects and timers (repro.broadcast.effects)

@@ -43,7 +43,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.broadcast.aba import BinaryAgreement
-from repro.broadcast.abc import AtomicBroadcast, derive_request_id
+from repro.broadcast.abc import (
+    AtomicBroadcast,
+    _final_signing_input,
+    derive_request_id,
+    request_digest,
+)
 from repro.broadcast.effects import CancelTimer, Effect, Send, SetTimer
 from repro.broadcast.messages import (
     AbaAux,
@@ -51,8 +56,10 @@ from repro.broadcast.messages import (
     AbaEst,
     AbcCommit,
     AbcComplain,
+    AbcEpochFinal,
     AbcInitiate,
     AbcOrder,
+    AbcPrepare,
     CoinShare,
 )
 from repro.chaos.invariants import (
@@ -287,7 +294,13 @@ def abc_strategies(
     is replica 0): silence forces the complaint/recovery path; sequence
     equivocation assigns the same slot to different requests per camp;
     withholding INITIATEs a fresh request at one honest replica only and
-    digest-ORDERs it everywhere, so the rest must pull it from there."""
+    digest-ORDERs it everywhere, so the rest must pull it from there.
+
+    ``equivocate-lie`` ORDERs the first payload r to all honest replicas
+    but the last, and r' to the last; it PREPAREs and COMMITs r, so r
+    delivers at the first camp once it locks.  Then it complains and
+    signs an EPOCH_FINAL claiming a lock on r' — the lie the epoch-change
+    decision must not believe (DESIGN.md §5o)."""
     strategies = [ByzStrategy("silent")]
     if len(payloads) >= 2 and len(honest) >= 2:
         group_a, group_b = _split(honest)
@@ -302,12 +315,36 @@ def abc_strategies(
                 ),
             )
         )
+    if len(payloads) >= 2 and len(honest) >= 2:
+        strategies.append(_equivocate_lie(byz, honest, payloads[0], payloads[1]))
     if honest:
         rid = derive_request_id(b"req-withheld")
         initiate = (honest[0], AbcInitiate(rid, b"req-withheld"))
         orders = tuple((dest, AbcOrder(0, 0, rid, b"")) for dest in honest)
         strategies.append(ByzStrategy("withhold-payload", (initiate,) + orders))
     return strategies
+
+
+def _equivocate_lie(
+    byz: int, honest: Sequence[int], pa: bytes, pb: bytes
+) -> ByzStrategy:
+    ra, rb = derive_request_id(pa), derive_request_id(pb)
+    digest = request_digest(0, 0, pa)
+    lie = AbcEpochFinal(
+        epoch=0, sender=byz, locks=((0, 0, rb, pb),), accepted=(), pending=()
+    )
+    signed = (lie, StubKey(byz).sign(_final_signing_input(lie)))
+    return ByzStrategy(
+        "equivocate-lie",
+        tuple(
+            [(dest, AbcOrder(0, 0, ra, pa)) for dest in honest[:-1]]
+            + [(honest[-1], AbcOrder(0, 0, rb, pb))]
+            + [(dest, AbcPrepare(0, 0, digest, byz)) for dest in honest]
+            + [(dest, AbcCommit(0, 0, digest, byz, b"")) for dest in honest]
+            + [(dest, AbcComplain(0, byz)) for dest in honest]
+            + [(dest, signed) for dest in honest]
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -743,11 +780,11 @@ class AbcModel(BaseMessageModel):
     def _vote_token(self, payload: object) -> Optional[object]:
         # COMMIT and COMPLAIN are per-sender set-inserts with count
         # thresholds; the embedded ABA votes commute as in AbaModel
-        # (stub coin).  PREPARE does *not* commute: the certificate
-        # formed at quorum snapshots whichever n-t signatures arrived
-        # first, so arrival order is observable in the certificate.
-        # EPOCH_FINAL likewise feeds an arrival-dependent pool into
-        # NEW_EPOCH construction.
+        # (stub coin).  PREPARE is kept dependent, though a lock records
+        # no voter set and so no arrival order: the reduction would be
+        # sound, but it would also change every explored space.
+        # EPOCH_FINAL feeds an arrival-dependent pool into NEW_EPOCH
+        # construction.
         if self.abc_cls is not AtomicBroadcast:
             return None  # corpus fixtures may break the commutation proof
         if isinstance(payload, AbcCommit):
@@ -771,6 +808,15 @@ class AbcModel(BaseMessageModel):
     def check_now(self) -> List[str]:
         state: _AbcState = self.state  # type: ignore[assignment]
         problems = check_total_order(self._logs())
+        for i in self.honest:
+            # A decision that contradicts a delivered log is a safety
+            # failure of the decision rule even when the install it
+            # opened never commits (DESIGN.md §5o).
+            if state.replicas[i].stats["conflicting_new_epochs"]:
+                problems.append(
+                    f"G1 tripwire: replica {i} refused a NEW_EPOCH that"
+                    " contradicts its delivered log"
+                )
         for i in self.honest:
             for rid, payload in state.delivered[i]:
                 if derive_request_id(payload) != rid:

@@ -112,17 +112,23 @@ QUORUM_SPEC: Tuple[Tuple[str, str, str, str], ...] = (
     # -- repro.broadcast.abc: atomic broadcast (paper §2.3/§3.4) ----------
     ("repro.broadcast.abc", "__init__", "3t", "config"),
     ("repro.broadcast.abc", "__init__", "n", "config"),
-    # Prepare-phase certificate quorum: two prepare certificates for the
-    # same slot must share an honest signer, else G1 breaks.
+    # Lock quorum: two locks on the same slot must share an honest
+    # voter, else G1 breaks.
     ("repro.broadcast.abc", "_on_order", "n-t", "intersect"),
     ("repro.broadcast.abc", "_on_prepare", "n-t", "intersect"),
-    ("repro.broadcast.abc", "_form_certificate", "n-t", "truncate:n-t"),
-    ("repro.broadcast.abc", "_validate_certificate", "n-t", "intersect"),
-    ("repro.broadcast.abc", "_validate_certificate", "n", "identity-bound"),
-    ("repro.broadcast.abc", "_verify_prepare", "n", "identity-bound"),
-    # Commit quorum: 2t+1 commits guarantee >= t+1 honest certificate
-    # holders, which overlaps every n-t epoch-final recovery pool.
+    # Commit quorum: 2t+1 commits guarantee >= t+1 honest lockers, which
+    # overlaps every n-t epoch-final recovery pool.
     ("repro.broadcast.abc", "_on_commit", "2t+1", "final-overlap"),
+    # The epoch-change decision (DESIGN.md §5o).  A1 and B: n-t finals
+    # free of a conflicting lock (B: of any lock) meet the t+1 honest
+    # lockers of a committed slot.  A2: t+1 claims hold one honest one.
+    ("repro.broadcast.abc", "decide", "n-t", "intersect"),
+    ("repro.broadcast.abc", "decide", "t+1", "amplify"),
+    # The install slot: a NEW_EPOCH's choice list locks and commits like
+    # a fast-path slot.
+    ("repro.broadcast.abc", "_on_install_vote", "n-t", "intersect"),
+    ("repro.broadcast.abc", "_on_install_vote", "2t+1", "final-overlap"),
+    ("repro.broadcast.abc", "_on_install_vote", "n", "identity-bound"),
     ("repro.broadcast.abc", "_on_complain", "t+1", "amplify"),
     ("repro.broadcast.abc", "_on_complain", "2t+1", "honest-majority"),
     ("repro.broadcast.abc", "_on_epoch_final", "n-t", "intersect"),

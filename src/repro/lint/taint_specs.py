@@ -192,9 +192,10 @@ SANITIZERS: Dict[str, FrozenSet[str]] = {
     "verify_many": frozenset({"T401", "T402", "T405", "T407"}),
     "verify": frozenset({"T401", "T402", "T405", "T407"}),
     "is_valid": frozenset({"T401", "T402", "T405", "T407"}),
-    "_verify_prepare": frozenset({"T401", "T402", "T406", "T407"}),
-    # certificate / epoch-change validation
-    "_validate_certificate": frozenset({"T402", "T407"}),
+    # PREPARE and COMMIT carry no signature: their guard is the
+    # link-identity comparison ``msg.signer != sender`` (T406 treats a
+    # comparison with the authenticated sender as the check).
+    # epoch-change validation
     "_validate_new_epoch": frozenset({"T402", "T407"}),
     "validate_certificate": frozenset({"T402", "T407"}),
     # TSIG / DNS message authentication

@@ -18,7 +18,6 @@ on the loop per request.
 from __future__ import annotations
 
 import asyncio
-import copy
 from typing import Any, Awaitable, Callable, List, Optional
 
 from repro.config import ServiceConfig
@@ -107,8 +106,8 @@ class AsyncNetwork:
         if not 0 <= dest < len(self.nodes):
             raise ConfigError(f"no node {dest}")
         self.messages_sent += 1
-        # Deep-copy so peers cannot share mutable state through "the wire".
-        payload = copy.deepcopy(payload)
+        # Shared, not copied, as on the simulator: every wire message is
+        # recursively immutable (tests/net/test_wire_immutability.py).
         self.loop.call_soon(self.nodes[dest]._deliver, src, payload)
 
 

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.broadcast import abc as abc_mod
-from repro.broadcast.abc import (
-    AtomicBroadcast,
-    AuthPlane,
-    _prepare_signing_input,
-    derive_request_id,
-    request_digest,
-)
+from repro.broadcast.abc import AtomicBroadcast, derive_request_id, request_digest
 from repro.broadcast.messages import AbcCommit, AbcOrder, AbcPrepare
 
 from tests.broadcast.harness import auth_keys, coin_keys, drive, make_lan, unwrap
@@ -179,12 +173,12 @@ class TestByzantineLeader:
         assert delivered[1] == []
 
 
-#: Every per-slot structure that retirement reclaims (``_certificates``
-#: is the one that stays, until signed checkpoints exist).
+#: Every per-slot structure that retirement reclaims (``_locks`` is the
+#: one that stays, until signed checkpoints exist).
 SLOT_STATE = (
     "_ordered", "_payload_by_digest", "_prepared_digest", "_prepares",
     "_slot_digests", "_slot_introducer", "_commit_sent", "_commits",
-    "_committed", "_retired",
+    "_committed", "_retired", "_accepted",
 )
 
 
@@ -210,12 +204,9 @@ def sent_messages(solo):
     return [msg for _dest, msg in solo.sent]
 
 
-def signed_prepare(keys, signer, epoch, seq, digest):
-    pairs, pubs, _ = keys
-    signature = AuthPlane(pairs[signer].private, pubs).sign(
-        _prepare_signing_input(epoch, seq, digest)
-    )
-    return AbcPrepare(epoch, seq, digest, signer, signature)
+def prepare_from(signer, epoch, seq, digest):
+    """The unsigned PREPARE replica ``signer`` sends for a slot."""
+    return AbcPrepare(epoch, seq, digest, signer)
 
 
 class TestSlotRetirement:
@@ -227,13 +218,13 @@ class TestSlotRetirement:
         digest = request_digest(0, 0, payload)
         solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         for peer in (0, 2):
-            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+            solo.on_message(peer, prepare_from(peer, 0, 0, digest))
             solo.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
         assert solo.delivered == [payload]
         assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
-        assert abc._certificates[0].payload == payload
+        assert abc._locks[0] == (0, derive_request_id(payload), payload)
         # The leader equivocates after the fact: a second ORDER for the
-        # retired slot, and a PREPARE for it, cost no signature work.
+        # retired slot, and a PREPARE for it, are shed with no crypto.
         crypto_calls = []
         abc.crypto.sign = lambda data: crypto_calls.append("sign") or b""
         abc.crypto.verify = lambda *a: crypto_calls.append("verify") or True
@@ -241,7 +232,7 @@ class TestSlotRetirement:
         other = b"second"
         solo.on_message(0, AbcOrder(0, 0, derive_request_id(other), other))
         solo.on_message(
-            3, signed_prepare(keys_4_1, 3, 0, 0, request_digest(0, 0, other))
+            3, prepare_from(3, 0, 0, request_digest(0, 0, other))
         )
         assert solo.sent == [] and crypto_calls == []
         assert abc.stats["retired_slot_msgs"] == 2
@@ -249,15 +240,18 @@ class TestSlotRetirement:
         assert solo.delivered == [payload]
 
     def test_own_prepare_is_not_verified(self, keys_4_1):
+        # No PREPARE is verified or signed: the link names its sender,
+        # and one naming another signer is dropped.
         abc, solo = build_solo(keys_4_1)
-        verified = []
-        real_verify = abc.crypto.verify
-        abc.crypto.verify = lambda signer, *a: verified.append(signer) or real_verify(signer, *a)
+        crypto_calls = []
+        abc.crypto.sign = lambda data: crypto_calls.append("sign") or b""
+        abc.crypto.verify = lambda *a: crypto_calls.append("verify") or True
         payload = b"p"
         solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
-        solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, request_digest(0, 0, payload)))
-        assert verified == [2]
-        assert set(abc._prepares[(0, 0, request_digest(0, 0, payload))]) == {1, 2}
+        solo.on_message(2, prepare_from(2, 0, 0, request_digest(0, 0, payload)))
+        solo.on_message(3, prepare_from(2, 0, 0, request_digest(0, 0, payload)))
+        assert crypto_calls == []
+        assert abc._prepares[(0, 0, request_digest(0, 0, payload))] == {1, 2}
 
     def test_prepare_after_own_commit_is_not_verified(self, keys_4_1):
         abc, solo = build_solo(keys_4_1)
@@ -265,15 +259,13 @@ class TestSlotRetirement:
         digest = request_digest(0, 0, payload)
         solo.on_message(0, AbcOrder(0, 0, derive_request_id(payload), payload))
         for peer in (0, 2):
-            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+            solo.on_message(peer, prepare_from(peer, 0, 0, digest))
         assert (0, 0) in abc._commit_sent and solo.delivered == []
-        # The certificate is formed and COMMIT is out; the fourth PREPARE
-        # is shed before its RSA check and the slot completes as before.
-        verified = []
-        abc.crypto.verify = lambda signer, *a: verified.append(signer) or True
-        solo.on_message(3, signed_prepare(keys_4_1, 3, 0, 0, digest))
-        assert verified == [] and abc.stats["surplus_prepares"] == 1
-        assert set(abc._prepares[(0, 0, digest)]) == {0, 1, 2}
+        # The slot is locked and COMMIT is out; the fourth PREPARE is
+        # shed and the slot completes as before.
+        solo.on_message(3, prepare_from(3, 0, 0, digest))
+        assert abc.stats["surplus_prepares"] == 1
+        assert abc._prepares[(0, 0, digest)] == {0, 1, 2}
         for peer in (0, 2):
             solo.on_message(peer, AbcCommit(0, 0, digest, peer, b""))
         assert solo.delivered == [payload] and abc._retired_below == 1
@@ -288,14 +280,14 @@ class TestSlotRetirement:
         assert solo.delivered == [payload]
         assert not any(isinstance(m, AbcCommit) for m in sent_messages(solo))
         assert (0, 0) in abc._ordered and abc._retired_below == 0
-        assert 0 not in abc._certificates
-        # The late PREPAREs complete the certificate: COMMIT goes out (the
+        assert 0 not in abc._locks and abc._accepted == {0: {derive_request_id(payload): 0}}
+        # The late PREPAREs complete the lock: COMMIT goes out (the
         # others may be waiting for it) and only then does the slot retire.
         for peer in (0, 2):
-            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digest))
+            solo.on_message(peer, prepare_from(peer, 0, 0, digest))
         commits = [m for m in sent_messages(solo) if isinstance(m, AbcCommit)]
         assert len(commits) == abc.n - 1 and commits[0].digest == digest
-        assert len(abc._certificates[0].signatures) == abc.n - abc.t
+        assert abc._locks[0] == (0, derive_request_id(payload), payload)
         assert not any(slot_state_sizes(abc).values()) and abc._retired_below == 1
         assert solo.delivered == [payload]
 
@@ -308,12 +300,12 @@ class TestSlotRetirement:
         for peer in (0, 2, 3):
             solo.on_message(peer, AbcCommit(0, 0, digests[0], peer, b""))
         for peer in (0, 2):
-            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 1, digests[1]))
+            solo.on_message(peer, prepare_from(peer, 0, 1, digests[1]))
             solo.on_message(peer, AbcCommit(0, 1, digests[1], peer, b""))
         assert solo.delivered == payloads
         assert abc._retired == {1} and abc._retired_below == 0  # slot 0 owes its COMMIT
         for peer in (0, 2):
-            solo.on_message(peer, signed_prepare(keys_4_1, peer, 0, 0, digests[0]))
+            solo.on_message(peer, prepare_from(peer, 0, 0, digests[0]))
         assert abc._retired == set() and abc._retired_below == 2
 
     def test_stuck_slot_cannot_pin_the_watermark(self, keys_4_1, monkeypatch):
@@ -323,7 +315,7 @@ class TestSlotRetirement:
             payload = f"r{seq}".encode()
             digest = request_digest(0, seq, payload)
             solo.on_message(0, AbcOrder(0, seq, derive_request_id(payload), payload))
-            for peer in (0, 2, 3):  # a certificate never forms here
+            for peer in (0, 2, 3):  # a lock never forms here
                 solo.on_message(peer, AbcCommit(0, seq, digest, peer, b""))
         assert len(solo.delivered) == 4
         assert abc.next_deliver - abc._retired_below == 2
@@ -349,13 +341,12 @@ class TestSlotRetirement:
         for abc in abcs:
             assert not any(slot_state_sizes(abc).values()), slot_state_sizes(abc)
             assert abc._retired_below == abc.next_deliver == 40
-            assert sorted(abc._certificates) == list(range(40))
+            assert sorted(abc._locks) == list(range(40))
 
 
 class TestRetirementAcrossEpochs:
     def test_lagging_replica_catches_up_from_retired_peers(self, keys_4_1_1024):
-        # Three-prime keys: the PREPARE certificates inside the EPOCH_FINALs
-        # and the EPOCH_FINALs themselves are checked by peers.
+        # Three-prime keys: the EPOCH_FINALs are signed and checked.
         net = make_lan(4)
         abcs, delivered = build(4, 1, net, keys_4_1_1024)
         net.node(3).dropped = True  # misses the whole first epoch
@@ -365,8 +356,8 @@ class TestRetirementAcrossEpochs:
         for i in (0, 1, 2):
             assert delivered[i] == delivered[0] and sorted(delivered[i]) == sorted(early)
             assert not any(slot_state_sizes(abcs[i]).values())
-            # what EPOCH_FINAL will carry: one certificate per delivered slot
-            assert sorted(abcs[i]._certificates) == list(range(5))
+            # what EPOCH_FINAL will carry: one lock per delivered slot
+            assert sorted(abcs[i]._locks) == list(range(5))
         assert delivered[3] == []
         net.node(3).dropped = False
         net.node(0).dropped = True  # the leader crashes
@@ -385,7 +376,7 @@ class TestRetirementAcrossEpochs:
         assert abcs[3].stats["recovery_deliveries"] == 5
 
     def test_epoch_change_still_works_past_the_window(self, keys_4_1, monkeypatch):
-        # A NEW_EPOCH re-certifies every slot ever delivered; only the
+        # A NEW_EPOCH re-chooses every slot ever delivered; only the
         # slots a replica is actually missing count against its window.
         monkeypatch.setattr(abc_mod, "MAX_SEQ_AHEAD", 4)
         net = make_lan(4)

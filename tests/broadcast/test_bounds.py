@@ -55,7 +55,7 @@ class TestSequenceWindow:
     def test_far_future_prepare_dropped(self, keys_4_1):
         abc = make_abcs(keys_4_1)[0]
         seq = MAX_SEQ_AHEAD + 1
-        abc.on_message(2, AbcPrepare(0, seq, b"d" * 32, 2, b"sig"))
+        abc.on_message(2, AbcPrepare(0, seq, b"d" * 32, 2))
         assert abc.stats["out_of_window"] == 1
         assert all(key[1] != seq for key in abc._prepares)
 

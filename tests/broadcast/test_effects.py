@@ -15,7 +15,7 @@ from repro.broadcast.effects import CancelTimer, Deliver, Send, SetTimer
 from repro.broadcast.messages import AbcCommit, AbcOrder, decode_batch
 
 from tests.broadcast.harness import auth_keys, coin_keys, drive
-from tests.broadcast.test_abc import signed_prepare
+from tests.broadcast.test_abc import prepare_from
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def certify(solo, keys, seq, payload, commit=True):
     """Peers 1 and 2 PREPARE (and COMMIT) the leader's slot ``seq``."""
     digest = request_digest(0, seq, payload)
     for peer in (1, 2):
-        solo.on_message(peer, signed_prepare(keys, peer, 0, seq, digest))
+        solo.on_message(peer, prepare_from(peer, 0, seq, digest))
     if commit:
         for peer in (1, 2):
             solo.on_message(peer, AbcCommit(0, seq, digest, peer, b""))

@@ -15,7 +15,7 @@ from repro.broadcast.abc import MAX_EPOCH_AHEAD, derive_request_id, request_dige
 from repro.broadcast.messages import AbcCommit, AbcComplain, AbcOrder, AbcPrepare
 
 from tests.broadcast.harness import auth_keys, coin_keys, make_lan
-from tests.broadcast.test_abc import build, build_solo, inject, sent_messages, signed_prepare
+from tests.broadcast.test_abc import build, build_solo, inject, prepare_from, sent_messages
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +113,32 @@ class TestEpochWindows:
         far = AbcEpochFinal(
             epoch=abc.epoch + MAX_EPOCH_AHEAD + 1,
             sender=2,
-            delivered_seq=0,
-            certificates=(),
+            locks=(),
+            accepted=(),
             pending=(),
         )
         abc._on_epoch_final(2, (far, b"junk"))
         assert calls == []
+
+    def test_far_future_complaints_are_counted_stale_ones_not(self, keys_4_1):
+        abc = make_abc(keys_4_1)
+        abc.epoch = 3
+        abc.on_message(2, AbcComplain(2, 2))  # stale: a lagging peer
+        abc.on_message(2, AbcComplain(3 + MAX_EPOCH_AHEAD, 2))  # window edge
+        abc.on_message(2, AbcComplain(4 + MAX_EPOCH_AHEAD, 2))
+        assert abc.stats["complaints_out_of_window"] == 1
+        assert list(abc._complaints) == [3 + MAX_EPOCH_AHEAD]
+
+    def test_far_future_finals_are_counted_stale_ones_not(self, keys_4_1):
+        from repro.broadcast.messages import AbcEpochFinal
+
+        abc = make_abc(keys_4_1)
+        abc.epoch = 3
+        for epoch in (2, 4 + MAX_EPOCH_AHEAD, 5 + MAX_EPOCH_AHEAD):
+            final = AbcEpochFinal(epoch=epoch, sender=2, locks=(), accepted=(), pending=())
+            abc._on_epoch_final(2, (final, b"junk"))
+        assert abc.stats["finals_out_of_window"] == 2
+        assert abc._finals == {}
 
 
 class TestAbcOrderPrepareFlood:
@@ -143,8 +163,8 @@ class TestAbcOrderPrepareFlood:
     def test_prepare_equivocation_ignored(self, keys_4_1):
         abc, solo = build_solo(keys_4_1)
         for i in range(50):
-            solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([i]) * 32))
-        solo.on_message(2, signed_prepare(keys_4_1, 2, 0, 0, bytes([0]) * 32))  # a repeat
+            solo.on_message(2, prepare_from(2, 0, 0, bytes([i]) * 32))
+        solo.on_message(2, prepare_from(2, 0, 0, bytes([0]) * 32))  # a repeat
         assert abc._slot_digests[(0, 0)] == {bytes([0]) * 32}
         assert [key for key in abc._prepares if key[:2] == (0, 0)] == [(0, 0, bytes([0]) * 32)]
         assert list(abc._prepares[(0, 0, bytes([0]) * 32)]) == [2]
@@ -154,7 +174,7 @@ class TestAbcOrderPrepareFlood:
         for sender in (0, 2, 3):
             for i in range(3):
                 digest = bytes([10 * sender + i]) * 32
-                solo.on_message(sender, signed_prepare(keys_4_1, sender, 0, 0, digest))
+                solo.on_message(sender, prepare_from(sender, 0, 0, digest))
                 solo.on_message(sender, AbcCommit(0, 0, digest, sender, b""))
         assert len(abc._slot_digests[(0, 0)]) <= abc.n
         assert len([k for k in abc._prepares if k[:2] == (0, 0)]) <= abc.n
@@ -168,7 +188,7 @@ class TestAbcOrderPrepareFlood:
         for i in range(20):
             digest = bytes([i]) * 32
             for peer in range(3):
-                net.node(3).send(peer, signed_prepare(keys_4_1, 3, 0, 0, digest))
+                net.node(3).send(peer, prepare_from(3, 0, 0, digest))
                 net.node(3).send(peer, AbcCommit(0, 0, digest, 3, b""))
         net.run()
         assert all(abcs[i]._slot_digests[(0, 0)] == {bytes([0]) * 32} for i in range(3))

@@ -87,7 +87,7 @@ def test_state_is_proportional_to_inflight_work(monkeypatch):
         assert replica.coordinator.stats["share_timeouts"] == 0
         assert len(replica._exec_queue) == 0
         # still one entry per slot / per request until checkpoints exist
-        assert len(abc._certificates) == abc.next_deliver
+        assert len(abc._locks) == abc.next_deliver
         # (a few less than issued: reads that repeat a name *and* a
         # 16-bit message id are one payload, ordered and executed once)
         assert issued - 40 <= len(replica.delivered_requests) <= issued

@@ -15,23 +15,24 @@ class CleanAbcPrepareQuorum(AtomicBroadcast):
     """``_on_prepare`` restated with the production n - t threshold."""
 
     def _on_prepare(self, sender: int, msg: AbcPrepare) -> None:
+        if msg.seq < 0:  # the install slot is not what this fixture varies
+            super()._on_prepare(sender, msg)
+            return
+        if msg.signer != sender:
+            return
         if self._buffer_future(sender, msg, msg.epoch):
             return
         if msg.epoch != self.epoch or self.mode != MODE_FAST:
-            return
-        if msg.signer != sender:
             return
         if not self._seq_in_window(msg.seq) or self._slot_retired(msg.seq):
             return
         if (msg.epoch, msg.seq) in self._commit_sent:
             return
-        if sender != self.me and not self._verify_prepare(msg):
-            return
         if not self._admit_slot_digest(sender, msg.epoch, msg.seq, msg.digest):
             return
-        pool = self._prepares.setdefault((msg.epoch, msg.seq, msg.digest), {})
-        if msg.signer in pool:
+        pool = self._prepares.setdefault((msg.epoch, msg.seq, msg.digest), set())
+        if sender in pool:
             return
-        pool[msg.signer] = msg.signature
+        pool.add(sender)
         if len(pool) >= self.n - self.t:
-            self._form_certificate(msg.epoch, msg.seq, msg.digest, pool)
+            self._lock_slot(msg.epoch, msg.seq, msg.digest)

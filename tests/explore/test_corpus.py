@@ -15,18 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.broadcast.abc import (
-    _prepare_signing_input,
-    derive_request_id,
-    request_digest,
-)
+from repro.broadcast.abc import derive_request_id, request_digest
 from repro.broadcast.messages import AbcCommit, AbcPrepare, PayloadReply
 from repro.explore.dpor import DporEngine
 from repro.explore.models import (
     AbaModel,
     AbcModel,
     ByzStrategy,
-    StubKey,
     abc_strategies,
 )
 
@@ -38,9 +33,17 @@ PROTOCOL_VULNS = [
     "vuln_abc_future_epoch_drop.py",
     "vuln_abc_weak_prepare_quorum.py",
     "vuln_abc_unverified_pull.py",
+    "vuln_abc_claim_majority.py",
 ]
 
 CLEAN = ["clean_abc.py"]
+
+#: Delay bounds (DporEngine ``bound``) for witnesses that sit behind a
+#: long tail.  The future-epoch drop needs two deviations from the default
+#: schedule, both before the new epoch's install slot and fast path; an
+#: unbounded depth-first search exhausts those tails first (400 000
+#: schedules did not reach it), the bound finds it in a few hundred.
+DELAY_BOUND = {"vuln_abc_future_epoch_drop.py": 2}
 
 #: The exact invariant messages of the re-planted ABC bugs' witnesses.
 WITNESS_MESSAGES = {
@@ -52,6 +55,10 @@ WITNESS_MESSAGES = {
     "vuln_abc_unverified_pull.py": [
         "replica 3 adopted a forged payload for request "
         + derive_request_id(b"req-withheld")
+    ],
+    "vuln_abc_claim_majority.py": [
+        "G1 tripwire: replica 1 refused a NEW_EPOCH that contradicts its"
+        " delivered log"
     ],
 }
 
@@ -90,12 +97,10 @@ def _equivocate_at_5_1():
     COMMITs each camp's digest: its own vote lifts each camp's two
     PREPAREs to 2t+1, never to n-t."""
     base = _leader_strategy(5, "equivocate-seq")
-    key = StubKey(0)
     votes = []
     for dest, order in base.messages:
         digest = request_digest(0, 0, order.payload)
-        signature = key.sign(_prepare_signing_input(0, 0, digest))
-        votes.append((dest, AbcPrepare(0, 0, digest, 0, signature)))
+        votes.append((dest, AbcPrepare(0, 0, digest, 0)))
         votes.append((dest, AbcCommit(0, 0, digest, 0, b"")))
     return ByzStrategy(
         "equivocate-seq-voting", tuple(base.messages) + tuple(votes)
@@ -184,6 +189,20 @@ def _protocol_model(filename):
             ),
             50_000,
         )
+    if filename == "vuln_abc_claim_majority.py":
+        from vuln_abc_claim_majority import VulnAbcClaimMajority
+
+        return (
+            AbcModel(
+                4,
+                1,
+                byz=0,
+                strategy=_leader_strategy(4, "equivocate-lie"),
+                payloads=(b"req-a",),
+                abc_cls=VulnAbcClaimMajority,
+            ),
+            50_000,
+        )
     if filename == "vuln_abc_unverified_pull.py":
         from vuln_abc_unverified_pull import VulnAbcUnverifiedPull
 
@@ -211,7 +230,7 @@ def test_corpus_is_complete():
 @pytest.mark.parametrize(
     "filename",
     [
-        # ~10 s of schedules before the dropped-message witness shows up
+        # several seconds of schedules before the dropped-message witness
         pytest.param(name, marks=pytest.mark.slow)
         if name == "vuln_abc_future_epoch_drop.py" else name
         for name in PROTOCOL_VULNS
@@ -220,7 +239,8 @@ def test_corpus_is_complete():
 def test_protocol_bug_witnessed(filename):
     model, budget = _protocol_model(filename)
     result = DporEngine(
-        model, stop_on_first=True, max_schedules=budget
+        model, stop_on_first=True, max_schedules=budget,
+        bound=DELAY_BOUND.get(filename),
     ).run()
     assert result.violations, f"{filename}: no violating schedule found"
     violation = result.violations[0]
@@ -248,6 +268,17 @@ def test_clean_abc_control_stays_silent():
     assert result.schedules == 1_000, "budget should bind, not the space"
 
 
+def test_production_decide_sees_through_the_lie():
+    # The same adversary as vuln_abc_claim_majority's, against A1/A2/B.
+    model = AbcModel(
+        4, 1, byz=0,
+        strategy=_leader_strategy(4, "equivocate-lie"), payloads=(b"req-a",),
+    )
+    result = DporEngine(model, max_schedules=1_000).run()
+    assert not result.violations
+    assert result.schedules == 1_000, "budget should bind, not the space"
+
+
 def test_production_pull_rejects_the_forged_reply():
     # The same adversary against the real request-id check.
     model = _ForgedPullModel(
@@ -268,7 +299,8 @@ def test_whole_corpus_under_budget():
     for filename in PROTOCOL_VULNS:
         model, budget = _protocol_model(filename)
         result = DporEngine(
-            model, stop_on_first=True, max_schedules=budget
+            model, stop_on_first=True, max_schedules=budget,
+            bound=DELAY_BOUND.get(filename),
         ).run()
         assert result.violations, filename
     elapsed = time.monotonic() - start

@@ -344,6 +344,7 @@ def test_strategy_specs_cover_documented_palettes():
         "honest-backlog",
         "leader-silent",
         "leader-equivocate-seq",
+        "leader-equivocate-lie",
         "leader-withhold-payload",
     ]
     e2e = [s.name for s in strategy_specs("e2e", 4, 1)]

@@ -15,6 +15,6 @@ class Endpoint:
 
     def on_message(self, sender, msg):
         # BUG: a forged NEW_EPOCH moves our epoch without
-        # _validate_certificate / signature verification.
+        # _validate_new_epoch / signature verification.
         if msg.epoch > self.epoch:
             self.epoch = msg.epoch

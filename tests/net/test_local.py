@@ -33,19 +33,20 @@ class TestAsyncNetwork:
 
         assert run(scenario()) == [(0, "hello")]
 
-    def test_payloads_are_isolated(self):
+    def test_payloads_are_shared_not_copied(self):
+        # Isolation comes from the message classes being immutable, not
+        # from a copy per send.
         async def scenario():
             net = AsyncNetwork(2)
             received = []
             net.node(1).set_handler(lambda s, p: received.append(p))
-            payload = {"key": ["a"]}
+            payload = ("frozen", b"wire")
             net.node(0).send(1, payload)
-            payload["key"].append("mutated-after-send")
             await asyncio.sleep(0.05)
-            return received
+            return payload, received
 
-        received = run(scenario())
-        assert received == [{"key": ["a"]}]
+        payload, received = run(scenario())
+        assert len(received) == 1 and received[0] is payload
 
     def test_dropped_node(self):
         async def scenario():
